@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NoBoundStateError
-from .model import q_factor
+from .model import _q_base, q_factor
 from .quadrature import QuadratureResult, fourier_coefficient
 
 __all__ = [
@@ -111,11 +111,21 @@ def phi_cb_mean(k: float, tau, g0: float):
     return out[()] if out.ndim == 0 else out
 
 
-def _sign_factor(n: int) -> int:
-    """Step combination s(n): +1 for n > 0, -(-1)^n for n < 0."""
-    if n > 0:
-        return 1
-    return -1 if n % 2 == 0 else 1
+def a_kernel(k_out, k_in, m, pow_out, pow_in):
+    """Imaginary part of A_{k_out k_in}(m), which is purely imaginary.
+
+    Broadcasts over arrays.  ``pow_out`` and ``pow_in`` are the q-factors
+    q(k_out)**|m| and q(k_in)**|m|, so a caller evaluating many channels
+    at the same momenta raises each q-base (``model._q_base``) to one
+    table of powers.  Every m must be nonzero.  No argument or pole
+    guards: quadrature callers keep their nodes off the
+    k_out**2 == k_in**2 lines.
+    """
+    # step combination s(m): +1 for m > 0, -(-1)**m for m < 0
+    sign = np.where((m < 0) & (m % 2 == 0), -1.0, 1.0)
+    parity = np.where(m % 2 == 0, 1.0, -1.0)
+    return ((1.0 / math.pi) * (k_out * k_in / (k_out * k_out - k_in * k_in))
+            / (k_out + k_in) * (pow_in - parity * pow_out) * sign)
 
 
 def a_coefficient(k_f: float, k_i: float, n: int, g0: float) -> complex:
@@ -123,7 +133,7 @@ def a_coefficient(k_f: float, k_i: float, n: int, g0: float) -> complex:
 
     Identically zero for n = 0 (renormalized diagonal).  Off-shell
     evaluation with k_f**2 == k_i**2 and n != 0 hits the removed pole and
-    is rejected.
+    is rejected.  The checked edge of :func:`a_kernel`.
     """
     if k_f <= 0 or k_i <= 0:
         raise DomainError(f"wavenumbers must be positive, got ({k_f}, {k_i})")
@@ -131,14 +141,8 @@ def a_coefficient(k_f: float, k_i: float, n: int, g0: float) -> complex:
         return 0.0 + 0.0j
     if k_f == k_i:
         raise DomainError("pole: k_f**2 == k_i**2 with n != 0")
-    bracket = q_factor(k_i, abs(n), g0) - (-1) ** n * q_factor(k_f, abs(n), g0)
-    return (
-        (1j / math.pi)
-        * (k_f * k_i / (k_f * k_f - k_i * k_i))
-        / (k_f + k_i)
-        * bracket
-        * _sign_factor(n)
-    )
+    return 1j * float(a_kernel(k_f, k_i, n, _q_base(k_f, g0) ** abs(n),
+                               _q_base(k_i, g0) ** abs(n)))
 
 
 def b_coefficient(k: float, n: int, g0: float) -> complex:

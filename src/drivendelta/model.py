@@ -146,12 +146,19 @@ def q_factor(k, n: int, g0: float):
     if n == 0:
         out = np.ones_like(k, dtype=complex if np.iscomplexobj(k) else float)
         return out[()] if out.ndim == 0 else out
-    if g0 == 0:
-        out = np.zeros_like(k, dtype=float)
-        return out[()] if out.ndim == 0 else out
-    base = (np.sqrt(k * k + g0 * g0) - k) / g0
-    out = base**n
+    out = _q_base(k, g0) ** n
     return out[()] if out.ndim == 0 else out
+
+
+def _q_base(k, g0: float):
+    """Base (sqrt(k**2 + g0**2) - k) / g0 of :func:`q_factor`, without guards.
+
+    Returns 0 at g0 = 0, the continuous limit, so q**n is 0 for n >= 1.
+    Vectorized callers raise this base to their own power tables.
+    """
+    if g0 == 0:
+        return np.zeros_like(k, dtype=float)
+    return (np.sqrt(k * k + g0 * g0) - k) / g0
 
 
 def basis_point(tau: float, g0: float) -> BasisPoint:

@@ -25,9 +25,9 @@ from typing import Dict, List
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .amplitudes import b_coefficient, b_coefficient_bc
+from .amplitudes import a_kernel, b_coefficient, b_coefficient_bc
 from .errors import DomainError
-from .model import q_factor
+from .model import _q_base, q_factor
 from .quadrature import adaptive_quad, pv_integral
 
 __all__ = [
@@ -77,19 +77,34 @@ class RenormFactors:
     n0: int
 
 
-def _a_array(k_out, k_in, n: int, g0: float):
-    """Vectorized c/c Fourier coefficient; one argument may be an array.
+def _loop_products(k_f: float, k_i: float, n: int, ls, k, g0: float):
+    """Table of Re[A_{k_f k}(n - l) A_{k k_i}(l)], channels ``ls`` by nodes ``k``.
 
-    No pole guards: quadrature callers keep nodes off the removed
-    diagonal and the k_out**2 == k_in**2 lines.
+    Each momentum's q-base is raised once to every power the channels
+    need, and the channels pick their rows of that table.  No pole guards.
     """
-    if n == 0:
-        return np.zeros(np.broadcast(np.asarray(k_out), np.asarray(k_in)).shape,
-                        dtype=complex)
-    sign = 1.0 if n > 0 else (-1.0 if n % 2 == 0 else 1.0)
-    bracket = q_factor(k_in, abs(n), g0) - (-1) ** n * q_factor(k_out, abs(n), g0)
-    return ((1j / math.pi) * (k_out * k_in / (k_out * k_out - k_in * k_in))
-            / (k_out + k_in) * bracket * sign)
+    ls = np.asarray(ls)[:, None]
+    m_out, m_in = np.abs(n - ls), np.abs(ls)
+    powers = np.arange(max(m_out.max(), m_in.max()) + 1)
+    q_k = _q_base(k, g0) ** powers[:, None]
+    q_f, q_i = _q_base(k_f, g0) ** powers, _q_base(k_i, g0) ** powers
+    # both factors are purely imaginary: Re[(i a)(i b)] = -a b
+    return -(a_kernel(k_f, k, n - ls, q_f[m_out], q_k[m_out[:, 0]])
+             * a_kernel(k, k_i, ls, q_k[m_in[:, 0]], q_i[m_in]))
+
+
+def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
+    """Channel sum of the Re Gamma integrand, one broadcast per call."""
+    eps_i = 0.5 * k_i * k_i
+    ls = np.asarray(ls)
+    col = ls[:, None]
+
+    def integrand(k):
+        k = np.asarray(k, dtype=float)
+        terms = _loop_products(k_f, k_i, n, ls, k, g0)
+        return (terms / (eps_i - 0.5 * k * k + col)).sum(axis=0)
+
+    return integrand
 
 
 def _decay_count(q: float, cap: int = _SERIES_CAP // 2, floor: int = 10) -> int:
@@ -113,10 +128,10 @@ def _pv_over_halfline(f, poles: List[float], split: float, tol: float):
 
     Partitions [0, split] at midpoints between consecutive poles, applies
     residue-subtraction PV on each piece, and adds the tan-transformed
-    tail from ``split``.  Returns (value, error_estimate).
+    tail from ``split``.  Returns (value, error_estimate, evaluations).
     """
     poles = sorted(poles)
-    value, err = 0.0, 0.0
+    value, err, evals = 0.0, 0.0, 0
     if poles:
         cuts = [0.0]
         cuts.extend(0.5 * (p1 + p2) for p1, p2 in zip(poles, poles[1:]))
@@ -125,10 +140,12 @@ def _pv_over_halfline(f, poles: List[float], split: float, tol: float):
             res = pv_integral(f, p, a, b, tol=tol)
             value += res.value.real if np.iscomplexobj(res.value) else res.value
             err += res.error_estimate
+            evals += res.evaluations
     else:
         res = adaptive_quad(f, 0.0, split, tol=tol)
         value += complex(res.value).real
         err += res.error_estimate
+        evals += res.evaluations
 
     def tail(u):
         x = np.tan(u)
@@ -137,7 +154,8 @@ def _pv_over_halfline(f, poles: List[float], split: float, tol: float):
     res = adaptive_quad(tail, math.atan(split), 0.5 * math.pi, tol=tol)
     value += complex(res.value).real
     err += res.error_estimate
-    return value, err
+    evals += res.evaluations
+    return value, err, evals
 
 
 @functools.lru_cache(maxsize=4096)
@@ -155,7 +173,6 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
     diag: Dict = {}
     if g0 == 0:
         return LoopValue(re=0.0, im=0.0, n=n, diagnostics={"channels": []})
-    eps_i = 0.5 * k_i * k_i
 
     L = _loop_l_max(k_i, n, g0)
     diag["l_max"] = L
@@ -163,24 +180,12 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
     ls = [l for l in range(-L, L + 1) if l != 0 and l != n]
     diag["channels"] = ls
 
-    # finite residue sum over open intermediate channels
-    im_total = 0.0
-    for l in ls:
-        kl2 = k_i * k_i + 2 * l
-        if kl2 <= 0:
-            continue
-        kl = math.sqrt(kl2)
-        prod = (_a_array(k_f, kl, n - l, g0) * _a_array(kl, k_i, l, g0)).real
-        im_total += prod / kl
-    im_total *= -math.pi
-
-    def integrand(k):
-        k = np.asarray(k, dtype=float)
-        total = np.zeros(k.shape, dtype=float)
-        for l in ls:
-            prod = (_a_array(k_f, k, n - l, g0) * _a_array(k, k_i, l, g0)).real
-            total += prod / (eps_i - 0.5 * k * k + l)
-        return total
+    # finite residue sum over open intermediate channels: channel l at its
+    # own k_l, the diagonal of the channels-by-momenta table
+    l_open = np.array([l for l in ls if k_i * k_i + 2 * l > 0])
+    k_open = np.sqrt(k_i * k_i + 2 * l_open)
+    im_total = -math.pi * float(np.sum(
+        np.diagonal(_loop_products(k_f, k_i, n, l_open, k_open, g0)) / k_open))
 
     pole_set = {k_i}
     if n != 0:
@@ -194,8 +199,10 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
             pole_set.add(math.sqrt(kl2))
     poles = sorted(pole_set)
     split = max(4.0 * k_i, 4.0 * k_f, 4.0 * g0, 8.0, 1.5 * poles[-1])
-    re_total, err = _pv_over_halfline(integrand, poles, split, tol)
+    re_total, err, evals = _pv_over_halfline(
+        _loop_integrand(k_f, k_i, n, ls, g0), poles, split, tol)
     diag["error_estimate"] = err
+    diag["evaluations"] = evals
     diag["poles"] = poles
     return LoopValue(re=re_total, im=im_total, n=n, diagnostics=diag)
 
@@ -441,14 +448,14 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
 
         def integrand(k, _l=l, _am=am):
             k = np.asarray(k, dtype=float)
-            mod2 = (g0 / math.pi) * q_factor(k, _am, g0) ** 2 \
+            mod2 = (g0 / math.pi) * (_q_base(k, g0) ** _am) ** 2 \
                 / (k * k + 0.25 * g0 * g0)
             return mod2 / (0.5 * k * k - eps_i - _l)
 
         kl2 = 2.0 * (eps_i + l)
         poles = [math.sqrt(kl2)] if kl2 > 0 else []
         split = max(4.0 * k_i, 4.0 * g0, 8.0, (1.5 * poles[0]) if poles else 0.0)
-        value, _ = _pv_over_halfline(integrand, poles, split, tol)
+        value, _, _ = _pv_over_halfline(integrand, poles, split, tol)
         total += value
     return 2.0 * total
 

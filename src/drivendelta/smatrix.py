@@ -24,7 +24,7 @@ from .amplitudes import a_coefficient, b_coefficient
 from .errors import DomainError, RegimeError, ZeroNotFoundError
 from .model import sideband_channel
 from .quadrature import bracket_min
-from .renorm import (alpha_shift, b_bare, b_renorm, gamma_loop,
+from .renorm import (_nearest_odd, alpha_shift, b_bare, b_renorm, gamma_loop,
                      renorm_factors)
 
 __all__ = [
@@ -84,8 +84,7 @@ def _b_term_regime(eps_i: float, g0: float) -> Tuple[str, float, float]:
     effective energy, the real-denominator approximation beyond.
     """
     eps_t = eps_i + g0 * g0 / 8.0
-    n0 = 2 * math.floor((eps_t - 1.0) / 2.0) + 1
-    n0 = int(n0 if abs(eps_t - n0) <= abs(eps_t - n0 - 2) else n0 + 2)
+    n0 = _nearest_odd(eps_t)
     k_i = math.sqrt(2.0 * eps_i)
     dist0 = abs(eps_t - n0)
     if dist0 >= _NEAR_DISTANCE:

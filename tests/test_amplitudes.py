@@ -50,6 +50,14 @@ class TestContinuumContinuum:
         quad = _a_by_quadrature(k_f, k_i, n, g0)
         assert abs(closed - quad) <= 1e-9 * abs(quad)
 
+    @pytest.mark.parametrize("n", [-3, -2, -1, 2, 3])
+    def test_sign_and_parity_match_quadrature(self, n):
+        # every sign and parity of n through the kernel's s(n) and (-1)**n
+        k_i, g0 = 2.6, 0.7
+        k_f = math.sqrt(k_i * k_i + 2 * n)
+        quad = _a_by_quadrature(k_f, k_i, n, g0)
+        assert abs(a_coefficient(k_f, k_i, n, g0) - quad) <= 1e-9 * abs(quad)
+
     def test_instantaneous_element_antisymmetric_factor(self):
         # swapping momenta conjugates the dressing phase and flips the pole
         val = phi_cc(2.0, 1.0, 0.3, 0.5)

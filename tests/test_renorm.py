@@ -2,9 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
+from scipy import integrate
 
 import drivendelta.renorm as renorm
+from drivendelta.amplitudes import a_coefficient
 from drivendelta.errors import DomainError
 from drivendelta.renorm import (alpha_shift, b_bare, b_renorm, beta_width,
                                 gamma_elastic_closed, gamma_loop,
@@ -36,6 +39,109 @@ class TestGammaLoop:
         loop = gamma_loop(1.0, 1.0, 0, 0.3)
         assert 0 not in loop.diagnostics["channels"]
         assert "error_estimate" in loop.diagnostics
+        assert loop.diagnostics["evaluations"] > 0
+
+    def test_evaluations_count_batched_integrand_nodes(self, monkeypatch):
+        calls = []
+        make = renorm._loop_integrand
+
+        def counting(*args):
+            integrand = make(*args)
+
+            def wrapped(k):
+                calls.append(np.size(k))
+                return integrand(k)
+            return wrapped
+
+        monkeypatch.setattr(renorm, "_loop_integrand", counting)
+        loop = gamma_loop.__wrapped__(1.3, 1.3, 0, 0.7)
+        assert loop.diagnostics["evaluations"] == sum(calls)
+        # one call per residue table (12 samples), per first panel (15
+        # nodes) and per split panel (both halves, 30 nodes)
+        assert set(calls) == {12, 15, 30}
+
+
+class TestLoopKernel:
+    """The (channels x nodes) broadcast against the public coefficient."""
+
+    EPS_I = 1.3
+    # off the poles k_i = 1.612, k_f = 0.775 (n = -1), 2.145 (n = 1), 2.569 (n = 2)
+    NODES = np.array([0.37, 0.93, 1.41, 1.77, 2.9, 4.05])
+    # both signs and both parities of l, and of n - l
+    CHANNELS = list(range(-7, 8))
+
+    @pytest.mark.parametrize("g0", [0.1, 0.7])
+    @pytest.mark.parametrize("n", [0, 1, -1, 2])
+    def test_products_match_coefficient_products(self, n, g0):
+        k_i = math.sqrt(2.0 * self.EPS_I)
+        k_f = math.sqrt(k_i * k_i + 2 * n)
+        ls = [l for l in self.CHANNELS if l not in (0, n)]
+        table = renorm._loop_products(k_f, k_i, n, ls, self.NODES, g0)
+        assert table.shape == (len(ls), len(self.NODES))
+        for row, l in zip(table, ls):
+            for value, k in zip(row, self.NODES):
+                expected = (a_coefficient(k_f, k, n - l, g0)
+                            * a_coefficient(k, k_i, l, g0)).real
+                assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("g0", [0.1, 0.7])
+    @pytest.mark.parametrize("n", [0, 1, -1, 2])
+    def test_integrand_is_propagator_weighted_channel_sum(self, n, g0):
+        k_i = math.sqrt(2.0 * self.EPS_I)
+        k_f = math.sqrt(k_i * k_i + 2 * n)
+        ls = [l for l in self.CHANNELS if l not in (0, n)]
+        values = renorm._loop_integrand(k_f, k_i, n, ls, g0)(self.NODES)
+        for value, k in zip(values, self.NODES):
+            terms = [(a_coefficient(k_f, k, n - l, g0) * a_coefficient(k, k_i, l, g0)).real
+                     / (self.EPS_I - 0.5 * k * k + l) for l in ls]
+            assert abs(value - math.fsum(terms)) <= 1e-13 * sum(map(abs, terms))
+
+
+def _cauchy_loop_re(k_f: float, k_i: float, n: int, ls, g0: float) -> float:
+    """Re Gamma by QUADPACK's Cauchy-weight rule, one pole per piece.
+
+    The integrand is the channel sum over ``ls`` built from the public
+    ``a_coefficient``; [0, inf) is cut at the midpoints between the poles
+    k_i, k_f and the open channel momenta, and each piece is integrated
+    with weight 1 / (k - pole).
+    """
+    eps_i = 0.5 * k_i * k_i
+
+    def f(x):
+        if x <= 0.0:
+            return 0.0      # every coefficient vanishes linearly in x
+        return math.fsum((a_coefficient(k_f, x, n - l, g0)
+                          * a_coefficient(x, k_i, l, g0)).real
+                         / (eps_i - 0.5 * x * x + l) for l in ls)
+
+    poles = sorted({k_i, k_f} | {math.sqrt(k_i * k_i + 2 * l) for l in ls
+                                 if k_i * k_i + 2 * l > 0})
+    cuts = [0.0] + [0.5 * (a + b) for a, b in zip(poles, poles[1:])] \
+        + [1.5 * poles[-1] + 1.0]
+    total = 0.0
+    for (a, b), p in zip(zip(cuts, cuts[1:]), poles):
+        def regular(x, p=p):
+            if x == p:      # the rule never needs the pole itself
+                return 0.5 * (regular(p + 1e-9) + regular(p - 1e-9))
+            return f(x) * (x - p)
+        total += integrate.quad(regular, a, b, weight="cauchy", wvar=p,
+                                epsabs=1e-13, epsrel=1e-10, limit=200)[0]
+    return total + integrate.quad(f, cuts[-1], np.inf, epsabs=1e-13,
+                                  epsrel=1e-10, limit=200)[0]
+
+
+@pytest.mark.slow
+class TestLoopCauchyOracle:
+    """Independent principal value: QUADPACK QAWC (Piessens et al. 1983)."""
+
+    @pytest.mark.parametrize("g0,eps_i,n", [(0.7, 0.7, 0), (0.1, 0.3, 0),
+                                            (0.7, 2.5, 0), (0.7, 1.3, 1)])
+    def test_real_part_matches_cauchy_quadrature(self, g0, eps_i, n):
+        k_i = math.sqrt(2.0 * eps_i)
+        k_f = math.sqrt(k_i * k_i + 2 * n)
+        loop = gamma_loop(k_f, k_i, n, g0)
+        oracle = _cauchy_loop_re(k_f, k_i, n, loop.diagnostics["channels"], g0)
+        assert abs(loop.re - oracle) <= 1e-9
 
 
 class TestGammaElasticClosed:

@@ -13,8 +13,9 @@ from .amplitudes import (a_coefficient, b_coefficient, b_coefficient_bc,
 from .errors import (DivergenceError, DomainError, DrivenDeltaError,
                      NoBoundStateError, PoleOrderError, RegimeError,
                      ToleranceError, ZeroNotFoundError)
-from .floquet import (FloquetSolution, solve, static_transmission,
-                      total_transmission_exact, zero_locate_exact)
+from .floquet import (FloquetGrid, FloquetSolution, solve,
+                      static_transmission, total_transmission_exact,
+                      transmission_grid, zero_locate_exact)
 from .model import (Channel, ModelParams, bound_energy, mean_bound_energy,
                     q_factor, sideband_channel, theta, to_dimensionless)
 from .quadrature import (QuadratureResult, adaptive_quad, bracket_min,
@@ -45,8 +46,8 @@ __all__ = [
     "DiagramTerm", "SMatrixDecomposition", "assemble", "w0",
     "find_transmission_zero", "near_zero_amplitudes",
     # exact solver
-    "FloquetSolution", "static_transmission", "solve",
-    "total_transmission_exact", "zero_locate_exact",
+    "FloquetSolution", "FloquetGrid", "static_transmission", "solve",
+    "transmission_grid", "total_transmission_exact", "zero_locate_exact",
     # errors
     "DrivenDeltaError", "DomainError", "NoBoundStateError", "ToleranceError",
     "PoleOrderError", "DivergenceError", "RegimeError", "ZeroNotFoundError",

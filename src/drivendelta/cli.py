@@ -25,9 +25,9 @@ from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
-from .errors import DrivenDeltaError
+from .errors import DrivenDeltaError, ToleranceError
 from .floquet import solve as floquet_solve
-from .floquet import zero_locate_exact
+from .floquet import transmission_grid, zero_locate_exact
 from .renorm import alpha_shift, gamma_loop
 from .smatrix import assemble, find_transmission_zero
 from .smatrix import w0 as w0_weight
@@ -147,6 +147,7 @@ class PointFailure(DrivenDeltaError, RuntimeError):
 
 
 def _scan_row(eps_i: float, config: ScanConfig) -> Dict[str, float]:
+    """One scan row with its perturbative columns; the floquet ones stay NaN."""
     row = {c: float("nan") for c in _scan_columns(config.n_max)}
     row["eps_i"] = eps_i
     k_i = math.sqrt(2.0 * eps_i)
@@ -167,19 +168,35 @@ def _scan_row(eps_i: float, config: ScanConfig) -> Dict[str, float]:
                 ksq = k_i * k_i + 2 * n
                 row[f"T_{n}"] = (math.sqrt(ksq) / k_i * abs(dec.T[n]) ** 2
                                  if n in dec.T else 0.0)
-        if config.method in ("floquet", "both"):
-            sol = floquet_solve(eps_i, config.g0)
-            flux = {n: sol.k_channel(n).real / k_i * abs(sol.t[n]) ** 2
-                    for n in sol.open_channels()}
-            row["T_total_floquet"] = float(sum(flux.values()))
-            if config.method == "floquet":
-                row["T_elastic"] = abs(sol.t[0]) ** 2
-                row["R_elastic"] = abs(sol.r[0]) ** 2
-                for n in range(-config.n_max, config.n_max + 1):
-                    row[f"T_{n}"] = flux.get(n, 0.0)
     except DrivenDeltaError as exc:
         raise PointFailure(eps_i, exc) from exc
     return row
+
+
+def _scan_rows(config: ScanConfig) -> List[Dict[str, float]]:
+    """Scan rows over the grid.
+
+    The floquet columns come from one batched exact solve of the whole
+    grid; the perturbative columns are computed point by point.
+    """
+    exact = None
+    if config.method in ("floquet", "both"):
+        try:
+            exact = transmission_grid(_grid(config), config.g0, config.n_max)
+        except ToleranceError as exc:
+            raise PointFailure(exc.eps_i, exc) from exc
+    rows = _map_grid(lambda eps: _scan_row(eps, config), config)
+    if exact is None:
+        return rows
+    sidebands = [f"T_{n}" for n in range(-config.n_max, config.n_max + 1)]
+    columns = {"T_total_floquet": exact.T_total}
+    if config.method == "floquet":
+        columns.update(T_elastic=exact.t0_sq, R_elastic=exact.r0_sq,
+                       **dict(zip(sidebands, exact.T_n)))
+    for name, values in columns.items():
+        for row, value in zip(rows, values.tolist()):
+            row[name] = value
+    return rows
 
 
 def _grid(config: ScanConfig) -> List[float]:
@@ -260,7 +277,7 @@ def _write_table(command: str, config: ScanConfig, columns: Sequence[str],
 def cmd_scan(config: ScanConfig) -> int:
     """Sideband-resolved scan over the energy grid; writes one row per point."""
     config.validate()
-    rows = _map_grid(lambda eps: _scan_row(eps, config), config)
+    rows = _scan_rows(config)
     _write_table("scan", config, _scan_columns(config.n_max), rows)
     return 0
 
@@ -301,16 +318,12 @@ def cmd_compare(config: ScanConfig) -> int:
     config = replace(config, method="both").validate()
     columns = ["eps_i", "T_total_pert", "T_total_floquet", "abs_diff"]
 
-    def row(eps):
-        full = _scan_row(eps, config)
-        return {
-            "eps_i": eps,
-            "T_total_pert": full["T_total_pert"],
-            "T_total_floquet": full["T_total_floquet"],
-            "abs_diff": abs(full["T_total_pert"] - full["T_total_floquet"]),
-        }
-
-    rows = _map_grid(row, config)
+    rows = [{
+        "eps_i": full["eps_i"],
+        "T_total_pert": full["T_total_pert"],
+        "T_total_floquet": full["T_total_floquet"],
+        "abs_diff": abs(full["T_total_pert"] - full["T_total_floquet"]),
+    } for full in _scan_rows(config)]
     window = 5.0 * config.g0 * config.g0
     included = [r["abs_diff"] for r in rows if abs(r["eps_i"] - 1.0) >= window]
     excluded = len(rows) - len(included)

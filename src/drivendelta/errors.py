@@ -17,13 +17,15 @@ class ToleranceError(DrivenDeltaError, RuntimeError):
     """A numerical routine could not reach the requested tolerance.
 
     Carries the best available estimate so callers can decide whether the
-    achieved accuracy is still usable.
+    achieved accuracy is still usable, and the incoming energy ``eps_i``
+    when the failure belongs to one energy of a batched solve.
     """
 
-    def __init__(self, message, value=None, error_estimate=None):
+    def __init__(self, message, value=None, error_estimate=None, eps_i=None):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+        self.eps_i = eps_i
 
 
 class PoleOrderError(DrivenDeltaError, RuntimeError):

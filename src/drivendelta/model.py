@@ -66,15 +66,6 @@ class Channel:
         return self.status == "open"
 
 
-@dataclass(frozen=True)
-class BasisPoint:
-    """Snapshot of the instantaneous barrier at phase ``tau``."""
-
-    tau: float
-    g_tau: float
-    bound_present: bool
-
-
 def to_dimensionless(mass: float, omega: float, g_phys: float) -> ModelParams:
     """Convert physical driving parameters to the dimensionless model.
 
@@ -159,12 +150,6 @@ def _q_base(k, g0: float):
     if g0 == 0:
         return np.zeros_like(k, dtype=float)
     return (np.sqrt(k * k + g0 * g0) - k) / g0
-
-
-def basis_point(tau: float, g0: float) -> BasisPoint:
-    """Instantaneous coupling and bound-state presence at phase ``tau``."""
-    g_tau = g0 * math.sin(tau)
-    return BasisPoint(tau=tau, g_tau=g_tau, bound_present=g_tau > 0)
 
 
 def basis_wavefunction(xi, state, g: float, k: float = 0.0, branch: int = +1):

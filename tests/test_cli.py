@@ -1,9 +1,15 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 
+import drivendelta
 from drivendelta.cli import (ScanConfig, UsageError, cmd_scan, main,
                              parse_config)
 
@@ -131,6 +137,17 @@ class TestScan:
         rc = main(["scan", "--config", str(tmp_path / "absent.txt")])
         assert rc == 2
 
+    def test_singular_system_is_numeric_failure(self, capsys):
+        # undriven, k_{-1} = 0 at eps = 1 makes the sideband system singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["scan", "--g0", "0", "--e-min", "0.5", "--e-max", "1.0",
+                       "--steps", "2", "--method", "floquet"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: numeric failure at eps_i = 1.0: "
+            "singular sideband system at eps_i = 1.0\n")
+
 
 class TestCompare:
     def test_summary_and_rows(self, tmp_path, capsys):
@@ -191,3 +208,16 @@ class TestDeterminism:
         assert main(args + ["--output", str(serial)]) == 0
         assert main(args + ["--workers", "3", "--output", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes()
+
+
+class TestImport:
+    def test_cli_import_does_not_load_scipy(self):
+        src = str(Path(drivendelta.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, drivendelta.cli; "
+                "assert drivendelta.cli.__file__.startswith(sys.argv[1]), drivendelta.cli.__file__; "
+                "assert 'scipy' not in sys.modules")
+        result = subprocess.run([sys.executable, "-c", code, src], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr

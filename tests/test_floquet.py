@@ -1,14 +1,17 @@
 """Unit tests for the exact truncated-sideband solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from drivendelta import floquet
 from drivendelta.amplitudes import a_coefficient
-from drivendelta.errors import DomainError
+from drivendelta.errors import DomainError, ToleranceError
 from drivendelta.floquet import (solve, static_transmission,
-                                 total_transmission_exact, zero_locate_exact)
+                                 total_transmission_exact, transmission_grid,
+                                 zero_locate_exact)
 
 
 class TestStaticBarrier:
@@ -63,6 +66,96 @@ class TestSolve:
             solve(0.5, -0.1)
         with pytest.raises(DomainError):
             solve(2.5, 0.1, N=2)
+
+
+def _dense_solve(eps_i, g0, N):
+    """The sideband system as a dense matrix, solved by LU with pivoting."""
+    ns = np.arange(-N, N + 1)
+    ksq = 2.0 * eps_i + 2.0 * ns
+    k = np.where(ksq >= 0, np.sqrt(np.abs(ksq)) + 0j, 1j * np.sqrt(np.abs(ksq)))
+    a = (np.diag(k) + np.diag(np.full(2 * N, -0.5 * g0), 1)
+         + np.diag(np.full(2 * N, 0.5 * g0), -1))
+    rhs = np.zeros(2 * N + 1, dtype=complex)
+    rhs[N] = math.sqrt(2.0 * eps_i)
+    return np.linalg.solve(a, rhs)
+
+
+class TestBatchedSweep:
+    # the Thomas pivots are smallest next to the thresholds, where k_n -> 0
+    NEAR_THRESHOLDS = np.array([th + side * d for th in (1.0, 2.0) for side in (-1, 1)
+                                for d in np.geomspace(1e-11, 1e-3, 5)])
+
+    @pytest.mark.parametrize("g0", [0.1, 0.7, 1.0])
+    def test_matches_dense_solve(self, g0):
+        eps = np.concatenate([self.NEAR_THRESHOLDS, [0.05, 0.5, 1.5, 2.9]])
+        N = 24
+        _, t = floquet._sweep(eps, g0, N)
+        dense = np.array([_dense_solve(e, g0, N) for e in eps]).T
+        assert np.max(np.abs(t - dense)) <= 1e-12
+
+    def test_grid_matches_scalar_solve(self):
+        g0, n_max = 0.7, 3
+        eps = np.concatenate([np.linspace(0.05, 4.6, 37), self.NEAR_THRESHOLDS])
+        grid = transmission_grid(eps, g0, n_max)
+        assert len(set(grid.N)) >= 4    # several groups of open channels
+        for i, e in enumerate(eps):
+            sol = solve(float(e), g0)
+            k0 = math.sqrt(2.0 * e)
+            flux = {n: sol.k_channel(n).real / k0 * abs(sol.t[n]) ** 2
+                    for n in sol.open_channels()}
+            assert grid.N[i] == sol.N
+            assert grid.t0_sq[i] == pytest.approx(abs(sol.t[0]) ** 2, rel=1e-14, abs=1e-15)
+            assert grid.r0_sq[i] == pytest.approx(abs(sol.r[0]) ** 2, rel=1e-14, abs=1e-15)
+            assert grid.T_total[i] == pytest.approx(sum(flux.values()), rel=1e-14)
+            for j, n in enumerate(range(-n_max, n_max + 1)):
+                assert grid.T_n[j, i] == pytest.approx(flux.get(n, 0.0), rel=1e-14, abs=0)
+
+    def test_truncation_doubles_per_energy(self, monkeypatch):
+        # The truncated system conserves flux at any N, so the defect is
+        # injected: energies below 0.5 carry a 1e-6 error at the default
+        # N = 22 and must double to N = 44; the others must stay at 22.
+        sweep = floquet._sweep
+
+        def faulty(eps, g0, N):
+            k, t = sweep(eps, g0, N)
+            if N == 22:
+                t[N] += np.where(eps < 0.5, 1e-6, 0.0)
+            return k, t
+
+        monkeypatch.setattr(floquet, "_sweep", faulty)
+        eps = np.linspace(0.2, 2.6, 13)
+        grid = transmission_grid(eps, 0.7, 2)
+        expected_N = [44 if e < 0.5 else 2 * (int(e) + 1) + 20 for e in eps]
+        assert grid.N.tolist() == expected_N
+        assert [solve(float(e), 0.7).N for e in eps] == expected_N
+        monkeypatch.setattr(floquet, "_sweep", sweep)
+        for i, e in enumerate(eps):
+            exact = solve(float(e), 0.7, N=int(grid.N[i]))
+            assert grid.t0_sq[i] == pytest.approx(abs(exact.t[0]) ** 2, rel=1e-14)
+
+    def test_chunks_cover_every_energy(self):
+        eps = np.linspace(0.05, 2.95, 6000)   # more energies than one chunk holds
+        grid = transmission_grid(eps, 0.3)
+        for i in range(0, eps.size, 397):
+            assert grid.t0_sq[i] == pytest.approx(abs(solve(float(eps[i]), 0.3).t[0]) ** 2,
+                                                  rel=1e-14, abs=1e-15)
+
+    def test_singular_system_names_first_energy(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceError, match="at eps_i = 2.0$") as exc:
+                transmission_grid([0.5, 2.0, 1.0], 0.0)
+            with pytest.raises(ToleranceError, match="at eps_i = 1.0$"):
+                solve(1.0, 0.0)
+        assert exc.value.eps_i == 2.0
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(DomainError):
+            transmission_grid([0.5, 0.0], 0.1)
+        with pytest.raises(DomainError):
+            transmission_grid([0.5], -0.1)
+        with pytest.raises(DomainError):
+            transmission_grid([0.5], 0.1, n_max=-1)
 
 
 class TestObservables:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivendelta.errors import DomainError, NoBoundStateError
-from drivendelta.model import (HBAR, basis_point, basis_wavefunction,
+from drivendelta.model import (HBAR, basis_wavefunction,
                                berry_phase, bound_energy, mean_bound_energy,
                                q_factor, sideband_channel, theta,
                                to_dimensionless)
@@ -59,10 +59,6 @@ class TestBoundState:
 
     def test_mean_energy(self):
         assert mean_bound_energy(0.4) == pytest.approx(-0.02)
-
-    def test_presence_tracks_sign_of_coupling(self):
-        assert basis_point(0.5 * math.pi, 0.3).bound_present
-        assert not basis_point(1.5 * math.pi, 0.3).bound_present
 
     def test_bound_state_normalized(self):
         xi = np.linspace(-40.0, 40.0, 200001)

@@ -19,7 +19,7 @@ from .floquet import (FloquetGrid, FloquetSolution, solve,
 from .model import (Channel, ModelParams, bound_energy, mean_bound_energy,
                     q_factor, sideband_channel, theta, to_dimensionless)
 from .quadrature import (QuadratureResult, adaptive_quad, bracket_min,
-                         fourier_coefficient, pv_integral, semiinf_integral)
+                         fourier_coefficient, pv_halfline, pv_integral)
 from .renorm import (LoopValue, RenormFactors, alpha_shift, b_bare, b_renorm,
                      beta_width, gamma_elastic_closed, gamma_loop,
                      renorm_factors)
@@ -34,7 +34,7 @@ __all__ = [
     "ModelParams", "Channel", "to_dimensionless", "sideband_channel",
     "bound_energy", "mean_bound_energy", "theta", "q_factor",
     # quadrature
-    "QuadratureResult", "adaptive_quad", "pv_integral", "semiinf_integral",
+    "QuadratureResult", "adaptive_quad", "pv_integral", "pv_halfline",
     "fourier_coefficient", "bracket_min",
     # amplitudes
     "phi_cc", "phi_cb", "phi_cb_mean", "a_coefficient", "b_coefficient",

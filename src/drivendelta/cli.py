@@ -154,13 +154,13 @@ def _scan_row(eps_i: float, config: ScanConfig) -> Dict[str, float]:
     try:
         if config.method in ("perturbative", "both"):
             dec = assemble(eps_i, config.g0, order=config.order,
-                           n_max=config.n_max)
+                           n_max=config.n_max, tol=config.tol)
             row["T_elastic"] = abs(dec.T[0]) ** 2
             row["R_elastic"] = abs(dec.R[0]) ** 2
             row["T_total_pert"] = dec.T_total
-            row["w0"] = w0_weight(eps_i, config.g0)
+            row["w0"] = w0_weight(eps_i, config.g0, config.tol)
             if config.g0 > 0:
-                loop = gamma_loop(k_i, k_i, 0, config.g0)
+                loop = gamma_loop(k_i, k_i, 0, config.g0, config.tol)
                 row["im_gamma"], row["re_gamma"] = loop.im, loop.re
             else:
                 row["im_gamma"] = row["re_gamma"] = 0.0
@@ -290,11 +290,12 @@ def cmd_zero(config: ScanConfig) -> int:
         print("no zero: free transmission")
         return 0
     lines = [f"g0 = {_fmt(g0)}"]
-    prediction = 1.0 - g0 * g0 / 8.0 - alpha_shift(1, 1.0 - g0 * g0 / 8.0, g0)
+    prediction = 1.0 - g0 * g0 / 8.0 - alpha_shift(1, 1.0 - g0 * g0 / 8.0, g0,
+                                                   config.tol)
     lines.append(f"pole-position prediction = {_fmt(prediction)}")
     eps_p = eps_f = None
     if config.method in ("perturbative", "both"):
-        eps_p, diag = find_transmission_zero(g0)
+        eps_p, diag = find_transmission_zero(g0, config.tol)
         lines.append(f"perturbative eps_star = {_fmt(eps_p)}")
         lines.append(f"perturbative |T(0)|^2 at zero = {_fmt(diag['min_value'])}")
     if config.method in ("floquet", "both"):
@@ -351,7 +352,7 @@ def cmd_w0(config: ScanConfig) -> int:
 
     def row(eps):
         try:
-            return {"eps_i": eps, "w0": w0_weight(eps, config.g0)}
+            return {"eps_i": eps, "w0": w0_weight(eps, config.g0, config.tol)}
         except DrivenDeltaError as exc:
             raise PointFailure(eps, exc) from exc
 

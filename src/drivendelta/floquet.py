@@ -21,9 +21,11 @@ the perturbative one-transition amplitude as g0 -> 0.
 The system is tridiagonal in the sideband index.  It is solved by Thomas
 elimination from both ends of the index range, vectorized over an array
 of energies: energies with the same number of open channels share the
-default truncation, and each energy doubles its own N until its flux
-unitarity defect is small enough.  ``solve`` is the one-energy case of
-that sweep and ``transmission_grid`` its array form.
+default truncation N = 2 * (open channels) + 20.  The truncated system
+conserves flux exactly at every N, so its unitarity defect measures
+rounding only; convergence in N rests on that fixed margin of closed
+channels (checked against doubled N in the tests).  ``solve`` is the
+one-energy case of that sweep and ``transmission_grid`` its array form.
 """
 
 from __future__ import annotations
@@ -58,7 +60,10 @@ class FloquetSolution:
 
     ``t`` and ``r`` map the sideband index n to the transmission and
     reflection coefficients; closed channels hold evanescent amplitudes
-    that are excluded from the flux sum.
+    that are excluded from the flux sum.  ``unitarity_defect`` is
+    |sum of transmitted and reflected flux - 1|.  The truncated system
+    conserves flux at every N, so it reports rounding (about 1e-16), not
+    the truncation error.
     """
 
     eps_i: float
@@ -150,9 +155,12 @@ def _converged(eps: np.ndarray, g0: float, N: int | None = None) -> Iterator[tup
 
     Each block is (index into ``eps``, N, t, transmitted flux per channel,
     unitarity defect).  Energies start at ``N``, by default
-    2 * (open channels) + 20, and each one doubles its own N until its
-    defect is at most 1e-10.  A defect that persists past N = 4096, or a
-    singular system, raises :class:`ToleranceError` naming the energy
+    2 * (open channels) + 20, and each one would double its own N while
+    its defect exceeds 1e-10.  That guard catches rounding blow-up, not
+    truncation: the truncated system conserves flux at every N, so no
+    energy doubles in practice, and convergence in N rests on the fixed
+    margin of 20 closed channels.  A defect that persists past N = 4096,
+    or a singular system, raises :class:`ToleranceError` naming the energy
     (for singular systems the first one in ``eps``).
     """
     n_open = np.floor(eps).astype(int) + 1
@@ -195,8 +203,8 @@ def _converged(eps: np.ndarray, g0: float, N: int | None = None) -> Iterator[tup
 def solve(eps_i: float, g0: float, N: int | None = None) -> FloquetSolution:
     """Solve the truncated sideband system at incoming energy ``eps_i``.
 
-    ``N`` defaults to 2 * (open channels) + 20 and is doubled until the
-    flux unitarity defect drops below 1e-10; a persistent defect raises
+    ``N`` defaults to 2 * (open channels) + 20, with the unitarity guard
+    of :func:`_converged`; a persistent defect raises
     :class:`ToleranceError` suggesting a larger truncation.
     """
     if eps_i <= 0:

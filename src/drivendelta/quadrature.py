@@ -1,8 +1,9 @@
 """Reusable numerical kernels.
 
 Adaptive Gauss-Kronrod quadrature, principal-value integration by pole
-subtraction, semi-infinite integrals with a tangent tail transform, periodic
-Fourier coefficients, and bracketed golden-section minimization.
+subtraction (over an interval, or over the half-line with a tangent tail
+transform), periodic Fourier coefficients, and bracketed golden-section
+minimization.
 
 All kernels are deterministic: identical inputs produce bit-identical
 results.  Integrands are expected to accept numpy arrays of evaluation
@@ -17,13 +18,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, PoleOrderError, ToleranceError
+from .errors import DomainError, PoleOrderError, ToleranceError
 
 __all__ = [
     "QuadratureResult",
     "adaptive_quad",
     "pv_integral",
-    "semiinf_integral",
+    "pv_halfline",
     "fourier_coefficient",
     "bracket_min",
 ]
@@ -63,17 +64,115 @@ class QuadratureResult:
             raise ToleranceError("non-finite quadrature value", value=self.value)
 
 
-def _gk15(f, panels):
-    """Gauss-Kronrod 15(7) on each (a, b) panel: a list of (value, error).
+class _Segment:
+    """One interval of a lockstep refinement, with its own tolerance and panels.
 
-    The nodes of all panels go to ``f`` in one call."""
-    a, b = np.array(panels).T
+    A ``pole`` segment integrates f(x) - residue / (x - pole), the pole on
+    one of its edges; a ``tail`` segment integrates f(tan u) (1 + tan**2 u)
+    over u.  ``intervals`` holds (lo, hi, value, error) per panel, at most
+    ``max_intervals`` of them.
+    """
+
+    def __init__(self, a, b, tol, pole=None, residue=0.0, tail=False,
+                 max_intervals=2000):
+        if not a < b:
+            raise DomainError(f"need a < b, got [{a}, {b}]")
+        if tol <= 0:
+            raise DomainError(f"tol must be positive, got {tol}")
+        self.a, self.b, self.tol = a, b, tol
+        self.pole, self.residue, self.tail = pole, residue, tail
+        self.max_intervals = max_intervals
+        self.intervals = []
+        self.evals = 0
+
+    def points(self, u):
+        """Arguments of f at the panel nodes ``u``."""
+        if self.tail:
+            return np.tan(u)
+        if self.pole is not None:
+            # an exact pole hit can only occur on a collapsed panel edge; the
+            # subtracted integrand is finite there, so drop the 0/0 noise
+            return np.where(u == self.pole, self.pole + 1.0, u)
+        return u
+
+    def integrand(self, u, x, y):
+        """Segment integrand at the nodes ``u`` from f's values ``y`` at ``x``."""
+        if self.tail:
+            return y * (1.0 + x * x)
+        if self.pole is not None:
+            return np.where(u == self.pole, 0.0, y - self.residue / (x - self.pole))
+        return y
+
+    def unfinished(self) -> bool:
+        """Error estimate above tolerance (or NaN), with budget left."""
+        if len(self.intervals) >= self.max_intervals:
+            return False
+        return not math.fsum(iv[3] for iv in self.intervals) <= self.tol
+
+    def result(self) -> QuadratureResult:
+        """Summed panels; :class:`ToleranceError` if the budget ran out."""
+        ivs = self.intervals
+        value = complex(math.fsum(iv[2].real for iv in ivs),
+                        math.fsum(complex(iv[2]).imag for iv in ivs))
+        if abs(value.imag) == 0.0:
+            value = value.real
+        err = math.fsum(iv[3] for iv in ivs)
+        if err > self.tol and len(ivs) >= self.max_intervals:
+            raise ToleranceError(
+                f"interval budget exhausted at error estimate {err:.3e} "
+                f"(tol {self.tol:.3e})", value=value, error_estimate=err,
+            )
+        return QuadratureResult(value=value, error_estimate=err,
+                                evaluations=self.evals)
+
+
+def _gk15(f, jobs):
+    """Gauss-Kronrod 15(7) on the (lo, hi) panels of every (segment, panels) job.
+
+    The nodes of all panels go to ``f`` in one call.  Returns the panel
+    values and error estimates, in job order."""
+    a, b = np.array([p for _, panels in jobs for p in panels]).T
     mids, halves = 0.5 * (a + b), 0.5 * (b - a)
-    x = mids[:, None] + halves[:, None] * _NODES
-    y = np.asarray(f(x.ravel())).reshape(x.shape)
-    v15 = halves * np.sum(y * _W15, axis=1)
-    v7 = halves * np.sum(y * _W7, axis=1)
-    return list(zip(v15, np.abs(v15 - v7)))
+    u = mids[:, None] + halves[:, None] * _NODES
+    rows, lo = [], 0
+    for _, panels in jobs:
+        rows.append(slice(lo, lo + len(panels)))
+        lo += len(panels)
+    xs = [seg.points(u[r]) for (seg, _), r in zip(jobs, rows)]
+    y = np.asarray(f(np.concatenate(xs).ravel())).reshape(u.shape)
+    g = np.concatenate([seg.integrand(u[r], x, y[r])
+                        for (seg, _), r, x in zip(jobs, rows, xs)])
+    v15 = halves * np.sum(g * _W15, axis=1)
+    v7 = halves * np.sum(g * _W7, axis=1)
+    return v15, np.abs(v15 - v7)
+
+
+def _refine(f, segments):
+    """Adaptive bisection of every segment in lockstep.
+
+    Each segment refines exactly as it would alone: it splits its interval
+    with the largest error estimate until its summed estimate drops below
+    its tolerance or its interval budget is spent.  Per round, the panels
+    of all unfinished segments go to ``f`` in a single call.
+    """
+    jobs = [(seg, [(seg.a, seg.b)]) for seg in segments]
+    while jobs:
+        values, errors = _gk15(f, jobs)
+        i = 0
+        for seg, panels in jobs:
+            for lo, hi in panels:
+                seg.intervals.append((lo, hi, values[i], errors[i]))
+                i += 1
+            seg.evals += 15 * len(panels)
+        jobs = []
+        for seg in segments:
+            if seg.unfinished():
+                ivs = seg.intervals
+                # split the worst interval; index-of-max is deterministic
+                worst = max(range(len(ivs)), key=lambda j: ivs[j][3])
+                wa, wb, _, _ = ivs.pop(worst)
+                mid = 0.5 * (wa + wb)
+                jobs.append((seg, [(wa, mid), (mid, wb)]))
 
 
 def adaptive_quad(
@@ -89,62 +188,73 @@ def adaptive_quad(
     estimate drops below ``tol`` or the interval budget runs out; the latter
     raises :class:`ToleranceError` carrying the best value reached.
     """
-    if not a < b:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    [(v, e)] = _gk15(f, [(a, b)])
-    intervals = [(a, b, v, e)]
-    evals = 15
-    while len(intervals) < max_intervals:
-        total_err = math.fsum(iv[3] for iv in intervals)
-        if total_err <= tol:
-            break
-        # split the worst interval; index-of-max is deterministic
-        worst = max(range(len(intervals)), key=lambda i: intervals[i][3])
-        wa, wb, _, _ = intervals.pop(worst)
-        mid = 0.5 * (wa + wb)
-        halves = [(wa, mid), (mid, wb)]
-        for (lo, hi), (v, e) in zip(halves, _gk15(f, halves)):
-            intervals.append((lo, hi, v, e))
-        evals += 30
-    intervals.sort(key=lambda iv: iv[0])
-    value = complex(math.fsum(iv[2].real for iv in intervals),
-                    math.fsum(complex(iv[2]).imag for iv in intervals))
-    if abs(value.imag) == 0.0:
-        value = value.real
-    err = math.fsum(iv[3] for iv in intervals)
-    if err > tol and len(intervals) >= max_intervals:
-        raise ToleranceError(
-            f"interval budget exhausted at error estimate {err:.3e} (tol {tol:.3e})",
-            value=value, error_estimate=err,
-        )
-    return QuadratureResult(value=value, error_estimate=err, evaluations=evals)
+    seg = _Segment(a, b, tol, max_intervals=max_intervals)
+    _refine(f, [seg])
+    return seg.result()
 
 
-def _residue(f, pole: float, h: float, levels: int = 6):
-    """Simple-pole residue by Richardson extrapolation of (x - pole) f(x).
+def _residues(f, pieces, levels: int = 6) -> list:
+    """Simple-pole residues at the poles of the (a, pole, b) ``pieces``.
 
-    Symmetric samples at offsets h / 2**i, all 2 * levels of them in one
-    call of ``f``; the symmetric average kills the odd Taylor terms of the
-    regular part, so a Neville table in h**2 removes the even error terms
-    level by level."""
-    hs = h / 2.0 ** np.arange(levels)
-    ys = np.asarray(f(np.concatenate([pole + hs, pole - hs])))
-    diag = list(0.5 * (hs * ys[:levels] - hs * ys[levels:]))
+    Richardson extrapolation of (x - pole) f(x) from symmetric samples at
+    offsets h / 2**i, h = min(b - pole, pole - a) / 8; the symmetric
+    average kills the odd Taylor terms of the regular part, so a Neville
+    table in h**2 removes the even error terms level by level.  The
+    2 * levels samples of every pole go to ``f`` in one call, and the
+    tables run side by side.  A residue that does not converge is returned
+    as its :class:`PoleOrderError`, so the caller raises it in piece order.
+    """
+    poles = np.array([p for _, p, _ in pieces])
+    h = np.array([min(b - p, p - a) / 8.0 for a, p, b in pieces])
+    hs = h[:, None] / 2.0 ** np.arange(levels)
+    x = np.concatenate([poles[:, None] + hs, poles[:, None] - hs], axis=1)
+    ys = np.asarray(f(x.ravel())).reshape(x.shape)
+    diag = 0.5 * (hs * ys[:, :levels] - hs * ys[:, levels:])
     for col in range(1, levels):
         factor = 4.0 ** col - 1.0
         for row in range(levels - 1, col - 1, -1):
-            diag[row] = diag[row] + (diag[row] - diag[row - 1]) / factor
-    best = diag[levels - 1]
-    spread = abs(best - diag[levels - 2])
-    if not np.isfinite(best):
-        raise PoleOrderError(f"residue estimation failed at pole {pole}")
-    if spread > max(1e-3 * abs(best), 3e-8):
-        raise PoleOrderError(
-            f"residue estimate not converged at pole {pole}: spread {spread:.3e}"
-        )
-    return best
+            diag[:, row] = diag[:, row] + (diag[:, row] - diag[:, row - 1]) / factor
+    out = []
+    for (_, pole, _), best, prev in zip(pieces, diag[:, -1], diag[:, -2]):
+        spread = abs(best - prev)
+        if not np.isfinite(best):
+            out.append(PoleOrderError(f"residue estimation failed at pole {pole}"))
+        elif spread > max(1e-3 * abs(best), 3e-8):
+            out.append(PoleOrderError(
+                f"residue estimate not converged at pole {pole}: spread {spread:.3e}"))
+        else:
+            out.append(best)
+    return out
+
+
+def _lockstep(f, pieces, plain, tol, residues=None):
+    """Principal values over (a, pole, b) ``pieces`` and plain segments together.
+
+    Without ``residues`` every piece gets a Richardson residue, all in one
+    call of ``f``.  Each piece integrates the subtracted remainder on both
+    sides of its pole to tol / 2 each and adds the exact log antiderivative
+    c ln((b - pole) / (pole - a)); the ``plain`` segments keep their own
+    tolerances.  All of them refine in lockstep (:func:`_refine`).  Returns
+    the pieces' results, then the plain ones; errors surface in that order.
+    """
+    if residues is None:
+        residues = _residues(f, pieces)
+    sides = [(_Segment(a, p, 0.5 * tol, pole=p, residue=c),
+              _Segment(p, b, 0.5 * tol, pole=p, residue=c))
+             for (a, p, b), c in zip(pieces, residues)
+             if not isinstance(c, PoleOrderError)]
+    _refine(f, [seg for pair in sides for seg in pair] + plain)
+    out, pairs = [], iter(sides)
+    for (a, p, b), c in zip(pieces, residues):
+        if isinstance(c, PoleOrderError):
+            raise c
+        left, right = (seg.result() for seg in next(pairs))
+        out.append(QuadratureResult(
+            value=left.value + right.value + c * math.log((b - p) / (p - a)),
+            error_estimate=left.error_estimate + right.error_estimate,
+            evaluations=left.evaluations + right.evaluations + 12,
+        ))
+    return out + [seg.result() for seg in plain]
 
 
 def pv_integral(
@@ -164,71 +274,41 @@ def pv_integral(
     """
     if not a < pole < b:
         raise DomainError(f"pole {pole} not inside ({a}, {b})")
-    h = min(b - pole, pole - a) / 8.0
-    c = _residue(f, pole, h) if residue is None else residue
-
-    def remainder(x):
-        x = np.asarray(x, dtype=float)
-        # an exact pole hit can only occur on a collapsed panel edge; the
-        # subtracted integrand is finite there, so drop the 0/0 noise
-        safe = np.where(x == pole, pole + 1.0, x)
-        out = np.asarray(f(safe)) - c / (safe - pole)
-        return np.where(x == pole, 0.0, out)
-
-    # keep the pole on a panel edge so nodes never coincide with it
-    left = adaptive_quad(remainder, a, pole, tol=0.5 * tol)
-    right = adaptive_quad(remainder, pole, b, tol=0.5 * tol)
-    value = left.value + right.value + c * math.log((b - pole) / (pole - a))
-    return QuadratureResult(
-        value=value,
-        error_estimate=left.error_estimate + right.error_estimate,
-        evaluations=left.evaluations + right.evaluations + 12,
-    )
+    [res] = _lockstep(f, [(a, pole, b)], [], tol,
+                      None if residue is None else [residue])
+    return res
 
 
-def semiinf_integral(
+def pv_halfline(
     f: Callable,
+    poles: Sequence[float],
     split: float,
     tol: float = 1e-8,
 ) -> QuadratureResult:
-    """Integrate ``f`` over [0, inf) assuming at least inverse-square decay.
+    """Principal value of ``f`` over [0, inf) with simple poles in (0, split).
 
-    The finite part [0, split] uses :func:`adaptive_quad`; the tail is
-    mapped by x = tan(u) onto a finite interval.  Stability is verified by
-    doubling the split point; disagreement beyond max(tol, estimates)
-    raises :class:`DivergenceError`.
+    [0, split] is cut at the midpoints between consecutive poles, and each
+    piece is a :func:`pv_integral` around its pole (a plain integral when
+    there are no poles); the tail from ``split`` is mapped by x = tan(u)
+    onto a finite interval.  Pieces and tail keep their own tolerances
+    (``tol`` each) and refinements, but all their panels, and all residue
+    tables, go to ``f`` together, a few calls in all.  The value is the sum
+    of the pieces and the tail, in that order.
     """
-    if split <= 0:
-        raise DomainError(f"split must be positive, got {split}")
-
-    def tail_integrand(u):
-        x = np.tan(u)
-        return np.asarray(f(x)) * (1.0 + x * x)
-
-    def tail_from(s):
-        return adaptive_quad(tail_integrand, math.atan(s), 0.5 * math.pi,
-                             tol=0.25 * tol)
-
-    head = adaptive_quad(f, 0.0, split, tol=0.5 * tol)
-    tail = tail_from(split)
-    middle = adaptive_quad(f, split, 2.0 * split, tol=0.25 * tol)
-    tail2 = tail_from(2.0 * split)
-    v1 = head.value + tail.value
-    v2 = head.value + middle.value + tail2.value
-    mismatch = abs(v1 - v2)
-    budget = max(tol, head.error_estimate + tail.error_estimate
-                 + middle.error_estimate + tail2.error_estimate)
-    if mismatch > 100.0 * budget:
-        raise DivergenceError(
-            f"tail unstable under split doubling: |{v1} - {v2}| = {mismatch:.3e}"
-        )
-    evals = head.evaluations + tail.evaluations + middle.evaluations + tail2.evaluations
-    return QuadratureResult(
-        value=v2,
-        error_estimate=head.error_estimate + middle.error_estimate
-        + tail2.error_estimate + mismatch,
-        evaluations=evals,
-    )
+    poles = sorted(poles)
+    if not (0.0 < min(poles, default=split) and max(poles, default=0.0) < split):
+        raise DomainError(f"poles {poles} must lie inside (0, {split})")
+    cuts = [0.0] + [0.5 * (p1 + p2) for p1, p2 in zip(poles, poles[1:])] + [split]
+    pieces = [(a, p, b) for (a, b), p in zip(zip(cuts, cuts[1:]), poles)]
+    plain = [] if poles else [_Segment(0.0, split, tol)]
+    plain.append(_Segment(math.atan(split), 0.5 * math.pi, tol, tail=True))
+    parts = _lockstep(f, pieces, plain, tol)
+    value = 0.0
+    for res in parts:
+        value += res.value
+    return QuadratureResult(value=value,
+                            error_estimate=sum(r.error_estimate for r in parts),
+                            evaluations=sum(r.evaluations for r in parts))
 
 
 def fourier_coefficient(

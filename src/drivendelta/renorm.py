@@ -25,10 +25,10 @@ from typing import Dict, List
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .amplitudes import a_kernel, b_coefficient, b_coefficient_bc
+from .amplitudes import a_coefficient, a_kernel, b_coefficient, b_coefficient_bc
 from .errors import DomainError
 from .model import _q_base, q_factor
-from .quadrature import adaptive_quad, pv_integral
+from .quadrature import pv_halfline
 
 __all__ = [
     "LoopValue",
@@ -123,41 +123,6 @@ def _loop_l_max(k_i: float, n: int, g0: float) -> int:
     return max(_decay_count(q_i), abs(n) + 2, int(math.floor(0.5 * k_i * k_i)) + 2)
 
 
-def _pv_over_halfline(f, poles: List[float], split: float, tol: float):
-    """PV integral of ``f`` over [0, inf) with simple poles inside (0, split).
-
-    Partitions [0, split] at midpoints between consecutive poles, applies
-    residue-subtraction PV on each piece, and adds the tan-transformed
-    tail from ``split``.  Returns (value, error_estimate, evaluations).
-    """
-    poles = sorted(poles)
-    value, err, evals = 0.0, 0.0, 0
-    if poles:
-        cuts = [0.0]
-        cuts.extend(0.5 * (p1 + p2) for p1, p2 in zip(poles, poles[1:]))
-        cuts.append(split)
-        for (a, b), p in zip(zip(cuts, cuts[1:]), poles):
-            res = pv_integral(f, p, a, b, tol=tol)
-            value += res.value.real if np.iscomplexobj(res.value) else res.value
-            err += res.error_estimate
-            evals += res.evaluations
-    else:
-        res = adaptive_quad(f, 0.0, split, tol=tol)
-        value += complex(res.value).real
-        err += res.error_estimate
-        evals += res.evaluations
-
-    def tail(u):
-        x = np.tan(u)
-        return np.asarray(f(x)) * (1.0 + x * x)
-
-    res = adaptive_quad(tail, math.atan(split), 0.5 * math.pi, tol=tol)
-    value += complex(res.value).real
-    err += res.error_estimate
-    evals += res.evaluations
-    return value, err, evals
-
-
 @functools.lru_cache(maxsize=4096)
 def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> LoopValue:
     """Second-order continuum loop amplitude Gamma_{k_f k_i}(n).
@@ -199,12 +164,12 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
             pole_set.add(math.sqrt(kl2))
     poles = sorted(pole_set)
     split = max(4.0 * k_i, 4.0 * k_f, 4.0 * g0, 8.0, 1.5 * poles[-1])
-    re_total, err, evals = _pv_over_halfline(
-        _loop_integrand(k_f, k_i, n, ls, g0), poles, split, tol)
-    diag["error_estimate"] = err
-    diag["evaluations"] = evals
+    res = pv_halfline(_loop_integrand(k_f, k_i, n, ls, g0), poles, split, tol)
+    diag["error_estimate"] = res.error_estimate
+    diag["evaluations"] = res.evaluations
     diag["poles"] = poles
-    return LoopValue(re=re_total, im=im_total, n=n, diagnostics=diag)
+    diag["split"] = split
+    return LoopValue(re=res.value, im=im_total, n=n, diagnostics=diag)
 
 
 def _inverse_q(kbar: complex) -> complex:
@@ -431,33 +396,31 @@ def b_bare(k_f: float, k_i: float, n: int, eps_i: float, g0: float,
 def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     """Real pole-position shift from four bound-state transitions.
 
-    2 * sum_l PV int_0^inf dk |B_{k b}(n0 + l)|**2 / (eps_k - eps_i - l);
-    the channel sum runs over odd n0 + l with adaptive truncation.
+    2 PV int_0^inf dk sum_l |B_{k b}(n0 + l)|**2 / (eps_k - eps_i - l);
+    the channel sum runs over odd n0 + l with adaptive truncation, one
+    (channels x nodes) broadcast per integrand call, with a pole at every
+    open channel's momentum.
     """
     if g0 <= 0:
         raise DomainError(f"g0 must be positive, got {g0}")
     k_i = math.sqrt(2.0 * eps_i)
     q_i = float(q_factor(max(k_i, 1.0), 1, g0))
     M = _decay_count(q_i)
-    total = 0.0
-    for m in range(-M, M + 1):
-        if m % 2 == 0:
-            continue
-        l = m - n0
-        am = abs(m)
+    ms = np.arange(-M, M + 1)
+    ms = ms[ms % 2 != 0]
+    ls = (ms - n0)[:, None]
+    am = np.abs(ms)[:, None]
 
-        def integrand(k, _l=l, _am=am):
-            k = np.asarray(k, dtype=float)
-            mod2 = (g0 / math.pi) * (_q_base(k, g0) ** _am) ** 2 \
-                / (k * k + 0.25 * g0 * g0)
-            return mod2 / (0.5 * k * k - eps_i - _l)
+    def integrand(k):
+        k = np.asarray(k, dtype=float)
+        mod2 = (g0 / math.pi) * (_q_base(k, g0) ** am) ** 2 \
+            / (k * k + 0.25 * g0 * g0)
+        return (mod2 / (0.5 * k * k - eps_i - ls)).sum(axis=0)
 
-        kl2 = 2.0 * (eps_i + l)
-        poles = [math.sqrt(kl2)] if kl2 > 0 else []
-        split = max(4.0 * k_i, 4.0 * g0, 8.0, (1.5 * poles[0]) if poles else 0.0)
-        value, _, _ = _pv_over_halfline(integrand, poles, split, tol)
-        total += value
-    return 2.0 * total
+    kl2 = 2.0 * (eps_i + ls[:, 0])
+    poles = np.sqrt(kl2[kl2 > 0]).tolist()
+    split = max(4.0 * k_i, 4.0 * g0, 8.0, 1.5 * max(poles, default=0.0))
+    return 2.0 * float(pv_halfline(integrand, poles, split, tol).value)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -485,34 +448,35 @@ def beta_width(n0: int, eps_i: float, g0: float) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=4096)
 def renorm_factors(n: int, n0: int, k_f: float, k_i: float, eps_i: float,
-                   g0: float) -> RenormFactors:
+                   g0: float, tol: float = 1e-8) -> RenormFactors:
     """Corrected pole parameters for the n0-term of the c/b/c amplitude.
 
     eps_R = eps_i + g0**2/8 + alpha(n0); eta_R = beta(n0) (1 + gamma_n);
     gamma_n folds the loop amplitude into the width, and Z normalizes the
     residue with the full complex loop values (the elastic limit reduces
     to the familiar 1 - (2 pi i / k_i)[4 Gamma(0) - sum ...] form).
+    ``tol`` is the quadrature tolerance of the shift and the loops.
     """
-    alpha = alpha_shift(n0, eps_i, g0)
+    alpha = alpha_shift(n0, eps_i, g0, tol)
     beta = beta_width(n0, eps_i, g0)
     eps_R = eps_i + g0 * g0 / 8.0 + alpha
 
-    loop0 = gamma_loop(k_i, k_i, 0, g0)
+    loop0 = gamma_loop(k_i, k_i, 0, g0, tol)
     ratio = 0.0 + 0.0j
     loop_n = loop0
     b_out = _b_pair(k_f, k_i, n + n0, -n0, g0)
     if n == 0:
         ratio = 1.0 + 0.0j
     elif b_out != 0:
-        loop_n = gamma_loop(k_f, k_i, n, g0)
+        loop_n = gamma_loop(k_f, k_i, n, g0, tol)
         ratio = b_coefficient(k_i, n0, g0) / b_coefficient(k_f, n + n0, g0)
     gamma_factor = float((2.0 * math.pi / k_i)
                          * (loop0.value + ratio * loop_n.value).imag)
     eta_R = beta * (1.0 + gamma_factor)
 
     # residue normalization; the l-sum reuses the corrected denominators
-    from .amplitudes import a_coefficient
     a_n = a_coefficient(k_f, k_i, n, g0) if n != 0 else 0.0
     lsum = 0.0 + 0.0j
     for l in range(-_SERIES_CAP // 2, _SERIES_CAP // 2 + 1):
@@ -536,20 +500,22 @@ def _nearest_odd(x: float) -> int:
     return int(lo if abs(x - lo) <= abs(x - hi) else hi)
 
 
-def b_renorm(k_f: float, k_i: float, n: int, eps_i: float, g0: float) -> complex:
+def b_renorm(k_f: float, k_i: float, n: int, eps_i: float, g0: float,
+             tol: float = 1e-8) -> complex:
     """Renormalized c/b/c amplitude, finite for all real incoming energies.
 
     Only the dominant term n0 (the odd integer nearest the effective
     energy) can approach its pole, so only that term carries the corrected
     denominator eps_R - n0 + i eta_R and the residue normalization Z; the
     off-resonant terms keep their bare real denominators, where the same
-    corrections are suppressed by the pole distance.
+    corrections are suppressed by the pole distance.  ``tol`` is the
+    quadrature tolerance of :func:`renorm_factors`.
     """
     if g0 == 0:
         return 0.0 + 0.0j
     eps_t = eps_i + g0 * g0 / 8.0
     n0_star = _nearest_odd(eps_t)
-    fac = renorm_factors(n, n0_star, k_f, k_i, eps_i, g0)
+    fac = renorm_factors(n, n0_star, k_f, k_i, eps_i, g0, tol)
     total = 0.0 + 0.0j
     acc = 0.0
     for a in range(1, _SERIES_CAP + 1):

@@ -76,7 +76,7 @@ def _open_sidebands(eps_i: float, n_max: int) -> List[int]:
             if sideband_channel(math.sqrt(2.0 * eps_i), n).is_open]
 
 
-def _b_term_regime(eps_i: float, g0: float) -> Tuple[str, float, float]:
+def _b_term_regime(eps_i: float, g0: float, tol: float) -> Tuple[str, float, float]:
     """Pick the bound-route evaluation regime at this energy.
 
     Returns (regime, distance to the dominant pole, eta_R there); the full
@@ -92,7 +92,7 @@ def _b_term_regime(eps_i: float, g0: float) -> Tuple[str, float, float]:
         # can hit channel thresholds at generic energies, which can never
         # happen inside the near window) and report a zero width
         return "far", dist0, 0.0
-    fac = renorm_factors(0, n0, k_i, k_i, eps_i, g0)
+    fac = renorm_factors(0, n0, k_i, k_i, eps_i, g0, tol)
     return "near", abs(fac.eps_R - n0), fac.eta_R
 
 
@@ -134,14 +134,15 @@ def _b_far(k_f: float, k_i: float, n: int, eps_i: float, g0: float) -> complex:
 
 
 def assemble(eps_i: float, g0: float, order: str = "renormalized",
-             n_max: int = 6) -> SMatrixDecomposition:
+             n_max: int = 6, tol: float = 1e-8) -> SMatrixDecomposition:
     """Build all amplitudes at one energy for the requested diagram order.
 
     first: free term plus single c/c transitions; second_bare adds the
     bare bound route (finite regulator) and the continuum loop;
     renormalized replaces the bound route by B^R with automatic regime
     switching (both branches are evaluated and their mismatch recorded in
-    a validation band around the switching threshold).
+    a validation band around the switching threshold).  ``tol`` is the
+    quadrature tolerance of the loop and of the pole shift.
     """
     if eps_i <= 0:
         raise DomainError(f"eps_i must be positive, got {eps_i}")
@@ -153,12 +154,12 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
     diagnostics: Dict = {"order": order}
 
     if g0 > 0 and order == "renormalized":
-        regime, dist, eta_R = _b_term_regime(eps_i, g0)
+        regime, dist, eta_R = _b_term_regime(eps_i, g0, tol)
         diagnostics["regime"] = regime
         diagnostics["pole_distance"] = dist
         if regime == "near":
             try:
-                near = b_renorm(k_i, k_i, 0, eps_i, g0)
+                near = b_renorm(k_i, k_i, 0, eps_i, g0, tol)
                 far = _b_far_elastic(k_i, eps_i, g0)
                 diagnostics["branch_mismatch"] = abs(near - far)
             except RegimeError:
@@ -179,7 +180,7 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
             if order == "second_bare":
                 b_val = b_bare(k_f, k_i, n, eps_i, g0, eta=1e-8)
             elif regime == "near":
-                b_val = b_renorm(k_f, k_i, n, eps_i, g0)
+                b_val = b_renorm(k_f, k_i, n, eps_i, g0, tol)
             elif n == 0:
                 # dominant-pole bound route; the loop below stays complete,
                 # since Re Gamma(0) is of order g0**2 (the bound route is
@@ -192,7 +193,7 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
                                    value=-(2j * math.pi / k_f) * b_val, sideband=n))
             sub.append(DiagramTerm(label=(2, 2, 0),
                                    value=-(4j * math.pi / k_f)
-                                   * gamma_loop(k_f, k_i, n, g0).value,
+                                   * gamma_loop(k_f, k_i, n, g0, tol).value,
                                    sideband=n))
         terms.extend(sub)
         T[n] = sum(t.value for t in sub)
@@ -205,25 +206,25 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
                                 T_total=float(T_total), diagnostics=diagnostics)
 
 
-def w0(eps_i: float, g0: float) -> float:
+def w0(eps_i: float, g0: float, tol: float = 1e-8) -> float:
     """Relative weight of the bound route against the continuum route.
 
     |2 pi Re B^R(0)| / |k_i + 4 pi Im Gamma(0)| with the renormalized
-    elastic quantities.
+    elastic quantities, at quadrature tolerance ``tol``.
     """
     if eps_i <= 0:
         raise DomainError(f"eps_i must be positive, got {eps_i}")
     if g0 == 0:
         return 0.0
     k_i = math.sqrt(2.0 * eps_i)
-    regime, _, _ = _b_term_regime(eps_i, g0)
-    b_val = (b_renorm(k_i, k_i, 0, eps_i, g0) if regime == "near"
+    regime, _, _ = _b_term_regime(eps_i, g0, tol)
+    b_val = (b_renorm(k_i, k_i, 0, eps_i, g0, tol) if regime == "near"
              else _b_far_elastic(k_i, eps_i, g0))
-    loop = gamma_loop(k_i, k_i, 0, g0)
+    loop = gamma_loop(k_i, k_i, 0, g0, tol)
     return abs(2.0 * math.pi * b_val.real) / abs(k_i + 4.0 * math.pi * loop.im)
 
 
-def find_transmission_zero(g0: float) -> Tuple[float, Dict]:
+def find_transmission_zero(g0: float, tol: float = 1e-8) -> Tuple[float, Dict]:
     """Locate the elastic transmission zero of the renormalized amplitude.
 
     The zero sits within a few widths eta_R ~ g0**3 of the self-consistent
@@ -232,17 +233,18 @@ def find_transmission_zero(g0: float) -> Tuple[float, Dict]:
     Z, the off-resonant bound terms, the loop) are constant to relative
     O(eta_R), so the interference condition T(0) = 0 reduces to a linear
     equation for the resonant denominator, solved in closed form and then
-    polished on the full amplitude.
+    polished on the full amplitude.  ``tol`` is the quadrature tolerance
+    of every loop and shift it evaluates.
     """
     if not 0 < g0 <= 1:
         raise DomainError(f"need 0 < g0 <= 1, got {g0}")
     eps_c = 1.0 - g0 * g0 / 8.0
     for _ in range(4):
-        nxt = 1.0 - g0 * g0 / 8.0 - alpha_shift(1, eps_c, g0)
+        nxt = 1.0 - g0 * g0 / 8.0 - alpha_shift(1, eps_c, g0, tol)
         eps_c = 0.5 * (eps_c + min(max(nxt, 0.5), 1.0 - 1e-9))
     k_c = math.sqrt(2.0 * eps_c)
-    fac = renorm_factors(0, 1, k_c, k_c, eps_c, g0)
-    loop0 = gamma_loop(k_c, k_c, 0, g0)
+    fac = renorm_factors(0, 1, k_c, k_c, eps_c, g0, tol)
+    loop0 = gamma_loop(k_c, k_c, 0, g0, tol)
     eps_tc = eps_c + g0 * g0 / 8.0
     rest = sum(abs(b_coefficient(k_c, n0, g0)) ** 2 / (eps_tc - n0)
                for n0 in range(-31, 32, 2) if n0 != 1)
@@ -253,7 +255,8 @@ def find_transmission_zero(g0: float) -> Tuple[float, Dict]:
     eps_z = 1.0 - g0 * g0 / 8.0 - fac.alpha + resonant_denom.real
 
     def objective(eps):
-        return abs(assemble(eps, g0, order="renormalized", n_max=0).T[0]) ** 2
+        return abs(assemble(eps, g0, order="renormalized", n_max=0,
+                            tol=tol).T[0]) ** 2
 
     eta = max(fac.eta_R, 1e-9)
     if eps_z < 1.0 - 1e-12:
@@ -280,21 +283,22 @@ def find_transmission_zero(g0: float) -> Tuple[float, Dict]:
     return float(x_min), diagnostics
 
 
-def near_zero_amplitudes(eps_i: float, g0: float) -> Dict:
+def near_zero_amplitudes(eps_i: float, g0: float, tol: float = 1e-8) -> Dict:
     """Channel amplitudes in the immediate vicinity of the transmission zero.
 
     Valid only where the pole term dominates (|eps_R(1) - 1| small against
     eta_R(1)); outside that window a RegimeError is raised instead of
     extrapolating.  Returns the limiting inelastic T(n) = R(n) amplitudes,
-    their flux coefficients, and the elastic reflection check value.
+    their flux coefficients, and the elastic reflection check value;
+    ``tol`` is the quadrature tolerance of the loops and the shift.
     """
     k_i = math.sqrt(2.0 * eps_i)
-    fac = renorm_factors(0, 1, k_i, k_i, eps_i, g0)
+    fac = renorm_factors(0, 1, k_i, k_i, eps_i, g0, tol)
     if abs(fac.eps_R - 1.0) > _REGIME_FACTOR * fac.eta_R:
         raise RegimeError(
             f"|eps_R - 1| = {abs(fac.eps_R - 1.0):.3e} exceeds "
             f"{_REGIME_FACTOR} * eta_R = {_REGIME_FACTOR * fac.eta_R:.3e}")
-    loop = gamma_loop(k_i, k_i, 0, g0)
+    loop = gamma_loop(k_i, k_i, 0, g0, tol)
     bracket = 1.0 + (2.0 * math.pi / k_i) * loop.im
     b1 = b_coefficient(k_i, 1, g0)
     out: Dict = {"T": {}, "R": {}, "flux": {}}
@@ -307,6 +311,6 @@ def near_zero_amplitudes(eps_i: float, g0: float) -> Dict:
         out["T"][n] = t_n
         out["R"][n] = t_n
         out["flux"][n] = (ch.k / k_i) * abs(t_n) ** 2
-    elastic = assemble(eps_i, g0, order="renormalized", n_max=2)
+    elastic = assemble(eps_i, g0, order="renormalized", n_max=2, tol=tol)
     out["R0_sq"] = abs(elastic.R[0]) ** 2
     return out

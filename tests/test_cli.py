@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 import drivendelta
 from drivendelta.cli import (ScanConfig, UsageError, cmd_scan, main,
                              parse_config)
+from drivendelta.renorm import gamma_elastic_closed
 
 
 @pytest.fixture
@@ -147,6 +149,23 @@ class TestScan:
         assert capsys.readouterr().err == (
             "error: numeric failure at eps_i = 1.0: "
             "singular sideband system at eps_i = 1.0\n")
+
+
+    def test_tol_tightens_the_loop(self, tmp_path):
+        # the default tol is absolute, and Re Gamma(0) ~ 2.5e-6 at g0 = 0.0125:
+        # the default scan is 4.4e-5 off the closed form there
+        exact = gamma_elastic_closed(math.sqrt(0.6), 0.0125, include_closed=True).re
+        re_gamma = {}
+        for tol in (None, "1e-11"):
+            out = tmp_path / "scan.csv"
+            argv = ["scan", "--g0", "0.0125", "--e-min", "0.3", "--e-max", "0.4",
+                    "--steps", "2", "--n-max", "0", "--method", "perturbative",
+                    "--output", str(out)]
+            assert main(argv + (["--tol", tol] if tol else [])) == 0
+            header, first = out.read_text(encoding="utf-8").splitlines()[:2]
+            re_gamma[tol] = float(dict(zip(header.split(","), first.split(",")))["re_gamma"])
+        assert re_gamma["1e-11"] == pytest.approx(exact, rel=1e-9, abs=0.0)
+        assert re_gamma[None] != pytest.approx(exact, rel=1e-9, abs=0.0)
 
 
 class TestCompare:

@@ -133,6 +133,26 @@ class TestBatchedSweep:
             exact = solve(float(e), 0.7, N=int(grid.N[i]))
             assert grid.t0_sq[i] == pytest.approx(abs(exact.t[0]) ** 2, rel=1e-14)
 
+    @pytest.mark.parametrize("g0", [0.1, 0.7, 1.0])
+    def test_default_truncation_matches_doubled(self, g0):
+        # the unitarity defect cannot see truncation, so the default margin
+        # N = 2 n_open + 20 is checked against a sweep at twice that N
+        n_max = 3
+        eps = np.linspace(0.2, 4.4, 200)
+        grid = transmission_grid(eps, g0, n_max)
+        assert grid.N.tolist() == [2 * (int(e) + 1) + 20 for e in eps]
+        for N in set(grid.N.tolist()):
+            idx = np.flatnonzero(grid.N == N)
+            k, t = floquet._sweep(eps[idx], g0, 2 * N)
+            flux = floquet._open_flux(k, t)
+            t0 = t[2 * N]
+            for name, doubled in (("t0_sq", np.abs(t0) ** 2),
+                                  ("r0_sq", np.abs(t0 - 1.0) ** 2),
+                                  ("T_total", flux.sum(axis=0))):
+                assert np.max(np.abs(getattr(grid, name)[idx] - doubled)) <= 1e-13
+            sidebands = flux[2 * N - n_max:2 * N + n_max + 1]
+            assert np.max(np.abs(grid.T_n[:, idx] - sidebands)) <= 1e-13
+
     def test_chunks_cover_every_energy(self):
         eps = np.linspace(0.05, 2.95, 6000)   # more energies than one chunk holds
         grid = transmission_grid(eps, 0.3)

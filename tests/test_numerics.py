@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivendelta.errors import DomainError, ToleranceError
+from drivendelta.errors import DomainError, PoleOrderError, ToleranceError
 from drivendelta.quadrature import (adaptive_quad, bracket_min,
-                                    fourier_coefficient, pv_integral,
-                                    semiinf_integral)
+                                    fourier_coefficient, pv_halfline,
+                                    pv_integral)
 
 
 class TestAdaptiveQuad:
@@ -82,19 +82,81 @@ class TestPrincipalValue:
             pv_integral(lambda x: 1.0 / (x - 5.0), 5.0, 0.0, 2.0)
 
 
-class TestSemiInfinite:
-    def test_lorentzian(self):
-        res = semiinf_integral(lambda x: 1.0 / (1.0 + x * x), split=2.0)
+def _pole_over_lorentzian(a):
+    """PV int_0^inf dx / ((x - a)(1 + x**2)) = -(ln a + a pi / 2) / (1 + a**2)."""
+    return -(math.log(a) + 0.5 * a * math.pi) / (1.0 + a * a)
+
+
+def _sequential_halfline(f, poles, split, tol):
+    """The half-line PV one part at a time: a pv_integral per pole piece
+    (a plain adaptive_quad without poles), then the tan-mapped tail."""
+    cuts = [0.0] + [0.5 * (p1 + p2) for p1, p2 in zip(poles, poles[1:])] + [split]
+    parts = [pv_integral(f, p, a, b, tol=tol)
+             for (a, b), p in zip(zip(cuts, cuts[1:]), poles)]
+    if not poles:
+        parts.append(adaptive_quad(f, 0.0, split, tol=tol))
+
+    def tail(u):
+        x = np.tan(u)
+        return np.asarray(f(x)) * (1.0 + x * x)
+
+    parts.append(adaptive_quad(tail, math.atan(split), 0.5 * math.pi, tol=tol))
+    return parts
+
+
+class TestHalfLine:
+    def test_no_poles(self):
+        res = pv_halfline(lambda x: 1.0 / (1.0 + x * x), [], split=2.0)
         assert res.value == pytest.approx(math.pi / 2.0, abs=1e-8)
 
-    def test_inverse_quartic(self):
-        # int_0^inf dx / (1 + x**4) = pi / (2 sqrt(2))
-        res = semiinf_integral(lambda x: 1.0 / (1.0 + x**4), split=3.0)
-        assert res.value == pytest.approx(math.pi / (2 * math.sqrt(2)), abs=1e-8)
+    def test_two_poles_closed_form(self):
+        f = lambda x: (1.0 / (x - 0.7) + 1.0 / (x - 2.5)) / (1.0 + x * x)
+        res = pv_halfline(f, [2.5, 0.7], split=8.0, tol=1e-10)
+        expected = _pole_over_lorentzian(0.7) + _pole_over_lorentzian(2.5)
+        assert res.value == pytest.approx(expected, abs=1e-9)
 
-    def test_rejects_bad_split(self):
+    def test_lockstep_matches_sequential_parts(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.size(x))
+            return np.cos(x) / ((x - 0.4) * (x - 1.1) * (x - 3.0) * (1.0 + x ** 4))
+
+        res = pv_halfline(f, [0.4, 1.1, 3.0], split=6.0)
+        rounds = len(calls)
+        parts = _sequential_halfline(f, [0.4, 1.1, 3.0], 6.0, 1e-8)
+        value = 0.0
+        for part in parts:
+            value += part.value
+        assert res.value == value
+        assert res.error_estimate == sum(p.error_estimate for p in parts)
+        assert res.evaluations == sum(p.evaluations for p in parts)
+        assert res.evaluations == sum(calls[:rounds])
+        assert rounds < len(calls) - rounds
+
+    def test_rejects_poles_outside(self):
         with pytest.raises(DomainError):
-            semiinf_integral(lambda x: 1.0 / (1.0 + x * x), split=0.0)
+            pv_halfline(lambda x: 1.0 / (x - 5.0), [5.0], split=4.0)
+        with pytest.raises(DomainError):
+            pv_halfline(lambda x: 1.0 / (1.0 + x * x), [], split=0.0)
+
+    def test_unconverged_residue_surfaces(self):
+        # log|x - 1| / (x - 1): (x - 1) f grows like ln h, no Richardson limit
+        def f(x):
+            return np.log(np.abs(x - 1.0)) / (x - 1.0) + 1.0 / ((x - 2.0) * (1.0 + x * x))
+
+        with pytest.raises(PoleOrderError, match="at pole 1.0"):
+            pv_halfline(f, [1.0, 2.0], split=8.0)
+
+    def test_exhausted_segment_surfaces(self):
+        # the tail of x / (1 + x) does not decay: only the tail segment runs
+        # out of intervals, while the pole pieces converge beside it
+        def f(x):
+            return 1.0 / (x - 1.0) + x / (1.0 + x)
+
+        with pytest.raises(ToleranceError, match="interval budget exhausted") as exc:
+            pv_halfline(f, [1.0], split=4.0)
+        assert exc.value.error_estimate > 1e-8
 
 
 class TestFourierCoefficient:

@@ -121,11 +121,20 @@ def a_kernel(k_out, k_in, m, pow_out, pow_in):
     guards: quadrature callers keep their nodes off the
     k_out**2 == k_in**2 lines.
     """
-    # step combination s(m): +1 for m > 0, -(-1)**m for m < 0
-    sign = np.where((m < 0) & (m % 2 == 0), -1.0, 1.0)
-    parity = np.where(m % 2 == 0, 1.0, -1.0)
+    sign, parity = a_signs(m)
     return ((1.0 / math.pi) * (k_out * k_in / (k_out * k_out - k_in * k_in))
             / (k_out + k_in) * (pow_in - parity * pow_out) * sign)
+
+
+def a_signs(m):
+    """Step sign s(m) and parity (-1)**m of the c/c kernel, over arrays.
+
+    s(m) is +1 for m > 0 and -(-1)**m for m < 0; A(m) is proportional to
+    s(m) (q(k_in)**|m| - (-1)**m q(k_out)**|m|).
+    """
+    sign = np.where((m < 0) & (m % 2 == 0), -1.0, 1.0)
+    parity = np.where(m % 2 == 0, 1.0, -1.0)
+    return sign, parity
 
 
 def a_coefficient(k_f: float, k_i: float, n: int, g0: float) -> complex:
@@ -155,12 +164,16 @@ def b_coefficient(k: float, n: int, g0: float) -> complex:
         raise DomainError(f"k must be positive, got {k}")
     if n % 2 == 0:
         return 0.0 + 0.0j
-    return (
-        1j * math.sqrt(g0 / (4.0 * math.pi))
-        / (k - 0.5j * g0)
-        * q_factor(k, abs(n), g0)
-        * 2.0
-    )
+    return b_kernel(k, q_factor(k, abs(n), g0), g0)
+
+
+def b_kernel(k, pow_k, g0: float):
+    """B_{k b}(m) for odd m from the q-factor ``pow_k`` = q(k)**|m|.
+
+    Broadcasts over ``pow_k``; no argument guards and no parity check, so
+    callers summing over odd sidebands raise q(k) to their own powers.
+    """
+    return 1j * math.sqrt(g0 / (4.0 * math.pi)) / (k - 0.5j * g0) * pow_k * 2.0
 
 
 def b_coefficient_bc(k: float, n: int, g0: float) -> complex:

@@ -298,6 +298,10 @@ def cmd_zero(config: ScanConfig) -> int:
         eps_p, diag = find_transmission_zero(g0, config.tol)
         lines.append(f"perturbative eps_star = {_fmt(eps_p)}")
         lines.append(f"perturbative |T(0)|^2 at zero = {_fmt(diag['min_value'])}")
+        lines.append(f"perturbative analytic zero = {_fmt(diag['analytic_zero'])}")
+        lo, hi = diag["bracket"]
+        lines.append("perturbative distance to bracket edge = "
+                     f"{_fmt(min(eps_p - lo, hi - eps_p))}")
     if config.method in ("floquet", "both"):
         eps_f = zero_locate_exact(g0)
         t0sq = abs(floquet_solve(eps_f, g0).t[0]) ** 2

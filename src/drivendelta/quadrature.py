@@ -67,13 +67,13 @@ class QuadratureResult:
 class _Segment:
     """One interval of a lockstep refinement, with its own tolerance and panels.
 
-    A ``pole`` segment integrates f(x) - residue / (x - pole), the pole on
-    one of its edges; a ``tail`` segment integrates f(tan u) (1 + tan**2 u)
-    over u.  ``intervals`` holds (lo, hi, value, error) per panel, at most
-    ``max_intervals`` of them.
+    A segment with a finite ``pole`` integrates f(x) - residue / (x - pole),
+    the pole on one of its edges; a ``tail`` segment integrates
+    f(tan u) (1 + tan**2 u) over u.  ``intervals`` holds (lo, hi, value,
+    error) per panel, at most ``max_intervals`` of them.
     """
 
-    def __init__(self, a, b, tol, pole=None, residue=0.0, tail=False,
+    def __init__(self, a, b, tol, pole=math.inf, residue=0.0, tail=False,
                  max_intervals=2000):
         if not a < b:
             raise DomainError(f"need a < b, got [{a}, {b}]")
@@ -84,24 +84,6 @@ class _Segment:
         self.max_intervals = max_intervals
         self.intervals = []
         self.evals = 0
-
-    def points(self, u):
-        """Arguments of f at the panel nodes ``u``."""
-        if self.tail:
-            return np.tan(u)
-        if self.pole is not None:
-            # an exact pole hit can only occur on a collapsed panel edge; the
-            # subtracted integrand is finite there, so drop the 0/0 noise
-            return np.where(u == self.pole, self.pole + 1.0, u)
-        return u
-
-    def integrand(self, u, x, y):
-        """Segment integrand at the nodes ``u`` from f's values ``y`` at ``x``."""
-        if self.tail:
-            return y * (1.0 + x * x)
-        if self.pole is not None:
-            return np.where(u == self.pole, 0.0, y - self.residue / (x - self.pole))
-        return y
 
     def unfinished(self) -> bool:
         """Error estimate above tolerance (or NaN), with budget left."""
@@ -129,19 +111,26 @@ class _Segment:
 def _gk15(f, jobs):
     """Gauss-Kronrod 15(7) on the (lo, hi) panels of every (segment, panels) job.
 
-    The nodes of all panels go to ``f`` in one call.  Returns the panel
-    values and error estimates, in job order."""
-    a, b = np.array([p for _, panels in jobs for p in panels]).T
+    The nodes of all panels go to ``f`` in one call, and every panel's
+    node map and pole subtraction is one array operation over the round:
+    a tail panel integrates f(tan u) (1 + tan**2 u), a pole panel
+    f(u) - residue / (u - pole).  Panels without a pole carry pole = inf
+    and residue 0, so their subtraction removes an exact zero.  Returns
+    the panel values and error estimates, in job order."""
+    rows = [(lo, hi, seg.pole, seg.residue, seg.tail)
+            for seg, panels in jobs for lo, hi in panels]
+    a, b, pole, residue, tail = (np.array(col) for col in zip(*rows))
     mids, halves = 0.5 * (a + b), 0.5 * (b - a)
     u = mids[:, None] + halves[:, None] * _NODES
-    rows, lo = [], 0
-    for _, panels in jobs:
-        rows.append(slice(lo, lo + len(panels)))
-        lo += len(panels)
-    xs = [seg.points(u[r]) for (seg, _), r in zip(jobs, rows)]
-    y = np.asarray(f(np.concatenate(xs).ravel())).reshape(u.shape)
-    g = np.concatenate([seg.integrand(u[r], x, y[r])
-                        for (seg, _), r, x in zip(jobs, rows, xs)])
+    pole, residue = pole[:, None], residue[:, None]
+    # an exact pole hit can only occur on a collapsed panel edge; the
+    # subtracted integrand is finite there, so drop the 0/0 noise
+    hit = u == pole
+    x = np.where(hit, pole + 1.0, u)
+    x[tail] = np.tan(u[tail])
+    y = np.asarray(f(x.ravel())).reshape(u.shape)
+    g = np.where(tail[:, None], y * (1.0 + x * x),
+                 np.where(hit, 0.0, y - residue / (x - pole)))
     v15 = halves * np.sum(g * _W15, axis=1)
     v7 = halves * np.sum(g * _W7, axis=1)
     return v15, np.abs(v15 - v7)
@@ -153,26 +142,30 @@ def _refine(f, segments):
     Each segment refines exactly as it would alone: it splits its interval
     with the largest error estimate until its summed estimate drops below
     its tolerance or its interval budget is spent.  Per round, the panels
-    of all unfinished segments go to ``f`` in a single call.
+    of all unfinished segments go to ``f`` in a single call.  A finished
+    segment never reopens, so each round checks only the segments it
+    refined.
     """
     jobs = [(seg, [(seg.a, seg.b)]) for seg in segments]
     while jobs:
         values, errors = _gk15(f, jobs)
+        values, errors = values.tolist(), errors.tolist()
         i = 0
         for seg, panels in jobs:
             for lo, hi in panels:
                 seg.intervals.append((lo, hi, values[i], errors[i]))
                 i += 1
             seg.evals += 15 * len(panels)
-        jobs = []
-        for seg in segments:
+        refined = []
+        for seg, _ in jobs:
             if seg.unfinished():
                 ivs = seg.intervals
                 # split the worst interval; index-of-max is deterministic
                 worst = max(range(len(ivs)), key=lambda j: ivs[j][3])
                 wa, wb, _, _ = ivs.pop(worst)
                 mid = 0.5 * (wa + wb)
-                jobs.append((seg, [(wa, mid), (mid, wb)]))
+                refined.append((seg, [(wa, mid), (mid, wb)]))
+        jobs = refined
 
 
 def adaptive_quad(

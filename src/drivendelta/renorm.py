@@ -9,9 +9,10 @@ by summing virtual multi-photon exchange processes: the pole position
 shifts by alpha, acquires the width eta_R = beta * (1 + gamma), and the
 residue is normalized by Z.
 
-All series over sideband indices truncate adaptively (geometric decay of
-the q-factors); truncation caps are recorded in diagnostics rather than
-silently ignored.
+The channel sums of the loop, the shift and the width stop at the
+sideband order where q(k_i)**|l| falls below 1e-18 (:func:`_decay_count`,
+capped at 32 and flagged in the loop's diagnostics).  The bound-route
+series sums every odd n0 with |n0| <= 63, a fixed range.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Dict, List
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .amplitudes import a_coefficient, a_kernel, b_coefficient, b_coefficient_bc
-from .errors import DomainError
+from .amplitudes import a_coefficient, a_kernel, a_signs, b_coefficient, b_kernel
+from .errors import DomainError, RegimeError
 from .model import _q_base, q_factor
 from .quadrature import pv_halfline
 
@@ -43,7 +44,7 @@ __all__ = [
 ]
 
 _SERIES_CAP = 64       # hard cap on series terms
-_SERIES_EPS = 1e-15    # relative cutoff for geometric series tails
+_ODD_N0 = np.arange(1 - _SERIES_CAP, _SERIES_CAP, 2)   # bound-route n0 range
 
 
 @dataclass(frozen=True)
@@ -93,16 +94,79 @@ def _loop_products(k_f: float, k_i: float, n: int, ls, k, g0: float):
              * a_kernel(k, k_i, ls, q_k[m_in[:, 0]], q_i[m_in]))
 
 
+def _q_powers(q, rows: int, step=None):
+    """Rows q * step**j, j = 0..rows-1, as one running product.
+
+    ``step`` defaults to ``q``, so the rows are q**1 .. q**rows.  Row by
+    row, this is several times faster than ``np.cumprod`` along the rows.
+    """
+    q = np.asarray(q, dtype=float)
+    step = q if step is None else step
+    table = np.empty((rows,) + q.shape)
+    table[0] = q
+    for j in range(1, rows):
+        np.multiply(table[j - 1:j], step, out=table[j:j + 1])
+    return table
+
+
 def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
-    """Channel sum of the Re Gamma integrand, one broadcast per call."""
+    """Channel sum of the Re Gamma integrand, one broadcast per call.
+
+    The two transition prefactors of a_kernel depend on the node only, so
+    they multiply the channel sum once; each channel keeps its two q-power
+    brackets and its propagator.  At n = 0 the channels +l and -l share
+    the numerator (q(k)**l - (-1)**l q(k_i)**l)**2, so each pair is one
+    term with the propagator sum 2 e / ((e - l)(e + l)), e = eps_i - k**2/2;
+    ``ls`` must then be +-1 .. +-L.
+    """
     eps_i = 0.5 * k_i * k_i
     ls = np.asarray(ls)
+    q_i = _q_base(k_i, g0)
+
+    def prefactor(k):
+        # -(1/pi**2) k_f k / ((k_f**2 - k**2)(k_f + k)) k k_i / ((k**2 - k_i**2)(k + k_i))
+        return (-1.0 / math.pi ** 2) * (k_f * k / (k_f * k_f - k * k)) / (k_f + k) \
+            * (k * k_i / (k * k - k_i * k_i)) / (k + k_i)
+
+    if n == 0:
+        L = len(ls) // 2
+        if sorted(ls.tolist()) != [l for l in range(-L, L + 1) if l != 0]:
+            raise DomainError("the elastic loop pairs the channels +-1 .. +-L")
+        l_col = np.arange(1, L + 1, dtype=float)[:, None]
+        # (-1)**l q(k_i)**l
+        shift = _q_powers(-q_i, L)[:, None]
+
+        def integrand(k):
+            k = np.asarray(k, dtype=float)
+            e = eps_i - 0.5 * k * k
+            num = _q_powers(_q_base(k, g0), L)
+            num -= shift
+            num *= num
+            # (e - l)(e + l), not e**2 - l**2: next to a channel pole each
+            # factor rounds as the unpaired propagator did
+            num /= (e - l_col) * (e + l_col)
+            return prefactor(k) * 2.0 * e * num.sum(axis=0)
+
+        return integrand
+
+    m_out, m_in = np.abs(n - ls), np.abs(ls)
+    sign_out, par_out = a_signs(n - ls)
+    sign_in, par_in = a_signs(ls)
+    sign = (sign_out * sign_in)[:, None]
+    # out bracket q(k)**m_out - par_out q(k_f)**m_out; in bracket, times
+    # both signs, sign q(k_i)**m_in - sign par_in q(k)**m_in
+    f_term = (par_out * _q_base(k_f, g0) ** m_out)[:, None]
+    i_term = sign * (q_i ** m_in)[:, None]
+    i_par = sign * par_in[:, None]
+    rows_out, rows_in = m_out - 1, m_in - 1
     col = ls[:, None]
+    top = int(max(m_out.max(), m_in.max()))
 
     def integrand(k):
         k = np.asarray(k, dtype=float)
-        terms = _loop_products(k_f, k_i, n, ls, k, g0)
-        return (terms / (eps_i - 0.5 * k * k + col)).sum(axis=0)
+        table = _q_powers(_q_base(k, g0), top)
+        products = (table[rows_out] - f_term) * (i_term - i_par * table[rows_in])
+        return prefactor(k) * (products / (eps_i - 0.5 * k * k + col)).sum(axis=0)
 
     return integrand
 
@@ -353,11 +417,35 @@ def gamma_elastic_closed(k_i: float, g0: float,
                      diagnostics={"l_max": L, "include_closed": include_closed})
 
 
-def _b_pair(k_f: float, k_i: float, m_out: int, m_in: int, g0: float) -> complex:
-    """Product B_{k_f b}(m_out) * B_{b k_i}(m_in); zero for even indices."""
-    if m_out % 2 == 0 or m_in % 2 == 0:
+def _bound_series(k_f: float, k_i: float, n: int, g0: float, pole: float,
+                 width: float = 0.0, resonant=None) -> complex:
+    """The c/b/c series: sum over odd n0, |n0| <= 63, of
+    B_{k_f b}(n + n0) B_{b k_i}(-n0) / (pole - n0 + i width).
+
+    The denominator rule is bare real (width 0) or regulated (width > 0);
+    ``resonant`` = (n0*, weight) replaces the n0* term's 1 / denominator
+    by ``weight``: Z / (eps_R - n0* + i eta_R) renormalizes that term and
+    0 drops it.  Only odd n + n0 and odd n0 contribute, so the series
+    vanishes for odd n.  A zero denominator raises :class:`RegimeError`.
+    """
+    if n % 2 != 0:
         return 0.0 + 0.0j
-    return b_coefficient(k_f, m_out, g0) * b_coefficient_bc(k_i, m_in, g0)
+    q_f, q_i = _q_base(k_f, g0), _q_base(k_i, g0)
+    # B_{b k_i}(-n0) = conj(B_{k_i b}(n0))
+    num = b_kernel(k_f, q_f ** np.abs(n + _ODD_N0), g0) \
+        * np.conj(b_kernel(k_i, q_i ** np.abs(_ODD_N0), g0))
+    denom = pole - _ODD_N0 + 1j * width
+    if resonant is not None:
+        n0, weight = resonant
+        at = _ODD_N0 == n0
+        denom[at] = 1.0     # that term is replaced below
+    if np.any(denom == 0):
+        raise RegimeError(f"bound-route denominator {pole} - n0 vanishes at "
+                          f"n0 = {_ODD_N0[denom == 0][0]}")
+    terms = num / denom
+    if resonant is not None:
+        terms[at] = num[at] * weight
+    return complex(terms.sum())
 
 
 def b_bare(k_f: float, k_i: float, n: int, eps_i: float, g0: float,
@@ -365,31 +453,34 @@ def b_bare(k_f: float, k_i: float, n: int, eps_i: float, g0: float,
     """Bare c/b/c amplitude with the convergence regulator ``eta`` > 0.
 
     Sum over intermediate sideband offsets n0 of
-    B_{k_f b}(n + n0) B_{b k_i}(-n0) / (eps_i + g0**2/8 - n0 + i eta);
-    only odd n + n0 and odd n0 contribute, so the amplitude vanishes for
-    odd n.  The n0-series truncates on geometric decay.
+    B_{k_f b}(n + n0) B_{b k_i}(-n0) / (eps_i + g0**2/8 - n0 + i eta)
+    (:func:`_bound_series`); it vanishes for odd n.
     """
     if eta <= 0:
         raise DomainError(f"eta must be positive, got {eta}")
-    eps_t = eps_i + g0 * g0 / 8.0
-    total = 0.0 + 0.0j
-    acc = 0.0
-    terms = 0
-    for a in range(1, _SERIES_CAP + 1):
-        # walk outward: n0 = +a, -a
-        layer = 0.0
-        for n0 in (a, -a):
-            num = _b_pair(k_f, k_i, n + n0, -n0, g0)
-            if num == 0:
-                continue
-            term = num / (eps_t - n0 + 1j * eta)
-            total += term
-            layer += abs(term)
-            terms += 1
-        acc += layer
-        if acc > 0 and layer < _SERIES_EPS * acc and a > max(2, abs(n) + 1):
-            break
-    return total
+    return _bound_series(k_f, k_i, n, g0, eps_i + g0 * g0 / 8.0, eta)
+
+
+def _shift_integrand(n0: int, eps_i: float, g0: float, ms):
+    """Channel sum of the alpha_shift integrand over the odd m = +-``ms``.
+
+    sum_m |B_{k b}(m)|**2 / (x - l), x = k**2/2 - eps_i, l = m - n0, with
+    |B_{k b}(m)|**2 = (g0 / pi) q(k)**(2 |m|) / (k**2 + g0**2 / 4).  That
+    depends on |m| only, so the channels +m and -m pair into one term with
+    the propagator sum 2 (x + n0) / ((x - l_up)(x - l_down)).
+    """
+    l_up, l_down = (ms - n0)[:, None], (-ms - n0)[:, None]
+
+    def integrand(k):
+        k = np.asarray(k, dtype=float)
+        q2 = _q_base(k, g0) ** 2
+        x = 0.5 * k * k - eps_i
+        terms = _q_powers(q2, len(ms), q2 * q2)
+        terms /= (x - l_up) * (x - l_down)
+        return (2.0 * g0 / math.pi) * (x + n0) / (k * k + 0.25 * g0 * g0) \
+            * terms.sum(axis=0)
+
+    return integrand
 
 
 @functools.lru_cache(maxsize=4096)
@@ -397,27 +488,17 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     """Real pole-position shift from four bound-state transitions.
 
     2 PV int_0^inf dk sum_l |B_{k b}(n0 + l)|**2 / (eps_k - eps_i - l);
-    the channel sum runs over odd n0 + l with adaptive truncation, one
-    (channels x nodes) broadcast per integrand call, with a pole at every
-    open channel's momentum.
+    the channel sum (:func:`_shift_integrand`) runs over odd n0 + l with
+    the truncation of :func:`_decay_count`, one broadcast per integrand
+    call, with a pole at every open channel's momentum.
     """
     if g0 <= 0:
         raise DomainError(f"g0 must be positive, got {g0}")
     k_i = math.sqrt(2.0 * eps_i)
     q_i = float(q_factor(max(k_i, 1.0), 1, g0))
-    M = _decay_count(q_i)
-    ms = np.arange(-M, M + 1)
-    ms = ms[ms % 2 != 0]
-    ls = (ms - n0)[:, None]
-    am = np.abs(ms)[:, None]
-
-    def integrand(k):
-        k = np.asarray(k, dtype=float)
-        mod2 = (g0 / math.pi) * (_q_base(k, g0) ** am) ** 2 \
-            / (k * k + 0.25 * g0 * g0)
-        return (mod2 / (0.5 * k * k - eps_i - ls)).sum(axis=0)
-
-    kl2 = 2.0 * (eps_i + ls[:, 0])
+    ms = np.arange(1, _decay_count(q_i) + 1, 2)
+    integrand = _shift_integrand(n0, eps_i, g0, ms)
+    kl2 = 2.0 * (eps_i + (np.concatenate([-ms[::-1], ms]) - n0))
     poles = np.sqrt(kl2[kl2 > 0]).tolist()
     split = max(4.0 * k_i, 4.0 * g0, 8.0, 1.5 * max(poles, default=0.0))
     return 2.0 * float(pv_halfline(integrand, poles, split, tol).value)
@@ -435,17 +516,13 @@ def beta_width(n0: int, eps_i: float, g0: float) -> float:
     k_i = math.sqrt(2.0 * eps_i)
     q_i = float(q_factor(max(k_i, 1.0), 1, g0))
     M = _decay_count(q_i)
-    total = 0.0
-    for m in range(-M, M + 1):
-        if m % 2 == 0:
-            continue
-        l = m - n0
-        kl2 = 2.0 * (eps_i + l)
-        if kl2 <= 0:
-            continue
-        kl = math.sqrt(kl2)
-        total += (2.0 * math.pi / kl) * abs(b_coefficient(kl, m, g0)) ** 2
-    return total
+    ms = np.arange(-M, M + 1)
+    ms = ms[ms % 2 != 0]
+    kl2 = 2.0 * (eps_i + (ms - n0))
+    is_open = kl2 > 0
+    kl = np.sqrt(kl2[is_open])
+    b = b_kernel(kl, _q_base(kl, g0) ** np.abs(ms[is_open]), g0)
+    return float(np.sum((2.0 * math.pi / kl) * np.abs(b) ** 2))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -466,10 +543,10 @@ def renorm_factors(n: int, n0: int, k_f: float, k_i: float, eps_i: float,
     loop0 = gamma_loop(k_i, k_i, 0, g0, tol)
     ratio = 0.0 + 0.0j
     loop_n = loop0
-    b_out = _b_pair(k_f, k_i, n + n0, -n0, g0)
     if n == 0:
         ratio = 1.0 + 0.0j
-    elif b_out != 0:
+    elif n % 2 == 0 and n0 % 2 != 0:
+        # B_{k_f b}(n + n0) B_{b k_i}(-n0) is nonzero
         loop_n = gamma_loop(k_f, k_i, n, g0, tol)
         ratio = b_coefficient(k_i, n0, g0) / b_coefficient(k_f, n + n0, g0)
     gamma_factor = float((2.0 * math.pi / k_i)
@@ -478,14 +555,7 @@ def renorm_factors(n: int, n0: int, k_f: float, k_i: float, eps_i: float,
 
     # residue normalization; the l-sum reuses the corrected denominators
     a_n = a_coefficient(k_f, k_i, n, g0) if n != 0 else 0.0
-    lsum = 0.0 + 0.0j
-    for l in range(-_SERIES_CAP // 2, _SERIES_CAP // 2 + 1):
-        if l == n0:
-            continue
-        num = _b_pair(k_f, k_i, n + l, -l, g0)
-        if num == 0:
-            continue
-        lsum += num * ratio / (eps_R - l + 1j * eta_R)
+    lsum = ratio * _bound_series(k_f, k_i, n, g0, eps_R, eta_R, resonant=(n0, 0.0))
     Z = 1.0 - (2j * math.pi / k_i) * (2.0 * loop0.value
                                       + ratio * (2.0 * loop_n.value - a_n)
                                       - lsum)
@@ -516,21 +586,5 @@ def b_renorm(k_f: float, k_i: float, n: int, eps_i: float, g0: float,
     eps_t = eps_i + g0 * g0 / 8.0
     n0_star = _nearest_odd(eps_t)
     fac = renorm_factors(n, n0_star, k_f, k_i, eps_i, g0, tol)
-    total = 0.0 + 0.0j
-    acc = 0.0
-    for a in range(1, _SERIES_CAP + 1):
-        layer = 0.0
-        for n0 in (a, -a):
-            num = _b_pair(k_f, k_i, n + n0, -n0, g0)
-            if num == 0:
-                continue
-            if n0 == n0_star:
-                term = fac.Z * num / (fac.eps_R - n0 + 1j * fac.eta_R)
-            else:
-                term = num / (eps_t - n0)
-            total += term
-            layer += abs(term)
-        acc += layer
-        if acc > 0 and layer < _SERIES_EPS * acc and a > max(2, abs(n) + 1):
-            break
-    return total
+    weight = fac.Z / (fac.eps_R - n0_star + 1j * fac.eta_R)
+    return _bound_series(k_f, k_i, n, g0, eps_t, resonant=(n0_star, weight))

@@ -20,12 +20,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from .amplitudes import a_coefficient, b_coefficient
+from .amplitudes import a_coefficient, b_coefficient, b_kernel
 from .errors import DomainError, RegimeError, ZeroNotFoundError
-from .model import sideband_channel
+from .model import _q_base, sideband_channel
 from .quadrature import bracket_min
-from .renorm import (_nearest_odd, alpha_shift, b_bare, b_renorm, gamma_loop,
-                     renorm_factors)
+from .renorm import (_bound_series, _nearest_odd, alpha_shift, b_bare, b_renorm,
+                     gamma_loop, renorm_factors)
 
 __all__ = [
     "DiagramTerm",
@@ -104,13 +104,11 @@ def _b_far_elastic(k_i: float, eps_i: float, g0: float) -> complex:
     width, where the dropped width, shift, and normalization corrections
     are higher order.
     """
-    total = 0.0 + 0.0j
-    for n0 in (1, -1):
-        denom = eps_i - n0
-        if denom == 0.0:
-            raise RegimeError(f"on-pole energy eps_i = {eps_i} in far regime")
-        total += abs(b_coefficient(k_i, n0, g0)) ** 2 / denom
-    return total
+    if eps_i == 1.0:
+        raise RegimeError(f"on-pole energy eps_i = {eps_i} in far regime")
+    # |B_{k_i b}(+-1)|**2, equal for both signs
+    b_sq = abs(b_kernel(k_i, _q_base(k_i, g0), g0)) ** 2
+    return 0.0j + b_sq / (eps_i - 1) + b_sq / (eps_i + 1)
 
 
 def _b_far(k_f: float, k_i: float, n: int, eps_i: float, g0: float) -> complex:
@@ -119,18 +117,7 @@ def _b_far(k_f: float, k_i: float, n: int, eps_i: float, g0: float) -> complex:
     The eta -> 0 limit of the bare sum; valid when the distance to the
     nearest pole dominates the width.
     """
-    eps_t = eps_i + g0 * g0 / 8.0
-    total = 0.0 + 0.0j
-    for a in range(1, 33):
-        for n0 in (a, -a):
-            if (n + n0) % 2 == 0 or n0 % 2 == 0:
-                continue
-            denom = eps_t - n0
-            if denom == 0.0:
-                raise RegimeError(f"on-pole energy eps_i = {eps_i} in far regime")
-            total += (b_coefficient(k_f, n + n0, g0)
-                      * b_coefficient(k_i, n0, g0).conjugate() / denom)
-    return total
+    return _bound_series(k_f, k_i, n, g0, eps_i + g0 * g0 / 8.0)
 
 
 def assemble(eps_i: float, g0: float, order: str = "renormalized",
@@ -246,9 +233,8 @@ def find_transmission_zero(g0: float, tol: float = 1e-8) -> Tuple[float, Dict]:
     fac = renorm_factors(0, 1, k_c, k_c, eps_c, g0, tol)
     loop0 = gamma_loop(k_c, k_c, 0, g0, tol)
     eps_tc = eps_c + g0 * g0 / 8.0
-    rest = sum(abs(b_coefficient(k_c, n0, g0)) ** 2 / (eps_tc - n0)
-               for n0 in range(-31, 32, 2) if n0 != 1)
-    b1sq = abs(b_coefficient(k_c, 1, g0)) ** 2
+    rest = _bound_series(k_c, k_c, 0, g0, eps_tc, resonant=(1, 0.0))
+    b1sq = abs(b_kernel(k_c, _q_base(k_c, g0), g0)) ** 2
     background = 1.0 - (2j * math.pi / k_c) * rest \
         - (4j * math.pi / k_c) * loop0.value
     resonant_denom = (2j * math.pi / k_c) * fac.Z * b1sq / background

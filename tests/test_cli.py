@@ -198,6 +198,19 @@ class TestZero:
         eps_star = float(line.split("=")[1])
         assert 0.99 < eps_star < 1.0
 
+    def test_perturbative_report_parses(self, capsys):
+        rc = main(["zero", "--g0", "0.55", "--method", "perturbative"])
+        assert rc == 0
+        # every "key = value" line must parse as a number
+        report = {}
+        for line in capsys.readouterr().out.splitlines():
+            key, sep, value = line.partition(" = ")
+            if sep:
+                report[key] = float(value)
+        assert math.isfinite(report["perturbative analytic zero"])
+        edge = report["perturbative distance to bracket edge"]
+        assert 0.0 <= edge < 1.0 - report["perturbative eps_star"] + 1e-3
+
 
 class TestW0Command:
     def test_rows_written(self, tmp_path):

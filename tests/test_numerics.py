@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drivendelta import quadrature
 from drivendelta.errors import DomainError, PoleOrderError, ToleranceError
 from drivendelta.quadrature import (adaptive_quad, bracket_min,
                                     fourier_coefficient, pv_halfline,
@@ -157,6 +158,79 @@ class TestHalfLine:
         with pytest.raises(ToleranceError, match="interval budget exhausted") as exc:
             pv_halfline(f, [1.0], split=4.0)
         assert exc.value.error_estimate > 1e-8
+
+
+def _gk15_per_job(f, jobs):
+    """The Gauss-Kronrod round one job at a time: each segment maps its own
+    nodes and subtracts its own pole, with f called once per job."""
+    values = []
+    for seg, panels in jobs:
+        a, b = np.array(panels).T
+        mids, halves = 0.5 * (a + b), 0.5 * (b - a)
+        u = mids[:, None] + halves[:, None] * quadrature._NODES
+        if seg.tail:
+            x = np.tan(u)
+        elif math.isfinite(seg.pole):
+            x = np.where(u == seg.pole, seg.pole + 1.0, u)
+        else:
+            x = u
+        y = np.asarray(f(x.ravel())).reshape(u.shape)
+        if seg.tail:
+            g = y * (1.0 + x * x)
+        elif math.isfinite(seg.pole):
+            g = np.where(u == seg.pole, 0.0, y - seg.residue / (x - seg.pole))
+        else:
+            g = y
+        values.append(halves * np.sum(g * quadrature._W15, axis=1))
+        values.append(halves * np.sum(g * quadrature._W7, axis=1))
+    v15, v7 = np.concatenate(values[::2]), np.concatenate(values[1::2])
+    return v15, np.abs(v15 - v7)
+
+
+class TestRoundArrays:
+    """One array pass per refinement round against the per-segment form."""
+
+    @pytest.mark.parametrize("residue", [0.75, 0.75 - 0.5j])
+    def test_gk15_bit_identical_to_per_job_round(self, residue):
+        def f(x):
+            return residue / (x - 1.0) + np.cos(x) / (1.0 + x * x)
+
+        collapsed = (1.0 - 4.0 * 2.0 ** -53, 1.0)
+        left = quadrature._Segment(0.4, 1.0, 1e-8, pole=1.0, residue=residue)
+        right = quadrature._Segment(1.0, 1.7, 1e-8, pole=1.0, residue=residue)
+        plain = quadrature._Segment(1.7, 6.0, 1e-8)
+        tail = quadrature._Segment(math.atan(6.0), 0.5 * math.pi, 1e-8, tail=True)
+        jobs = [(left, [(0.4, 0.7), (0.7, 1.0 - 1e-3), collapsed]),
+                (plain, [(1.7, 3.0), (3.0, 6.0)]),
+                (right, [(1.0, 1.7)]),
+                (tail, [(math.atan(6.0), 0.5 * math.pi)])]
+        # the collapsed panel's nodes round onto the pole
+        u = 0.5 * sum(collapsed) + 0.5 * (collapsed[1] - collapsed[0]) * quadrature._NODES
+        assert np.any(u == 1.0)
+        values, errors = quadrature._gk15(f, jobs)
+        ref_values, ref_errors = _gk15_per_job(f, jobs)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(errors, ref_errors)
+        assert np.all(np.isfinite(values))
+
+    def test_refine_checks_only_refined_segments(self, monkeypatch):
+        checks = []
+        unfinished = quadrature._Segment.unfinished
+
+        def counting(seg):
+            checks.append(seg)
+            return unfinished(seg)
+
+        monkeypatch.setattr(quadrature._Segment, "unfinished", counting)
+        easy = quadrature._Segment(0.0, 1.0, 1e-8)
+        hard = quadrature._Segment(0.0, 1.0, 1e-12)
+        quadrature._refine(lambda x: 1.0 / (1e-3 + x * x), [easy, hard])
+        # a segment takes part in one round, then one per split, and each
+        # of those rounds leaves it one interval more
+        assert checks.count(easy) == len(easy.intervals)
+        assert checks.count(hard) == len(hard.intervals)
+        # once finished, the easy segment is not checked again
+        assert checks.count(easy) < checks.count(hard)
 
 
 class TestFourierCoefficient:

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 import drivendelta.renorm as renorm
-from drivendelta.amplitudes import a_coefficient
+from drivendelta.amplitudes import a_coefficient, b_coefficient, b_coefficient_bc
 from drivendelta.errors import DomainError
 from drivendelta.model import q_factor
 from drivendelta.renorm import (alpha_shift, b_bare, b_renorm, beta_width,
@@ -163,6 +163,60 @@ class TestLoopKernel:
             assert abs(value - math.fsum(terms)) <= 1e-13 * sum(map(abs, terms))
 
 
+class TestReducedKernels:
+    """The paired and factored integrands against per-channel tables.
+
+    The loop reference is the channel table of ``_loop_products`` over the
+    propagators; the shift reference sums (q(k)**|m|)**2 channel by
+    channel.  At n = 0 the channels +l and -l cancel to O(k - k_i) next to
+    k_i, so the reference's own rounding is relative to its summed
+    magnitudes, and so is the 1e-12 tolerance.
+    """
+
+    # open channels down to l = -2: k_{-1} = 1.612, k_{-2} = 0.775
+    EPS_I = 2.3
+    OFFSETS = (-1e-6, 1e-6)
+
+    @pytest.mark.parametrize("g0", [0.1, 0.55, 0.7])
+    @pytest.mark.parametrize("n", [0, 1, -1, 2, -2])
+    def test_loop_integrand_matches_channel_table(self, n, g0):
+        k_i = math.sqrt(2.0 * self.EPS_I)
+        k_f = math.sqrt(k_i * k_i + 2 * n)
+        eps_i = 0.5 * k_i * k_i
+        L = renorm._loop_l_max(k_i, n, g0)
+        ls = [l for l in range(-L, L + 1) if l not in (0, n)]
+        poles = [k_i, k_f] + [math.sqrt(k_i * k_i + 2 * l) for l in (-2, -1, 3)]
+        nodes = np.array([1e-6, 1e-4, 1e-2]
+                         + [p + d for p in poles for d in self.OFFSETS])
+        terms = renorm._loop_products(k_f, k_i, n, ls, nodes, g0) \
+            / (eps_i - 0.5 * nodes * nodes + np.array(ls)[:, None])
+        values = renorm._loop_integrand(k_f, k_i, n, ls, g0)(nodes)
+        assert np.all(np.abs(values - terms.sum(axis=0))
+                      <= 1e-12 * np.abs(terms).sum(axis=0))
+
+    def test_elastic_loop_needs_paired_channels(self):
+        with pytest.raises(DomainError):
+            renorm._loop_integrand(1.0, 1.0, 0, [-1, 1, 2], 0.7)
+
+    @pytest.mark.parametrize("n0", [-1, 1, 3])
+    @pytest.mark.parametrize("g0", [0.1, 0.55, 0.7])
+    @pytest.mark.parametrize("eps_i", [0.3, 1.05, 2.9])
+    def test_shift_integrand_matches_channel_sum(self, n0, g0, eps_i):
+        M = 21
+        ms = np.array([m for m in range(-M, M + 1) if m % 2 != 0])
+        ls = ms - n0
+        kl = [math.sqrt(2.0 * (eps_i + l)) for l in ls if eps_i + l > 0]
+        nodes = np.array([1e-6, 1e-3, 5.0]
+                         + [p + d for p in kl for d in self.OFFSETS])
+        mod2 = (g0 / math.pi) \
+            * (renorm._q_base(nodes, g0) ** np.abs(ms)[:, None]) ** 2 \
+            / (nodes * nodes + 0.25 * g0 * g0)
+        terms = mod2 / (0.5 * nodes * nodes - eps_i - ls[:, None])
+        values = renorm._shift_integrand(n0, eps_i, g0, np.arange(1, M + 1, 2))(nodes)
+        assert np.all(np.abs(values - terms.sum(axis=0))
+                      <= 1e-12 * np.abs(terms).sum(axis=0))
+
+
 def _cauchy_loop_re(k_f: float, k_i: float, n: int, ls, g0: float) -> float:
     """Re Gamma by QUADPACK's Cauchy-weight rule, one pole per piece.
 
@@ -252,7 +306,6 @@ class TestBoundRoute:
     def test_renormalized_structure(self):
         # the dominant layer carries Z and the corrected denominator; all
         # other layers keep their bare real denominators
-        from drivendelta.amplitudes import b_coefficient, b_coefficient_bc
         eps_i, g0 = 0.75, 0.1
         k = math.sqrt(2.0 * eps_i)
         eps_t = eps_i + g0 * g0 / 8.0
@@ -274,6 +327,35 @@ class TestBoundRoute:
 
     def test_static_limit_vanishes(self):
         assert b_renorm(1.0, 1.0, 0, 0.5, 0.0) == 0.0
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_series_sums_every_odd_n0(self, n):
+        # every even n0 term vanishes, so a layer-by-layer cutoff on a
+        # zero layer once stopped both series at |n0| = 3
+        g0 = 0.7
+
+        def full_sum(k_f, k_i, eps_i, denom):
+            eps_t = eps_i + g0 * g0 / 8.0
+            return sum(b_coefficient(k_f, n + n0, g0) * b_coefficient_bc(k_i, -n0, g0)
+                       / denom(eps_t, n0) for n0 in range(-63, 64, 2))
+
+        eps_i = 0.9348
+        k_i = math.sqrt(2.0 * eps_i)
+        k_f = math.sqrt(k_i * k_i + 2 * n)
+        fac = renorm_factors(n, 1, k_f, k_i, eps_i, g0)
+
+        def renormalized(eps_t, n0):
+            if n0 == 1:
+                return (fac.eps_R - 1.0 + 1j * fac.eta_R) / fac.Z
+            return eps_t - n0
+
+        assert b_renorm(k_f, k_i, n, eps_i, g0) == pytest.approx(
+            full_sum(k_f, k_i, eps_i, renormalized), rel=1e-13)
+        eps_i = 0.93
+        k_i = math.sqrt(2.0 * eps_i)
+        k_f = math.sqrt(k_i * k_i + 2 * n)
+        assert b_bare(k_f, k_i, n, eps_i, g0, eta=1e-8) == pytest.approx(
+            full_sum(k_f, k_i, eps_i, lambda eps_t, n0: eps_t - n0 + 1e-8j), rel=1e-13)
 
 
 class TestPoleCorrections:

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+from drivendelta import amplitudes, renorm, smatrix
 from drivendelta.errors import DomainError, RegimeError
 from drivendelta.floquet import solve
-from drivendelta.smatrix import DiagramTerm, assemble, w0
+from drivendelta.smatrix import DiagramTerm, assemble, find_transmission_zero, w0
 
 
 class TestDiagramTerm:
@@ -91,3 +92,24 @@ class TestW0:
     def test_rejects_nonpositive_energy(self):
         with pytest.raises(DomainError):
             w0(0.0, 0.1)
+
+
+class TestLocatorCost:
+    def test_cold_locator_sums_the_bound_route_as_arrays(self, monkeypatch):
+        # a count, not a timing: the scalar bound-route loops made 4872
+        # b_coefficient calls in one cold locator run
+        calls = []
+        original = amplitudes.b_coefficient
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (amplitudes, renorm, smatrix):
+            monkeypatch.setattr(module, "b_coefficient", counting)
+        for cached in (renorm.gamma_loop, renorm.alpha_shift, renorm.beta_width,
+                       renorm.renorm_factors):
+            cached.cache_clear()
+        find_transmission_zero(0.55)
+        assert len(calls) <= 5
+        assert renorm.gamma_loop.cache_info().misses == 51

@@ -8,18 +8,16 @@ checks every assembled observable against an independent truncated
 sideband mode-matching solver.
 """
 
-from .amplitudes import (a_coefficient, b_coefficient, b_coefficient_bc,
-                         fourier_oracle, phi_cb, phi_cb_mean, phi_cc)
-from .errors import (DivergenceError, DomainError, DrivenDeltaError,
-                     NoBoundStateError, PoleOrderError, RegimeError,
-                     ToleranceError, ZeroNotFoundError)
+from .amplitudes import (a_coefficient, b_coefficient, fourier_oracle,
+                         phi_cb_mean, phi_cc)
+from .errors import (DomainError, DrivenDeltaError, PoleOrderError,
+                     RegimeError, ToleranceError, ZeroNotFoundError)
 from .floquet import (FloquetGrid, FloquetSolution, solve,
-                      static_transmission, total_transmission_exact,
-                      transmission_grid, zero_locate_exact)
-from .model import (Channel, ModelParams, bound_energy, mean_bound_energy,
-                    q_factor, sideband_channel, theta, to_dimensionless)
+                      total_transmission_exact, transmission_grid,
+                      zero_locate_exact)
+from .model import Channel, q_factor, sideband_channel
 from .quadrature import (QuadratureResult, adaptive_quad, bracket_min,
-                         fourier_coefficient, pv_halfline, pv_integral)
+                         pv_halfline, pv_integral)
 from .renorm import (LoopValue, RenormFactors, alpha_shift, b_bare, b_renorm,
                      beta_width, gamma_elastic_closed, gamma_loop,
                      renorm_factors)
@@ -31,14 +29,13 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "ModelParams", "Channel", "to_dimensionless", "sideband_channel",
-    "bound_energy", "mean_bound_energy", "theta", "q_factor",
+    "Channel", "sideband_channel", "q_factor",
     # quadrature
     "QuadratureResult", "adaptive_quad", "pv_integral", "pv_halfline",
-    "fourier_coefficient", "bracket_min",
+    "bracket_min",
     # amplitudes
-    "phi_cc", "phi_cb", "phi_cb_mean", "a_coefficient", "b_coefficient",
-    "b_coefficient_bc", "fourier_oracle",
+    "phi_cc", "phi_cb_mean", "a_coefficient", "b_coefficient",
+    "fourier_oracle",
     # renormalization
     "LoopValue", "RenormFactors", "gamma_loop", "gamma_elastic_closed",
     "b_bare", "alpha_shift", "beta_width", "renorm_factors", "b_renorm",
@@ -46,9 +43,9 @@ __all__ = [
     "DiagramTerm", "SMatrixDecomposition", "assemble", "w0",
     "find_transmission_zero", "near_zero_amplitudes",
     # exact solver
-    "FloquetSolution", "FloquetGrid", "static_transmission", "solve",
-    "transmission_grid", "total_transmission_exact", "zero_locate_exact",
+    "FloquetSolution", "FloquetGrid", "solve", "transmission_grid",
+    "total_transmission_exact", "zero_locate_exact",
     # errors
-    "DrivenDeltaError", "DomainError", "NoBoundStateError", "ToleranceError",
-    "PoleOrderError", "DivergenceError", "RegimeError", "ZeroNotFoundError",
+    "DrivenDeltaError", "DomainError", "ToleranceError", "PoleOrderError",
+    "RegimeError", "ZeroNotFoundError",
 ]

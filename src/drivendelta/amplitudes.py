@@ -13,23 +13,20 @@ elastic channel is never fed through these amplitudes.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NoBoundStateError
+from .errors import DomainError
 from .model import _q_base, q_factor
 from .quadrature import QuadratureResult, fourier_coefficient
 
 __all__ = [
     "phi_cc",
-    "phi_cb",
     "phi_cb_mean",
     "a_coefficient",
     "b_coefficient",
-    "b_coefficient_bc",
     "fourier_oracle",
 ]
 
@@ -69,26 +66,6 @@ def phi_cc(k: float, kp: float, tau, g0: float, eta: float = 0.0):
         * (k * kp) / denom
     )
     return out[()] if out.ndim == 0 else out
-
-
-def phi_cb(k: float, tau: float, g0: float) -> complex:
-    """Exact instantaneous b <- c transition element at phase ``tau``.
-
-    Requires the bound state to exist, i.e. tau mod 2pi in (0, pi).  The
-    c <- b element is the complex conjugate.
-    """
-    if k <= 0:
-        raise DomainError(f"k must be positive, got {k}")
-    g = g0 * math.sin(tau)
-    if g <= 0:
-        raise NoBoundStateError(f"no bound state at tau = {tau} (g = {g})")
-    gdot = g0 * math.cos(tau)
-    theta_k = math.atan2(g, k)
-    return (
-        -2j * k * math.sqrt(g / (2.0 * math.pi))
-        * gdot / (g * g + k * k) ** 1.5
-        * cmath.exp(1j * theta_k)
-    )
 
 
 def phi_cb_mean(k: float, tau, g0: float):
@@ -174,11 +151,6 @@ def b_kernel(k, pow_k, g0: float):
     callers summing over odd sidebands raise q(k) to their own powers.
     """
     return 1j * math.sqrt(g0 / (4.0 * math.pi)) / (k - 0.5j * g0) * pow_k * 2.0
-
-
-def b_coefficient_bc(k: float, n: int, g0: float) -> complex:
-    """Sideband-n coefficient of the b -> c direction, conj(B_cb(-n))."""
-    return b_coefficient(k, -n, g0).conjugate()
 
 
 def fourier_oracle(integrand: Callable, n: int, tol: float = 1e-12) -> QuadratureResult:

@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -29,14 +28,13 @@ from .errors import DrivenDeltaError, ToleranceError
 from .floquet import solve as floquet_solve
 from .floquet import transmission_grid, zero_locate_exact
 from .renorm import alpha_shift, gamma_loop
-from .smatrix import assemble, find_transmission_zero
+from .smatrix import _ORDERS, assemble, find_transmission_zero
 from .smatrix import w0 as w0_weight
 
 __all__ = ["ScanConfig", "parse_config", "cmd_scan", "cmd_zero",
            "cmd_compare", "cmd_w0", "main"]
 
 _METHODS = ("perturbative", "floquet", "both")
-_ORDERS = ("first", "second_bare", "renormalized")
 _FORMATS = ("csv", "json")
 
 
@@ -205,16 +203,12 @@ def _grid(config: ScanConfig) -> List[float]:
 
 
 def _map_grid(fn, config: ScanConfig) -> List[Dict[str, float]]:
-    """Evaluate ``fn`` on the grid, optionally with worker threads.
+    """Evaluate ``fn`` on the grid points in order, one after another.
 
-    Results are collected in grid order regardless of worker count, so the
-    serialized output is identical to the single-threaded run.
+    ``workers`` is accepted and validated but runs nothing in parallel:
+    the hot path holds the GIL, so threads would not be faster.
     """
-    grid = _grid(config)
-    if config.workers == 1:
-        return [fn(eps) for eps in grid]
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        return list(pool.map(fn, grid))
+    return [fn(eps) for eps in _grid(config)]
 
 
 # ---------------------------------------------------------------------------

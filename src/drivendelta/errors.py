@@ -9,10 +9,6 @@ class DomainError(DrivenDeltaError, ValueError):
     """An argument is outside the mathematical domain of an operation."""
 
 
-class NoBoundStateError(DomainError):
-    """A bound-state quantity was requested while no bound state exists."""
-
-
 class ToleranceError(DrivenDeltaError, RuntimeError):
     """A numerical routine could not reach the requested tolerance.
 
@@ -30,10 +26,6 @@ class ToleranceError(DrivenDeltaError, RuntimeError):
 
 class PoleOrderError(DrivenDeltaError, RuntimeError):
     """Residue extraction did not converge; the pole is not simple."""
-
-
-class DivergenceError(DrivenDeltaError, RuntimeError):
-    """A semi-infinite integrand does not decay fast enough."""
 
 
 class RegimeError(DrivenDeltaError, ValueError):

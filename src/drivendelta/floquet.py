@@ -23,8 +23,9 @@ elimination from both ends of the index range, vectorized over an array
 of energies: energies with the same number of open channels share the
 default truncation N = 2 * (open channels) + 20.  The truncated system
 conserves flux exactly at every N, so its unitarity defect measures
-rounding only; convergence in N rests on that fixed margin of closed
-channels (checked against doubled N in the tests).  ``solve`` is the
+rounding only, and a defect above 1e-10 raises; convergence in N rests on
+that fixed margin of closed channels (checked against doubled N in the
+tests).  ``solve`` is the
 one-energy case of that sweep and ``transmission_grid`` its array form.
 """
 
@@ -42,7 +43,6 @@ from .quadrature import bracket_min
 __all__ = [
     "FloquetSolution",
     "FloquetGrid",
-    "static_transmission",
     "solve",
     "transmission_grid",
     "total_transmission_exact",
@@ -50,7 +50,6 @@ __all__ = [
 ]
 
 _UNITARITY_TOL = 1e-10
-_N_LIMIT = 4096        # a defect that persists beyond this truncation raises
 _CHUNK = 1 << 16       # sideband x energy entries per sweep: bounds memory at any N
 
 
@@ -89,7 +88,7 @@ class FloquetGrid:
     ``T_n[j]`` is the transmitted flux (k_n / k_0)|t_n|**2 into sideband
     n = j - n_max; it is 0 in closed channels and beyond the truncation.
     ``T_total`` sums that flux over all open channels.  ``N`` is the
-    truncation each energy converged at.
+    truncation each energy was solved at.
     """
 
     t0_sq: np.ndarray
@@ -97,17 +96,6 @@ class FloquetGrid:
     T_total: np.ndarray
     T_n: np.ndarray = field(repr=False)
     N: np.ndarray = field(repr=False)
-
-
-def static_transmission(k: float, g: float) -> complex:
-    """Transmission amplitude t = ik / (ik - g) of the undriven barrier.
-
-    Follows from the same continuity and derivative-jump conditions the
-    driven solver uses; |t|**2 = k**2 / (k**2 + g**2).
-    """
-    if k <= 0:
-        raise DomainError(f"k must be positive, got {k}")
-    return 1j * k / (1j * k - g)
 
 
 def _sweep(eps: np.ndarray, g0: float, N: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -151,49 +139,42 @@ def _open_flux(k: np.ndarray, amp: np.ndarray) -> np.ndarray:
 
 
 def _converged(eps: np.ndarray, g0: float, N: int | None = None) -> Iterator[tuple]:
-    """Solve at every energy of ``eps``; yield the converged blocks.
+    """Solve at every energy of ``eps``; yield the solved blocks.
 
     Each block is (index into ``eps``, N, t, transmitted flux per channel,
-    unitarity defect).  Energies start at ``N``, by default
-    2 * (open channels) + 20, and each one would double its own N while
-    its defect exceeds 1e-10.  That guard catches rounding blow-up, not
-    truncation: the truncated system conserves flux at every N, so no
-    energy doubles in practice, and convergence in N rests on the fixed
-    margin of 20 closed channels.  A defect that persists past N = 4096,
-    or a singular system, raises :class:`ToleranceError` naming the energy
-    (for singular systems the first one in ``eps``).
+    unitarity defect).  ``N`` defaults to 2 * (open channels) + 20, shared
+    by the energies with as many open channels.  The truncated system
+    conserves flux at every N, so the defect measures rounding only, and
+    convergence in N rests on that fixed margin of 20 closed channels.  A
+    defect above 1e-10, or a singular system, raises
+    :class:`ToleranceError` naming the energy: the first faulty one of its
+    block for a defect, the first one in ``eps`` for a singular system.
     """
     n_open = np.floor(eps).astype(int) + 1
     singular = []
     for group in sorted(set(n_open.tolist())):    # np.unique would import numpy.ma
         pending = np.flatnonzero(n_open == group)
         size = 2 * group + 20 if N is None else N
-        while pending.size:
-            retry = []
-            per_chunk = max(1, _CHUNK // (2 * size + 1))
-            for start in range(0, pending.size, per_chunk):
-                idx = pending[start:start + per_chunk]
-                k, t = _sweep(eps[idx], g0, size)
-                finite = np.isfinite(t).all(axis=0)
-                flux = _open_flux(k, t)
-                r = t.copy()
-                r[size] -= 1.0
-                defect = np.abs(flux.sum(axis=0) + _open_flux(k, r).sum(axis=0) - 1.0)
-                ok = finite & (defect <= _UNITARITY_TOL)
-                stuck = finite & ~ok
-                if stuck.any() and size > _N_LIMIT:
-                    i = int(np.argmax(stuck))
-                    raise ToleranceError(
-                        f"unitarity defect {defect[i]:.3e} persists at N = {size} "
-                        f"at eps_i = {float(eps[idx[i]])}; increase the truncation",
-                        value=float(defect[i]), eps_i=float(eps[idx[i]]),
-                    )
-                if ok.any():
-                    yield idx[ok], size, t[:, ok], flux[:, ok], defect[ok]
-                singular.extend(idx[~finite])
-                retry.extend(idx[stuck])
-            pending = np.array(retry, dtype=int)
-            size *= 2
+        per_chunk = max(1, _CHUNK // (2 * size + 1))
+        for start in range(0, pending.size, per_chunk):
+            idx = pending[start:start + per_chunk]
+            k, t = _sweep(eps[idx], g0, size)
+            finite = np.isfinite(t).all(axis=0)
+            flux = _open_flux(k, t)
+            r = t.copy()
+            r[size] -= 1.0
+            defect = np.abs(flux.sum(axis=0) + _open_flux(k, r).sum(axis=0) - 1.0)
+            bad = finite & (defect > _UNITARITY_TOL)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ToleranceError(
+                    f"unitarity defect {defect[i]:.3e} at N = {size} "
+                    f"at eps_i = {float(eps[idx[i]])}",
+                    value=float(defect[i]), eps_i=float(eps[idx[i]]),
+                )
+            if finite.any():
+                yield idx[finite], size, t[:, finite], flux[:, finite], defect[finite]
+            singular.extend(idx[~finite])
     if singular:
         first = float(eps[min(singular)])
         raise ToleranceError(f"singular sideband system at eps_i = {first}",
@@ -203,9 +184,9 @@ def _converged(eps: np.ndarray, g0: float, N: int | None = None) -> Iterator[tup
 def solve(eps_i: float, g0: float, N: int | None = None) -> FloquetSolution:
     """Solve the truncated sideband system at incoming energy ``eps_i``.
 
-    ``N`` defaults to 2 * (open channels) + 20, with the unitarity guard
-    of :func:`_converged`; a persistent defect raises
-    :class:`ToleranceError` suggesting a larger truncation.
+    ``N`` defaults to 2 * (open channels) + 20; a unitarity defect above
+    1e-10 or a singular system raises :class:`ToleranceError`
+    (:func:`_converged`).
     """
     if eps_i <= 0:
         raise DomainError(f"eps_i must be positive, got {eps_i}")

@@ -91,8 +91,12 @@ class _Segment:
             return False
         return not math.fsum(iv[3] for iv in self.intervals) <= self.tol
 
-    def result(self) -> QuadratureResult:
-        """Summed panels; :class:`ToleranceError` if the budget ran out."""
+    def sums(self) -> tuple:
+        """(value, error estimate, evaluations) summed over the panels.
+
+        The value is real when its imaginary part is zero.  Raises
+        :class:`ToleranceError` if the budget ran out above tolerance.
+        """
         ivs = self.intervals
         value = complex(math.fsum(iv[2].real for iv in ivs),
                         math.fsum(complex(iv[2]).imag for iv in ivs))
@@ -104,8 +108,7 @@ class _Segment:
                 f"interval budget exhausted at error estimate {err:.3e} "
                 f"(tol {self.tol:.3e})", value=value, error_estimate=err,
             )
-        return QuadratureResult(value=value, error_estimate=err,
-                                evaluations=self.evals)
+        return value, err, self.evals
 
 
 def _gk15(f, jobs):
@@ -183,7 +186,7 @@ def adaptive_quad(
     """
     seg = _Segment(a, b, tol, max_intervals=max_intervals)
     _refine(f, [seg])
-    return seg.result()
+    return QuadratureResult(*seg.sums())
 
 
 def _residues(f, pieces, levels: int = 6) -> list:
@@ -228,7 +231,8 @@ def _lockstep(f, pieces, plain, tol, residues=None):
     sides of its pole to tol / 2 each and adds the exact log antiderivative
     c ln((b - pole) / (pole - a)); the ``plain`` segments keep their own
     tolerances.  All of them refine in lockstep (:func:`_refine`).  Returns
-    the pieces' results, then the plain ones; errors surface in that order.
+    the (value, error estimate, evaluations) sums of the pieces, then of
+    the plain segments; errors surface in that order.
     """
     if residues is None:
         residues = _residues(f, pieces)
@@ -241,13 +245,10 @@ def _lockstep(f, pieces, plain, tol, residues=None):
     for (a, p, b), c in zip(pieces, residues):
         if isinstance(c, PoleOrderError):
             raise c
-        left, right = (seg.result() for seg in next(pairs))
-        out.append(QuadratureResult(
-            value=left.value + right.value + c * math.log((b - p) / (p - a)),
-            error_estimate=left.error_estimate + right.error_estimate,
-            evaluations=left.evaluations + right.evaluations + 12,
-        ))
-    return out + [seg.result() for seg in plain]
+        left, right = (seg.sums() for seg in next(pairs))
+        out.append((left[0] + right[0] + c * math.log((b - p) / (p - a)),
+                    left[1] + right[1], left[2] + right[2] + 12))
+    return out + [seg.sums() for seg in plain]
 
 
 def pv_integral(
@@ -269,7 +270,7 @@ def pv_integral(
         raise DomainError(f"pole {pole} not inside ({a}, {b})")
     [res] = _lockstep(f, [(a, pole, b)], [], tol,
                       None if residue is None else [residue])
-    return res
+    return QuadratureResult(*res)
 
 
 def pv_halfline(
@@ -295,13 +296,9 @@ def pv_halfline(
     pieces = [(a, p, b) for (a, b), p in zip(zip(cuts, cuts[1:]), poles)]
     plain = [] if poles else [_Segment(0.0, split, tol)]
     plain.append(_Segment(math.atan(split), 0.5 * math.pi, tol, tail=True))
-    parts = _lockstep(f, pieces, plain, tol)
-    value = 0.0
-    for res in parts:
-        value += res.value
-    return QuadratureResult(value=value,
-                            error_estimate=sum(r.error_estimate for r in parts),
-                            evaluations=sum(r.evaluations for r in parts))
+    values, errors, evaluations = zip(*_lockstep(f, pieces, plain, tol))
+    return QuadratureResult(value=sum(values), error_estimate=sum(errors),
+                            evaluations=sum(evaluations))
 
 
 def fourier_coefficient(

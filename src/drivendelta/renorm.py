@@ -483,6 +483,11 @@ def _shift_integrand(n0: int, eps_i: float, g0: float, ms):
     return integrand
 
 
+def _bound_channels(k_i: float, g0: float) -> int:
+    """Channel cutoff |m| <= M of the shift and width sums over B_{k b}(m)."""
+    return _decay_count(float(q_factor(max(k_i, 1.0), 1, g0)))
+
+
 @functools.lru_cache(maxsize=4096)
 def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     """Real pole-position shift from four bound-state transitions.
@@ -495,8 +500,7 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     if g0 <= 0:
         raise DomainError(f"g0 must be positive, got {g0}")
     k_i = math.sqrt(2.0 * eps_i)
-    q_i = float(q_factor(max(k_i, 1.0), 1, g0))
-    ms = np.arange(1, _decay_count(q_i) + 1, 2)
+    ms = np.arange(1, _bound_channels(k_i, g0) + 1, 2)
     integrand = _shift_integrand(n0, eps_i, g0, ms)
     kl2 = 2.0 * (eps_i + (np.concatenate([-ms[::-1], ms]) - n0))
     poles = np.sqrt(kl2[kl2 > 0]).tolist()
@@ -513,9 +517,7 @@ def beta_width(n0: int, eps_i: float, g0: float) -> float:
     """
     if g0 <= 0:
         raise DomainError(f"g0 must be positive, got {g0}")
-    k_i = math.sqrt(2.0 * eps_i)
-    q_i = float(q_factor(max(k_i, 1.0), 1, g0))
-    M = _decay_count(q_i)
+    M = _bound_channels(math.sqrt(2.0 * eps_i), g0)
     ms = np.arange(-M, M + 1)
     ms = ms[ms % 2 != 0]
     kl2 = 2.0 * (eps_i + (ms - n0))

@@ -140,19 +140,19 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
     T: Dict[int, complex] = {}
     diagnostics: Dict = {"order": order}
 
+    regime = b_near = None
     if g0 > 0 and order == "renormalized":
         regime, dist, eta_R = _b_term_regime(eps_i, g0, tol)
         diagnostics["regime"] = regime
         diagnostics["pole_distance"] = dist
         if regime == "near":
+            # the elastic B^R, reused by the n = 0 sideband below
+            b_near = b_renorm(k_i, k_i, 0, eps_i, g0, tol)
             try:
-                near = b_renorm(k_i, k_i, 0, eps_i, g0, tol)
                 far = _b_far_elastic(k_i, eps_i, g0)
-                diagnostics["branch_mismatch"] = abs(near - far)
+                diagnostics["branch_mismatch"] = abs(b_near - far)
             except RegimeError:
                 pass  # the far form is on its bare pole here
-    else:
-        regime = None
 
     for n in _open_sidebands(eps_i, n_max):
         k_f = math.sqrt(k_i * k_i + 2 * n)
@@ -167,7 +167,7 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
             if order == "second_bare":
                 b_val = b_bare(k_f, k_i, n, eps_i, g0, eta=1e-8)
             elif regime == "near":
-                b_val = b_renorm(k_f, k_i, n, eps_i, g0, tol)
+                b_val = b_near if n == 0 else b_renorm(k_f, k_i, n, eps_i, g0, tol)
             elif n == 0:
                 # dominant-pole bound route; the loop below stays complete,
                 # since Re Gamma(0) is of order g0**2 (the bound route is

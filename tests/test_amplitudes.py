@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from drivendelta.amplitudes import (a_coefficient, b_coefficient,
-                                    b_coefficient_bc, fourier_oracle,
-                                    phi_cb, phi_cb_mean, phi_cc)
-from drivendelta.errors import DomainError, NoBoundStateError
+                                    fourier_oracle, phi_cb_mean, phi_cc)
+from drivendelta.errors import DomainError
 from drivendelta.model import q_factor
 
 
@@ -22,12 +21,14 @@ def _a_by_quadrature(k_f, k_i, n, g0):
     return fourier_oracle(integrand, n, tol=1e-13).value
 
 
-def _b_by_quadrature(k, n, g0):
-    """Fourier coefficient of the phase-dressed c <- b transition element."""
+def _b_by_quadrature(k, n, g0, reverse=False):
+    """Fourier coefficient of the phase-dressed c <- b transition element,
+    or with ``reverse`` of the b <- c element, its complex conjugate."""
     def integrand(tau):
         g = g0 * np.sin(tau)
         th = np.arctan2(g, k)
-        return np.exp(2j * th) * phi_cb_mean(k, tau, g0)
+        element = np.exp(2j * th) * phi_cb_mean(k, tau, g0)
+        return element.conjugate() if reverse else element
     return fourier_oracle(integrand, n, tol=1e-13).value
 
 
@@ -71,9 +72,10 @@ class TestContinuumBound:
             assert b_coefficient(1.0, n, 0.7) == 0.0
 
     def test_direction_reversal_is_conjugation(self):
+        # the bound-route series takes B_{b k}(n) as conj(B_{k b}(-n))
         for n in (1, -3):
-            assert b_coefficient_bc(1.2, n, 0.4) == pytest.approx(
-                b_coefficient(1.2, -n, 0.4).conjugate())
+            quad = _b_by_quadrature(1.2, n, 0.4, reverse=True)
+            assert abs(b_coefficient(1.2, -n, 0.4).conjugate() - quad) <= 1e-9 * abs(quad)
 
     def test_geometric_decay(self):
         q = float(q_factor(1.0, 1, 0.2))
@@ -84,11 +86,6 @@ class TestContinuumBound:
         closed = b_coefficient(1.0, 1, 0.7)
         quad = _b_by_quadrature(1.0, 1, 0.7)
         assert abs(closed - quad) <= 1e-9 * abs(quad)
-
-    def test_exact_element_requires_bound_state(self):
-        with pytest.raises(NoBoundStateError):
-            phi_cb(1.0, 1.5 * math.pi, 0.5)
-        assert phi_cb(1.0, 0.5 * math.pi, 0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_nonpositive_momentum(self):
         with pytest.raises(DomainError):

@@ -244,12 +244,14 @@ class TestDeterminism:
 
 class TestImport:
     def test_cli_import_does_not_load_scipy(self):
+        # nor a thread pool: grid points run serially whatever --workers says
         src = str(Path(drivendelta.__file__).resolve().parent.parent)
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = ("import sys, drivendelta.cli; "
                 "assert drivendelta.cli.__file__.startswith(sys.argv[1]), drivendelta.cli.__file__; "
-                "assert 'scipy' not in sys.modules")
+                "assert 'scipy' not in sys.modules; "
+                "assert 'concurrent.futures' not in sys.modules")
         result = subprocess.run([sys.executable, "-c", code, src], env=env,
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr

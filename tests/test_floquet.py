@@ -9,22 +9,8 @@ import pytest
 from drivendelta import floquet
 from drivendelta.amplitudes import a_coefficient
 from drivendelta.errors import DomainError, ToleranceError
-from drivendelta.floquet import (solve, static_transmission,
-                                 total_transmission_exact, transmission_grid,
-                                 zero_locate_exact)
-
-
-class TestStaticBarrier:
-    def test_amplitude_formula(self):
-        t = static_transmission(2.0, 1.0)
-        assert abs(t) ** 2 == pytest.approx(4.0 / 5.0, rel=1e-12)
-
-    def test_transparent_limit(self):
-        assert static_transmission(1.0, 0.0) == pytest.approx(1.0)
-
-    def test_rejects_nonpositive_momentum(self):
-        with pytest.raises(DomainError):
-            static_transmission(0.0, 1.0)
+from drivendelta.floquet import (solve, total_transmission_exact,
+                                 transmission_grid, zero_locate_exact)
 
 
 class TestSolve:
@@ -110,10 +96,10 @@ class TestBatchedSweep:
             for j, n in enumerate(range(-n_max, n_max + 1)):
                 assert grid.T_n[j, i] == pytest.approx(flux.get(n, 0.0), rel=1e-14, abs=0)
 
-    def test_truncation_doubles_per_energy(self, monkeypatch):
+    def test_unitarity_defect_names_first_faulty_energy(self, monkeypatch):
         # The truncated system conserves flux at any N, so the defect is
         # injected: energies below 0.5 carry a 1e-6 error at the default
-        # N = 22 and must double to N = 44; the others must stay at 22.
+        # N = 22, which raises instead of being retried at a larger N.
         sweep = floquet._sweep
 
         def faulty(eps, g0, N):
@@ -124,14 +110,21 @@ class TestBatchedSweep:
 
         monkeypatch.setattr(floquet, "_sweep", faulty)
         eps = np.linspace(0.2, 2.6, 13)
-        grid = transmission_grid(eps, 0.7, 2)
-        expected_N = [44 if e < 0.5 else 2 * (int(e) + 1) + 20 for e in eps]
-        assert grid.N.tolist() == expected_N
-        assert [solve(float(e), 0.7).N for e in eps] == expected_N
-        monkeypatch.setattr(floquet, "_sweep", sweep)
-        for i, e in enumerate(eps):
-            exact = solve(float(e), 0.7, N=int(grid.N[i]))
-            assert grid.t0_sq[i] == pytest.approx(abs(exact.t[0]) ** 2, rel=1e-14)
+        with pytest.raises(ToleranceError, match="unitarity defect .* at N = 22 ") as exc:
+            transmission_grid(eps, 0.7, 2)
+        assert exc.value.eps_i == eps[0]
+        assert exc.value.value > 1e-10
+        with pytest.raises(ToleranceError, match="unitarity defect") as exc:
+            transmission_grid(eps[::-1], 0.7, 2)
+        assert exc.value.eps_i == eps[1]    # the first faulty one in grid order
+        for e in eps[:2]:
+            with pytest.raises(ToleranceError, match="unitarity defect") as exc:
+                solve(float(e), 0.7)
+            assert exc.value.eps_i == e
+        for e in eps[2:]:
+            assert solve(float(e), 0.7).N == 2 * (int(e) + 1) + 20
+        assert transmission_grid(eps[2:], 0.7, 2).N.tolist() == [
+            2 * (int(e) + 1) + 20 for e in eps[2:]]
 
     @pytest.mark.parametrize("g0", [0.1, 0.7, 1.0])
     def test_default_truncation_matches_doubled(self, g0):

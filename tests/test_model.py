@@ -7,27 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivendelta.errors import DomainError, NoBoundStateError
-from drivendelta.model import (HBAR, basis_wavefunction,
-                               berry_phase, bound_energy, mean_bound_energy,
-                               q_factor, sideband_channel, theta,
-                               to_dimensionless)
-
-
-class TestScales:
-    def test_dimensionless_conversion(self):
-        params = to_dimensionless(mass=9.1e-31, omega=1e12, g_phys=1e-30)
-        assert params.length_scale == pytest.approx(
-            math.sqrt(HBAR / (9.1e-31 * 1e12)))
-        assert params.energy_scale == pytest.approx(HBAR * 1e12)
-        assert params.g0 == pytest.approx(
-            1e-30 * math.sqrt(9.1e-31 * 1e12 / HBAR) / (HBAR * 1e12))
-
-    def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(DomainError):
-            to_dimensionless(-1.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            to_dimensionless(1.0, 0.0, 1.0)
+from drivendelta.errors import DomainError
+from drivendelta.model import q_factor, sideband_channel
 
 
 class TestChannels:
@@ -45,25 +26,6 @@ class TestChannels:
         ch = sideband_channel(2.0, -2)
         assert not ch.is_open
         assert ch.kappa == pytest.approx(0.0)
-
-
-class TestBoundState:
-    def test_instantaneous_energy(self):
-        assert bound_energy(0.4) == pytest.approx(-0.08)
-
-    def test_absent_for_nonpositive_coupling(self):
-        with pytest.raises(NoBoundStateError):
-            bound_energy(0.0)
-        with pytest.raises(NoBoundStateError):
-            bound_energy(-0.3)
-
-    def test_mean_energy(self):
-        assert mean_bound_energy(0.4) == pytest.approx(-0.02)
-
-    def test_bound_state_normalized(self):
-        xi = np.linspace(-40.0, 40.0, 200001)
-        psi = basis_wavefunction(xi, "bound", g=0.5)
-        assert np.trapezoid(psi**2, xi) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestQFactor:
@@ -91,13 +53,3 @@ class TestQFactor:
     def test_rejects_negative_order(self):
         with pytest.raises(DomainError):
             q_factor(1.0, -1, 0.3)
-
-
-class TestPhases:
-    def test_theta_is_arctan(self):
-        assert theta(2.0, 1.0) == pytest.approx(math.atan(0.5))
-
-    def test_berry_phase_integrates_to_zero(self):
-        tau = np.linspace(0.0, 2.0 * math.pi, 20001)
-        rate = np.array([berry_phase(1.3, t, 0.7) for t in tau])
-        assert np.trapezoid(rate, tau) == pytest.approx(0.0, abs=1e-9)

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 import drivendelta.renorm as renorm
-from drivendelta.amplitudes import a_coefficient, b_coefficient, b_coefficient_bc
+from drivendelta.amplitudes import a_coefficient, b_coefficient
 from drivendelta.errors import DomainError
 from drivendelta.model import q_factor
 from drivendelta.renorm import (alpha_shift, b_bare, b_renorm, beta_width,
@@ -310,9 +310,9 @@ class TestBoundRoute:
         k = math.sqrt(2.0 * eps_i)
         eps_t = eps_i + g0 * g0 / 8.0
         fac = renorm_factors(0, 1, k, k, eps_i, g0)
-        num = b_coefficient(k, 1, g0) * b_coefficient_bc(k, -1, g0)
+        num = b_coefficient(k, 1, g0) * b_coefficient(k, 1, g0).conjugate()
         others = sum(
-            b_coefficient(k, n0, g0) * b_coefficient_bc(k, -n0, g0)
+            b_coefficient(k, n0, g0) * b_coefficient(k, n0, g0).conjugate()
             / (eps_t - n0)
             for n0 in range(-41, 42, 2) if n0 != 1)
         expected = others + fac.Z * num / (fac.eps_R - 1.0 + 1j * fac.eta_R)
@@ -336,7 +336,7 @@ class TestBoundRoute:
 
         def full_sum(k_f, k_i, eps_i, denom):
             eps_t = eps_i + g0 * g0 / 8.0
-            return sum(b_coefficient(k_f, n + n0, g0) * b_coefficient_bc(k_i, -n0, g0)
+            return sum(b_coefficient(k_f, n + n0, g0) * b_coefficient(k_i, n0, g0).conjugate()
                        / denom(eps_t, n0) for n0 in range(-63, 64, 2))
 
         eps_i = 0.9348

@@ -7,8 +7,11 @@ Commands:
     w0       bound-route weight curve over an energy grid
 
 Configuration comes from defaults, then an optional ``key = value`` file
-(``--config``), then command-line flags, in increasing precedence.  Output
-is CSV (header + rows, LF endings) or JSON (rows array plus a metadata
+(``--config``), then command-line flags, in increasing precedence.  The
+grid commands build their table as columns over the whole energy grid:
+the exact columns are the arrays of one batched sideband solve, and the
+perturbative ones are filled point by point.  Output is CSV (header, then
+one line per grid point, LF endings) or JSON (rows array plus a metadata
 object with the config echo and library version); floats are serialized
 with 17 significant digits so files round-trip exactly and byte-identical
 reruns can be diffed.
@@ -36,6 +39,7 @@ __all__ = ["ScanConfig", "parse_config", "cmd_scan", "cmd_zero",
 
 _METHODS = ("perturbative", "floquet", "both")
 _FORMATS = ("csv", "json")
+_Table = Dict[str, Sequence[float]]     # column name -> values over the grid
 
 
 class UsageError(DrivenDeltaError, ValueError):
@@ -59,6 +63,9 @@ class ScanConfig:
     workers: int = 1
 
     def validate(self) -> "ScanConfig":
+        for key in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise UsageError(f"{key} must be finite, got {getattr(self, key)}")
         if self.g0 < 0:
             raise UsageError(f"g0 must be >= 0, got {self.g0}")
         if self.eps_min <= 0:
@@ -126,7 +133,7 @@ def parse_config(path: str) -> ScanConfig:
 
 
 # ---------------------------------------------------------------------------
-# row computation
+# column computation
 
 def _scan_columns(n_max: int) -> List[str]:
     cols = ["eps_i", "T_elastic", "R_elastic", "T_total_pert",
@@ -144,71 +151,69 @@ class PointFailure(DrivenDeltaError, RuntimeError):
         self.cause = cause
 
 
-def _scan_row(eps_i: float, config: ScanConfig) -> Dict[str, float]:
-    """One scan row with its perturbative columns; the floquet ones stay NaN."""
-    row = {c: float("nan") for c in _scan_columns(config.n_max)}
-    row["eps_i"] = eps_i
+def _pointwise(fn, grid: Sequence[float]) -> List[tuple]:
+    """Columns of ``fn(eps)`` (one tuple of values per point), evaluated
+    point by point in grid order; the first failing point raises
+    :class:`PointFailure` naming its ``eps_i``."""
+    values = []
+    for eps in grid:
+        try:
+            values.append(fn(eps))
+        except DrivenDeltaError as exc:
+            raise PointFailure(eps, exc) from exc
+    return list(zip(*values))
+
+
+def _perturbative_point(eps_i: float, config: ScanConfig) -> tuple:
+    """T_elastic, R_elastic, T_total_pert, w0, im_gamma, re_gamma and the
+    sideband fluxes T_n at one energy."""
     k_i = math.sqrt(2.0 * eps_i)
-    try:
-        if config.method in ("perturbative", "both"):
-            dec = assemble(eps_i, config.g0, order=config.order,
-                           n_max=config.n_max, tol=config.tol)
-            row["T_elastic"] = abs(dec.T[0]) ** 2
-            row["R_elastic"] = abs(dec.R[0]) ** 2
-            row["T_total_pert"] = dec.T_total
-            row["w0"] = w0_weight(eps_i, config.g0, config.tol)
-            if config.g0 > 0:
-                loop = gamma_loop(k_i, k_i, 0, config.g0, config.tol)
-                row["im_gamma"], row["re_gamma"] = loop.im, loop.re
-            else:
-                row["im_gamma"] = row["re_gamma"] = 0.0
-            for n in range(-config.n_max, config.n_max + 1):
-                ksq = k_i * k_i + 2 * n
-                row[f"T_{n}"] = (math.sqrt(ksq) / k_i * abs(dec.T[n]) ** 2
-                                 if n in dec.T else 0.0)
-    except DrivenDeltaError as exc:
-        raise PointFailure(eps_i, exc) from exc
-    return row
+    dec = assemble(eps_i, config.g0, order=config.order,
+                   n_max=config.n_max, tol=config.tol)
+    w0 = w0_weight(eps_i, config.g0, config.tol)
+    im_gamma = re_gamma = 0.0
+    if config.g0 > 0:
+        loop = gamma_loop(k_i, k_i, 0, config.g0, config.tol)
+        im_gamma, re_gamma = loop.im, loop.re
+    fluxes = tuple(math.sqrt(k_i * k_i + 2 * n) / k_i * abs(dec.T[n]) ** 2
+                   if n in dec.T else 0.0
+                   for n in range(-config.n_max, config.n_max + 1))
+    return (abs(dec.T[0]) ** 2, abs(dec.R[0]) ** 2, dec.T_total, w0,
+            im_gamma, re_gamma) + fluxes
 
 
-def _scan_rows(config: ScanConfig) -> List[Dict[str, float]]:
-    """Scan rows over the grid.
+def _scan_table(config: ScanConfig) -> _Table:
+    """Scan columns over the grid, keyed and ordered as :func:`_scan_columns`.
 
-    The floquet columns come from one batched exact solve of the whole
-    grid; the perturbative columns are computed point by point.
+    The floquet columns are the arrays of one batched exact solve of the
+    whole grid, solved first; the perturbative columns are filled point by
+    point.  Columns that the method leaves empty share one NaN column.
     """
-    exact = None
+    names = _scan_columns(config.n_max)
+    sidebands = names[8:]
+    grid = _grid(config)
+    table = dict.fromkeys(names, [math.nan] * len(grid))
+    table["eps_i"] = grid
     if config.method in ("floquet", "both"):
         try:
-            exact = transmission_grid(_grid(config), config.g0, config.n_max)
+            exact = transmission_grid(grid, config.g0, config.n_max)
         except ToleranceError as exc:
             raise PointFailure(exc.eps_i, exc) from exc
-    rows = _map_grid(lambda eps: _scan_row(eps, config), config)
-    if exact is None:
-        return rows
-    sidebands = [f"T_{n}" for n in range(-config.n_max, config.n_max + 1)]
-    columns = {"T_total_floquet": exact.T_total}
-    if config.method == "floquet":
-        columns.update(T_elastic=exact.t0_sq, R_elastic=exact.r0_sq,
-                       **dict(zip(sidebands, exact.T_n)))
-    for name, values in columns.items():
-        for row, value in zip(rows, values.tolist()):
-            row[name] = value
-    return rows
+        table["T_total_floquet"] = exact.T_total.tolist()
+        if config.method == "floquet":
+            table.update(T_elastic=exact.t0_sq.tolist(), R_elastic=exact.r0_sq.tolist())
+            table.update(zip(sidebands, exact.T_n.tolist()))
+    if config.method in ("perturbative", "both"):
+        filled = ["T_elastic", "R_elastic", "T_total_pert", "w0",
+                  "im_gamma", "re_gamma"] + sidebands
+        table.update(zip(filled, _pointwise(
+            lambda eps: _perturbative_point(eps, config), grid)))
+    return table
 
 
 def _grid(config: ScanConfig) -> List[float]:
     step = (config.eps_max - config.eps_min) / (config.steps - 1)
     return [config.eps_min + i * step for i in range(config.steps)]
-
-
-def _map_grid(fn, config: ScanConfig) -> List[Dict[str, float]]:
-    """Evaluate ``fn`` on the grid points in order, one after another.
-
-    ``workers`` is accepted and validated but runs nothing in parallel:
-    the hot path holds the GIL, so threads would not be faster.
-    """
-    return [fn(eps) for eps in _grid(config)]
 
 
 # ---------------------------------------------------------------------------
@@ -228,19 +233,17 @@ def _emit(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _render_csv(columns: Sequence[str], rows: Sequence[Dict]) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(row[c]) for c in columns) for row in rows)
+def _render_csv(table: _Table) -> str:
+    """Header, then one line per row: a single ``%.17g`` template applied
+    to that row's values across the columns."""
+    template = ",".join(["%.17g"] * len(table))
+    lines = [",".join(table)]
+    lines.extend(template % row for row in zip(*table.values()))
     return "\n".join(lines) + "\n"
 
 
-def _render_json(command: str, config: ScanConfig, columns: Sequence[str],
-                 rows: Sequence[Dict], extra_metadata: Optional[Dict] = None) -> str:
-    def clean(v):
-        if isinstance(v, float) and not math.isfinite(v):
-            return None
-        return v
-
+def _render_json(command: str, config: ScanConfig, table: _Table,
+                 extra_metadata: Optional[Dict] = None) -> str:
     metadata = {
         "command": command,
         "version": __version__,
@@ -248,20 +251,21 @@ def _render_json(command: str, config: ScanConfig, columns: Sequence[str],
     }
     if extra_metadata:
         metadata.update(extra_metadata)
+    finite = ([v if math.isfinite(v) else None for v in col] for col in table.values())
     doc = {
         "metadata": metadata,
-        "columns": list(columns),
-        "rows": [{c: clean(row[c]) for c in columns} for row in rows],
+        "columns": list(table),
+        "rows": [dict(zip(table, row)) for row in zip(*finite)],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_table(command: str, config: ScanConfig, columns: Sequence[str],
-                 rows: Sequence[Dict], extra_metadata: Optional[Dict] = None) -> None:
+def _write_table(command: str, config: ScanConfig, table: _Table,
+                 extra_metadata: Optional[Dict] = None) -> None:
     if config.output_format == "csv":
-        text = _render_csv(columns, rows)
+        text = _render_csv(table)
     else:
-        text = _render_json(command, config, columns, rows, extra_metadata)
+        text = _render_json(command, config, table, extra_metadata)
     _emit(text, config.output_path)
 
 
@@ -270,9 +274,7 @@ def _write_table(command: str, config: ScanConfig, columns: Sequence[str],
 
 def cmd_scan(config: ScanConfig) -> int:
     """Sideband-resolved scan over the energy grid; writes one row per point."""
-    config.validate()
-    rows = _scan_rows(config)
-    _write_table("scan", config, _scan_columns(config.n_max), rows)
+    _write_table("scan", config, _scan_table(config.validate()))
     return 0
 
 
@@ -315,26 +317,23 @@ def cmd_compare(config: ScanConfig) -> int:
     is never filtered.
     """
     config = replace(config, method="both").validate()
-    columns = ["eps_i", "T_total_pert", "T_total_floquet", "abs_diff"]
-
-    rows = [{
-        "eps_i": full["eps_i"],
-        "T_total_pert": full["T_total_pert"],
-        "T_total_floquet": full["T_total_floquet"],
-        "abs_diff": abs(full["T_total_pert"] - full["T_total_floquet"]),
-    } for full in _scan_rows(config)]
+    scan = _scan_table(config)
+    table = {c: scan[c] for c in ("eps_i", "T_total_pert", "T_total_floquet")}
+    table["abs_diff"] = [abs(p - f) for p, f in
+                         zip(scan["T_total_pert"], scan["T_total_floquet"])]
     window = 5.0 * config.g0 * config.g0
-    included = [r["abs_diff"] for r in rows if abs(r["eps_i"] - 1.0) >= window]
-    excluded = len(rows) - len(included)
+    included = [d for eps, d in zip(scan["eps_i"], table["abs_diff"])
+                if abs(eps - 1.0) >= window]
+    excluded = len(scan["eps_i"]) - len(included)
     summary = {
-        "rows": len(rows),
+        "rows": len(scan["eps_i"]),
         "excluded_window": f"|eps_i - 1| < {_fmt(window)}",
         "excluded_points": excluded,
         "max_abs_diff": max(included) if included else float("nan"),
         "mean_abs_diff": (sum(included) / len(included)) if included
         else float("nan"),
     }
-    _write_table("compare", config, columns, rows, {"summary": summary})
+    _write_table("compare", config, table, {"summary": summary})
     print(f"rows = {summary['rows']}")
     print(f"excluded resonance window: {summary['excluded_window']} "
           f"({excluded} points)")
@@ -346,16 +345,9 @@ def cmd_compare(config: ScanConfig) -> int:
 def cmd_w0(config: ScanConfig) -> int:
     """Bound-route weight w0 over the energy grid."""
     config.validate()
-    columns = ["eps_i", "w0"]
-
-    def row(eps):
-        try:
-            return {"eps_i": eps, "w0": w0_weight(eps, config.g0, config.tol)}
-        except DrivenDeltaError as exc:
-            raise PointFailure(eps, exc) from exc
-
-    rows = _map_grid(row, config)
-    _write_table("w0", config, columns, rows)
+    grid = _grid(config)
+    [w0] = _pointwise(lambda eps: (w0_weight(eps, config.g0, config.tol),), grid)
+    _write_table("w0", config, {"eps_i": grid, "w0": w0})
     return 0
 
 

@@ -77,7 +77,7 @@ class _Segment:
                  max_intervals=2000):
         if not a < b:
             raise DomainError(f"need a < b, got [{a}, {b}]")
-        if tol <= 0:
+        if not tol > 0:
             raise DomainError(f"tol must be positive, got {tol}")
         self.a, self.b, self.tol = a, b, tol
         self.pole, self.residue, self.tail = pole, residue, tail

@@ -27,7 +27,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .amplitudes import a_coefficient, a_kernel, a_signs, b_coefficient, b_kernel
-from .errors import DomainError, RegimeError
+from .errors import DomainError, RegimeError, ToleranceError
 from .model import _q_base, q_factor
 from .quadrature import pv_halfline
 
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _SERIES_CAP = 64       # hard cap on series terms
+_THRESHOLD_GAP = 1e-3  # a failed shift integral within this of a channel threshold is blamed on it
 _ODD_N0 = np.arange(1 - _SERIES_CAP, _SERIES_CAP, 2)   # bound-route n0 range
 
 
@@ -496,16 +497,36 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     the channel sum (:func:`_shift_integrand`) runs over odd n0 + l with
     the truncation of :func:`_decay_count`, one broadcast per integrand
     call, with a pole at every open channel's momentum.
+
+    A channel at its threshold, eps_i + m - n0 = 0, raises
+    :class:`RegimeError` before integrating; so does a failed quadrature
+    with a channel within ``_THRESHOLD_GAP`` of its threshold.
     """
     if g0 <= 0:
         raise DomainError(f"g0 must be positive, got {g0}")
     k_i = math.sqrt(2.0 * eps_i)
     ms = np.arange(1, _bound_channels(k_i, g0) + 1, 2)
     integrand = _shift_integrand(n0, eps_i, g0, ms)
-    kl2 = 2.0 * (eps_i + (np.concatenate([-ms[::-1], ms]) - n0))
+    ls = np.concatenate([-ms[::-1], ms]) - n0
+    above = eps_i + ls          # distance of each channel above its threshold
+    kl2 = 2.0 * above
+    gap = np.abs(above)
+    nearest = int(np.argmin(gap))
+    where = f"channel m = {ls[nearest] + n0} (n0 = {n0}) at eps_i = {eps_i!r}"
+    if gap[nearest] == 0.0:
+        raise RegimeError(f"alpha_shift: {where} sits at its threshold "
+                          "eps_i + m - n0 = 0")
     poles = np.sqrt(kl2[kl2 > 0]).tolist()
     split = max(4.0 * k_i, 4.0 * g0, 8.0, 1.5 * max(poles, default=0.0))
-    return 2.0 * float(pv_halfline(integrand, poles, split, tol).value)
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = pv_halfline(integrand, poles, split, tol).value
+    except ToleranceError as exc:
+        if gap[nearest] < _THRESHOLD_GAP:
+            raise RegimeError(f"alpha_shift: {where} is {gap[nearest]:.3g} from its "
+                              f"threshold eps_i + m - n0 = 0: {exc}") from exc
+        raise
+    return 2.0 * float(value)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -6,14 +6,17 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 import drivendelta
-from drivendelta.cli import (ScanConfig, UsageError, cmd_scan, main,
-                             parse_config)
+from drivendelta import cli
+from drivendelta.cli import (ScanConfig, UsageError, cmd_compare, cmd_scan,
+                             cmd_w0, main, parse_config)
 from drivendelta.renorm import gamma_elastic_closed
+from drivendelta.smatrix import w0 as w0_weight
 
 
 @pytest.fixture
@@ -83,6 +86,23 @@ class TestValidation:
         rc = main(["scan", "--g0", "0.1", "--steps", "1",
                    "--output", str(tmp_path / "out.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["scan", "zero", "compare", "w0"])
+    @pytest.mark.parametrize("flag", ["--g0", "--e-min", "--e-max", "--tol"])
+    def test_non_finite_flag_is_usage_error(self, flag, command, value, capsys):
+        # nan slipped past every `<= 0` check: a traceback from `zero --g0 nan`,
+        # a misleading numeric failure from `scan --e-min nan`, numbers from
+        # `w0 --tol nan`
+        rc = main([command, f"{flag}={value}", "--steps", "2", "--n-max", "0"])
+        assert rc == 2
+        key = flag[2:].replace("e-", "eps_")
+        assert capsys.readouterr().err == f"error: {key} must be finite, got {float(value)}\n"
+
+    @pytest.mark.parametrize("key", ["g0", "eps_min", "eps_max", "tol"])
+    def test_non_finite_config_value_rejected(self, key):
+        with pytest.raises(UsageError, match=f"{key} must be finite"):
+            replace(ScanConfig(), **{key: math.nan}).validate()
 
 
 class TestScan:
@@ -222,6 +242,97 @@ class TestW0Command:
         assert lines[0] == "eps_i,w0"
         assert len(lines) == 4
         assert all(float(l.split(",")[1]) >= 0.0 for l in lines[1:])
+
+
+def _reference_csv(columns, rows):
+    """The per-cell CSV renderer the columnar one replaced."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(format(row[c], ".17g") for c in columns) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_json(command, config, columns, rows, extra_metadata=None):
+    """The per-cell JSON renderer the columnar one replaced."""
+    def clean(v):
+        return None if isinstance(v, float) and not math.isfinite(v) else v
+
+    metadata = {"command": command, "version": drivendelta.__version__,
+                "config": {f.name: getattr(config, f.name) for f in fields(ScanConfig)}}
+    if extra_metadata:
+        metadata.update(extra_metadata)
+    doc = {"metadata": metadata, "columns": list(columns),
+           "rows": [{c: clean(row[c]) for c in columns} for row in rows]}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _reference(command, config, columns, rows, extra_metadata=None):
+    if config.output_format == "csv":
+        return _reference_csv(columns, rows)
+    return _reference_json(command, config, columns, rows, extra_metadata)
+
+
+class TestRendererReference:
+    """Columnar output against the per-cell renderers, byte for byte."""
+
+    GRID = dict(g0=0.3, eps_min=0.5, eps_max=3.5, steps=5, n_max=1)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("method", ["floquet", "perturbative", "both"])
+    def test_scan(self, tmp_path, method, fmt):
+        out = tmp_path / "scan.out"
+        config = ScanConfig(method=method, output_format=fmt,
+                            output_path=str(out), **self.GRID)
+        assert cmd_scan(config) == 0
+        table = cli._scan_table(config)
+        columns = cli._scan_columns(config.n_max)
+        assert list(table) == columns
+        rows = [dict(zip(columns, row)) for row in zip(*table.values())]
+        assert out.read_bytes() == _reference("scan", config, columns, rows).encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_compare(self, tmp_path, fmt, capsys):
+        out = tmp_path / "compare.out"
+        config = ScanConfig(output_format=fmt, output_path=str(out), **self.GRID)
+        assert cmd_compare(config) == 0
+        printed = capsys.readouterr().out
+        both = replace(config, method="both")
+        table = cli._scan_table(both)
+        columns = ["eps_i", "T_total_pert", "T_total_floquet", "abs_diff"]
+        rows = [{"eps_i": e, "T_total_pert": p, "T_total_floquet": f,
+                 "abs_diff": abs(p - f)}
+                for e, p, f in zip(table["eps_i"], table["T_total_pert"],
+                                   table["T_total_floquet"])]
+        window = 5.0 * config.g0 * config.g0
+        included = [r["abs_diff"] for r in rows if abs(r["eps_i"] - 1.0) >= window]
+        assert 0 < len(included) < len(rows)
+        summary = {"rows": len(rows),
+                   "excluded_window": f"|eps_i - 1| < {format(window, '.17g')}",
+                   "excluded_points": len(rows) - len(included),
+                   "max_abs_diff": max(included),
+                   "mean_abs_diff": sum(included) / len(included)}
+        expected = _reference("compare", both, columns, rows, {"summary": summary})
+        assert out.read_bytes() == expected.encode()
+        assert f"mean |diff| = {format(summary['mean_abs_diff'], '.17g')}\n" in printed
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_w0(self, tmp_path, fmt):
+        out = tmp_path / "w0.out"
+        config = ScanConfig(output_format=fmt, output_path=str(out), **self.GRID)
+        assert cmd_w0(config) == 0
+        rows = [{"eps_i": e, "w0": w0_weight(e, config.g0, config.tol)}
+                for e in cli._grid(config)]
+        expected = _reference("w0", config, ["eps_i", "w0"], rows)
+        assert out.read_bytes() == expected.encode()
+
+    def test_special_values(self):
+        values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, 1.0]
+        table = {"a": values, "b": values[::-1], "c": [math.nan] * len(values)}
+        rows = [dict(zip(table, row)) for row in zip(*table.values())]
+        assert cli._render_csv(table) == _reference_csv(list(table), rows)
+        assert "\n-0,4.9406564584124654e-324,nan\n" in cli._render_csv(table)
+        config = ScanConfig()
+        assert cli._render_json("scan", config, table) == _reference_json(
+            "scan", config, list(table), rows)
 
 
 class TestDeterminism:

@@ -39,6 +39,14 @@ class TestAdaptiveQuad:
         with pytest.raises(DomainError):
             adaptive_quad(np.sin, 0.0, 1.0, tol=-1.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0])
+    def test_rejects_tol_that_is_not_positive(self, tol):
+        # nan passed a `tol <= 0` check, and `err > nan` never raised
+        with pytest.raises(DomainError):
+            adaptive_quad(np.sin, 0.0, 1.0, tol=tol)
+        with pytest.raises(DomainError):
+            pv_halfline(lambda x: 1.0 / (x - 1.0), [1.0], split=4.0, tol=tol)
+
     def test_budget_exhaustion_reports_value(self):
         with pytest.raises(ToleranceError) as exc:
             adaptive_quad(lambda x: np.abs(x) ** -0.5 * (x != 0), 1e-30, 1.0,

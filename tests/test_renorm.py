@@ -1,6 +1,7 @@
 """Unit tests for the loop amplitude and the pole renormalization stack."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import integrate
 
 import drivendelta.renorm as renorm
 from drivendelta.amplitudes import a_coefficient, b_coefficient
-from drivendelta.errors import DomainError
+from drivendelta.errors import DomainError, RegimeError, ToleranceError
 from drivendelta.model import q_factor
 from drivendelta.renorm import (alpha_shift, b_bare, b_renorm, beta_width,
                                 gamma_elastic_closed, gamma_loop,
@@ -125,6 +126,40 @@ class TestAlphaShift:
         reference = _alpha_per_channel(n0, eps_i, g0, 1e-12)
         assert alpha_shift.__wrapped__(n0, eps_i, g0) == pytest.approx(
             reference, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n0", [-1, 1, 3])
+    @pytest.mark.parametrize("g0", [0.1, 0.55, 0.7])
+    @pytest.mark.parametrize("eps_i", [2.0, 4.0])
+    def test_channel_at_threshold_is_named(self, n0, g0, eps_i):
+        # k_l = 0 for the channel m = n0 - eps_i: raised before integrating
+        m = n0 - int(eps_i)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RegimeError) as exc:
+                alpha_shift.__wrapped__(n0, eps_i, g0)
+        msg = str(exc.value)
+        assert f"channel m = {m} " in msg and f"n0 = {n0}" in msg
+        assert f"eps_i = {eps_i!r}" in msg
+        assert exc.value.__cause__ is None
+
+    @pytest.mark.parametrize("n0, g0", [(-1, 0.1), (1, 0.55), (3, 0.7)])
+    @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+    def test_failure_next_to_threshold_is_named(self, n0, g0, offset):
+        # the quadrature fails here, out of budget below the threshold and
+        # on a non-finite value above it (about 1 s each); the failure is
+        # re-raised naming the channel next to its threshold
+        eps_i = 2.0 + offset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RegimeError) as exc:
+                alpha_shift.__wrapped__(n0, eps_i, g0)
+        assert f"channel m = {n0 - 2} (n0 = {n0}) at eps_i = {eps_i!r}" in str(exc.value)
+        assert isinstance(exc.value.__cause__, ToleranceError)
+
+    def test_near_threshold_values_unchanged(self):
+        # still computed, not refused, outside the failing sliver
+        assert alpha_shift.__wrapped__(1, 1.9999, 0.7) > 700.0
+        assert alpha_shift.__wrapped__(1, 2.001, 0.7) < -60.0
 
 
 class TestLoopKernel:

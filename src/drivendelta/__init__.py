@@ -10,8 +10,8 @@ sideband mode-matching solver.
 
 from .amplitudes import (a_coefficient, b_coefficient, fourier_oracle,
                          phi_cb_mean, phi_cc)
-from .errors import (DomainError, DrivenDeltaError, PoleOrderError,
-                     RegimeError, ToleranceError, ZeroNotFoundError)
+from .errors import (DomainError, DrivenDeltaError, RegimeError,
+                     ToleranceError, ZeroNotFoundError)
 from .floquet import (FloquetGrid, FloquetSolution, solve,
                       total_transmission_exact, transmission_grid,
                       zero_locate_exact)
@@ -46,6 +46,6 @@ __all__ = [
     "FloquetSolution", "FloquetGrid", "solve", "transmission_grid",
     "total_transmission_exact", "zero_locate_exact",
     # errors
-    "DrivenDeltaError", "DomainError", "ToleranceError", "PoleOrderError",
-    "RegimeError", "ZeroNotFoundError",
+    "DrivenDeltaError", "DomainError", "ToleranceError", "RegimeError",
+    "ZeroNotFoundError",
 ]

@@ -24,10 +24,6 @@ class ToleranceError(DrivenDeltaError, RuntimeError):
         self.eps_i = eps_i
 
 
-class PoleOrderError(DrivenDeltaError, RuntimeError):
-    """Residue extraction did not converge; the pole is not simple."""
-
-
 class RegimeError(DrivenDeltaError, ValueError):
     """A limiting formula was requested outside its regime of validity."""
 

@@ -138,12 +138,12 @@ def _open_flux(k: np.ndarray, amp: np.ndarray) -> np.ndarray:
     return k.real / k[N].real * np.abs(amp) ** 2
 
 
-def _converged(eps: np.ndarray, g0: float, N: int | None = None) -> Iterator[tuple]:
+def _converged(eps: np.ndarray, g0: float) -> Iterator[tuple]:
     """Solve at every energy of ``eps``; yield the solved blocks.
 
     Each block is (index into ``eps``, N, t, transmitted flux per channel,
-    unitarity defect).  ``N`` defaults to 2 * (open channels) + 20, shared
-    by the energies with as many open channels.  The truncated system
+    unitarity defect).  ``N`` is 2 * (open channels) + 20, shared by the
+    energies with as many open channels.  The truncated system
     conserves flux at every N, so the defect measures rounding only, and
     convergence in N rests on that fixed margin of 20 closed channels.  A
     defect above 1e-10, or a singular system, raises
@@ -154,7 +154,7 @@ def _converged(eps: np.ndarray, g0: float, N: int | None = None) -> Iterator[tup
     singular = []
     for group in sorted(set(n_open.tolist())):    # np.unique would import numpy.ma
         pending = np.flatnonzero(n_open == group)
-        size = 2 * group + 20 if N is None else N
+        size = 2 * group + 20
         per_chunk = max(1, _CHUNK // (2 * size + 1))
         for start in range(0, pending.size, per_chunk):
             idx = pending[start:start + per_chunk]
@@ -181,10 +181,10 @@ def _converged(eps: np.ndarray, g0: float, N: int | None = None) -> Iterator[tup
                              eps_i=first)
 
 
-def solve(eps_i: float, g0: float, N: int | None = None) -> FloquetSolution:
+def solve(eps_i: float, g0: float) -> FloquetSolution:
     """Solve the truncated sideband system at incoming energy ``eps_i``.
 
-    ``N`` defaults to 2 * (open channels) + 20; a unitarity defect above
+    ``N`` is 2 * (open channels) + 20; a unitarity defect above
     1e-10 or a singular system raises :class:`ToleranceError`
     (:func:`_converged`).
     """
@@ -192,10 +192,7 @@ def solve(eps_i: float, g0: float, N: int | None = None) -> FloquetSolution:
         raise DomainError(f"eps_i must be positive, got {eps_i}")
     if g0 < 0:
         raise DomainError(f"g0 must be >= 0, got {g0}")
-    n_open = int(math.floor(eps_i)) + 1
-    if N is not None and N < 2 + n_open:
-        raise DomainError(f"N = {N} too small for {n_open} open channels")
-    (_, N, t, _, defect), = _converged(np.array([float(eps_i)]), g0, N)
+    (_, N, t, _, defect), = _converged(np.array([float(eps_i)]), g0)
     t_vec = t[:, 0]
     r_vec = t_vec.copy()
     r_vec[N] -= 1.0

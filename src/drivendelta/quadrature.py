@@ -1,9 +1,9 @@
 """Reusable numerical kernels.
 
-Adaptive Gauss-Kronrod quadrature, principal-value integration by pole
-subtraction (over an interval, or over the half-line with a tangent tail
-transform), periodic Fourier coefficients, and bracketed golden-section
-minimization.
+Adaptive Gauss-Kronrod quadrature, principal-value integration by
+symmetric folding about each pole (over an interval, or over the
+half-line with a tangent tail transform), periodic Fourier coefficients,
+and bracketed golden-section minimization.
 
 All kernels are deterministic: identical inputs produce bit-identical
 results.  Integrands are expected to accept numpy arrays of evaluation
@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PoleOrderError, ToleranceError
+from .errors import DomainError, ToleranceError
 
 __all__ = [
     "QuadratureResult",
@@ -59,84 +59,89 @@ class QuadratureResult:
     error_estimate: float
     evaluations: int
 
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ToleranceError("non-finite quadrature value", value=self.value)
-
 
 class _Segment:
     """One interval of a lockstep refinement, with its own tolerance and panels.
 
-    A segment with a finite ``pole`` integrates f(x) - residue / (x - pole),
-    the pole on one of its edges; a ``tail`` segment integrates
-    f(tan u) (1 + tan**2 u) over u.  ``intervals`` holds (lo, hi, value,
-    error) per panel, at most ``max_intervals`` of them.
+    A ``fold`` segment integrates f(fold + t) + f(fold - t) over t >= 0, in
+    which the 1/t parts of a simple pole at ``fold`` cancel; a ``tail``
+    segment integrates f(tan u) (1 + tan**2 u) over u.  ``intervals`` holds
+    (lo, hi, value, error) per panel, at most ``max_intervals`` of them.
     """
 
-    def __init__(self, a, b, tol, pole=math.inf, residue=0.0, tail=False,
-                 max_intervals=2000):
+    def __init__(self, a, b, tol, fold=None, tail=False, max_intervals=2000):
         if not a < b:
             raise DomainError(f"need a < b, got [{a}, {b}]")
         if not tol > 0:
             raise DomainError(f"tol must be positive, got {tol}")
         self.a, self.b, self.tol = a, b, tol
-        self.pole, self.residue, self.tail = pole, residue, tail
+        self.fold, self.tail = fold, tail
         self.max_intervals = max_intervals
         self.intervals = []
         self.evals = 0
 
     def unfinished(self) -> bool:
-        """Error estimate above tolerance (or NaN), with budget left."""
+        """Finite error estimate above tolerance, with budget left."""
         if len(self.intervals) >= self.max_intervals:
             return False
-        return not math.fsum(iv[3] for iv in self.intervals) <= self.tol
+        return self.tol < math.fsum(iv[3] for iv in self.intervals) < math.inf
 
     def sums(self) -> tuple:
         """(value, error estimate, evaluations) summed over the panels.
 
-        The value is real when its imaginary part is zero.  Raises
-        :class:`ToleranceError` if the budget ran out above tolerance.
+        The value is real when its imaginary part is zero.  A non-finite
+        panel, or a budget spent above tolerance, raises
+        :class:`ToleranceError` naming the segment.
         """
         ivs = self.intervals
+        err = math.fsum(iv[3] for iv in ivs)
+        if not math.isfinite(err):
+            raise ToleranceError(f"non-finite quadrature value on {self.where()}",
+                                 error_estimate=err)
         value = complex(math.fsum(iv[2].real for iv in ivs),
                         math.fsum(complex(iv[2]).imag for iv in ivs))
         if abs(value.imag) == 0.0:
             value = value.real
-        err = math.fsum(iv[3] for iv in ivs)
         if err > self.tol and len(ivs) >= self.max_intervals:
             raise ToleranceError(
                 f"interval budget exhausted at error estimate {err:.3e} "
-                f"(tol {self.tol:.3e})", value=value, error_estimate=err,
+                f"(tol {self.tol:.3e}) on {self.where()}", value=value, error_estimate=err,
             )
         return value, err, self.evals
+
+    def where(self) -> str:
+        """The segment as failure messages name it."""
+        return ("the tail" if self.tail else f"the interval [{self.a!r}, {self.b!r}]"
+                if self.fold is None else f"the fold about pole {self.fold!r}")
 
 
 def _gk15(f, jobs):
     """Gauss-Kronrod 15(7) on the (lo, hi) panels of every (segment, panels) job.
 
     The nodes of all panels go to ``f`` in one call, and every panel's
-    node map and pole subtraction is one array operation over the round:
-    a tail panel integrates f(tan u) (1 + tan**2 u), a pole panel
-    f(u) - residue / (u - pole).  Panels without a pole carry pole = inf
-    and residue 0, so their subtraction removes an exact zero.  Returns
-    the panel values and error estimates, in job order."""
-    rows = [(lo, hi, seg.pole, seg.residue, seg.tail)
+    node map is one array operation over the round: a tail panel
+    integrates f(tan u) (1 + tan**2 u), a fold panel f(p + d) + f(p - d)
+    at d = (p + u) - p, so that each node pair lies exactly symmetric
+    about the pole p and its 1/d parts cancel exactly.  Returns the panel
+    values and error estimates, in job order."""
+    rows = [(lo, hi, seg.fold is not None, seg.fold or 0.0, seg.tail)
             for seg, panels in jobs for lo, hi in panels]
-    a, b, pole, residue, tail = (np.array(col) for col in zip(*rows))
+    a, b, fold, centre, tail = (np.array(col) for col in zip(*rows))
     mids, halves = 0.5 * (a + b), 0.5 * (b - a)
     u = mids[:, None] + halves[:, None] * _NODES
-    pole, residue = pole[:, None], residue[:, None]
-    # an exact pole hit can only occur on a collapsed panel edge; the
-    # subtracted integrand is finite there, so drop the 0/0 noise
-    hit = u == pole
-    x = np.where(hit, pole + 1.0, u)
+    x = centre[:, None] + u         # u itself off the fold rows
     x[tail] = np.tan(u[tail])
-    y = np.asarray(f(x.ravel())).reshape(u.shape)
-    g = np.where(tail[:, None], y * (1.0 + x * x),
-                 np.where(hit, 0.0, y - residue / (x - pole)))
-    v15 = halves * np.sum(g * _W15, axis=1)
-    v7 = halves * np.sum(g * _W7, axis=1)
-    return v15, np.abs(v15 - v7)
+    p = centre[fold, None]
+    mirror = p - (x[fold] - p)
+    y = np.asarray(f(np.concatenate([x.ravel(), mirror.ravel()])))
+    g = y[:x.size].reshape(u.shape)
+    g[fold] += y[x.size:].reshape(mirror.shape)
+    g[tail] *= 1.0 + x[tail] * x[tail]
+    # an infinite node value ends its segment (_Segment.sums): no inf * 0 warning
+    with np.errstate(invalid="ignore"):
+        v15 = halves * np.sum(g * _W15, axis=1)
+        v7 = halves * np.sum(g * _W7, axis=1)
+        return v15, np.abs(v15 - v7)
 
 
 def _refine(f, segments):
@@ -158,7 +163,7 @@ def _refine(f, segments):
             for lo, hi in panels:
                 seg.intervals.append((lo, hi, values[i], errors[i]))
                 i += 1
-            seg.evals += 15 * len(panels)
+            seg.evals += (15 if seg.fold is None else 30) * len(panels)
         refined = []
         for seg, _ in jobs:
             if seg.unfinished():
@@ -189,65 +194,26 @@ def adaptive_quad(
     return QuadratureResult(*seg.sums())
 
 
-def _residues(f, pieces, levels: int = 6) -> list:
-    """Simple-pole residues at the poles of the (a, pole, b) ``pieces``.
-
-    Richardson extrapolation of (x - pole) f(x) from symmetric samples at
-    offsets h / 2**i, h = min(b - pole, pole - a) / 8; the symmetric
-    average kills the odd Taylor terms of the regular part, so a Neville
-    table in h**2 removes the even error terms level by level.  The
-    2 * levels samples of every pole go to ``f`` in one call, and the
-    tables run side by side.  A residue that does not converge is returned
-    as its :class:`PoleOrderError`, so the caller raises it in piece order.
-    """
-    poles = np.array([p for _, p, _ in pieces])
-    h = np.array([min(b - p, p - a) / 8.0 for a, p, b in pieces])
-    hs = h[:, None] / 2.0 ** np.arange(levels)
-    x = np.concatenate([poles[:, None] + hs, poles[:, None] - hs], axis=1)
-    ys = np.asarray(f(x.ravel())).reshape(x.shape)
-    diag = 0.5 * (hs * ys[:, :levels] - hs * ys[:, levels:])
-    for col in range(1, levels):
-        factor = 4.0 ** col - 1.0
-        for row in range(levels - 1, col - 1, -1):
-            diag[:, row] = diag[:, row] + (diag[:, row] - diag[:, row - 1]) / factor
-    out = []
-    for (_, pole, _), best, prev in zip(pieces, diag[:, -1], diag[:, -2]):
-        spread = abs(best - prev)
-        if not np.isfinite(best):
-            out.append(PoleOrderError(f"residue estimation failed at pole {pole}"))
-        elif spread > max(1e-3 * abs(best), 3e-8):
-            out.append(PoleOrderError(
-                f"residue estimate not converged at pole {pole}: spread {spread:.3e}"))
-        else:
-            out.append(best)
-    return out
-
-
-def _lockstep(f, pieces, plain, tol, residues=None):
+def _lockstep(f, pieces, plain, tol):
     """Principal values over (a, pole, b) ``pieces`` and plain segments together.
 
-    Without ``residues`` every piece gets a Richardson residue, all in one
-    call of ``f``.  Each piece integrates the subtracted remainder on both
-    sides of its pole to tol / 2 each and adds the exact log antiderivative
-    c ln((b - pole) / (pole - a)); the ``plain`` segments keep their own
-    tolerances.  All of them refine in lockstep (:func:`_refine`).  Returns
-    the (value, error estimate, evaluations) sums of the pieces, then of
-    the plain segments; errors surface in that order.
+    Each piece folds [pole - h, pole + h], h = min(pole - a, b - pole),
+    onto t in [0, h], where f(pole + t) + f(pole - t) is regular at a
+    simple pole, and integrates the rest of an asymmetric piece as a plain
+    segment; the two keep tol / 2 each, and a rest that rounds to empty is
+    skipped.  The ``plain`` segments keep their own tolerances.  All of
+    them refine in lockstep (:func:`_refine`).  Returns the (value, error
+    estimate, evaluations) sums of the pieces, then of the plain segments;
+    errors surface in that order.
     """
-    if residues is None:
-        residues = _residues(f, pieces)
-    sides = [(_Segment(a, p, 0.5 * tol, pole=p, residue=c),
-              _Segment(p, b, 0.5 * tol, pole=p, residue=c))
-             for (a, p, b), c in zip(pieces, residues)
-             if not isinstance(c, PoleOrderError)]
-    _refine(f, [seg for pair in sides for seg in pair] + plain)
-    out, pairs = [], iter(sides)
-    for (a, p, b), c in zip(pieces, residues):
-        if isinstance(c, PoleOrderError):
-            raise c
-        left, right = (seg.sums() for seg in next(pairs))
-        out.append((left[0] + right[0] + c * math.log((b - p) / (p - a)),
-                    left[1] + right[1], left[2] + right[2] + 12))
+    parts = []
+    for a, p, b in pieces:
+        h = min(p - a, b - p)
+        lo, hi = (p + h, b) if b - p > p - a else (a, p - h)
+        parts.append([_Segment(0.0, h, 0.5 * tol, fold=p)]
+                     + ([_Segment(lo, hi, 0.5 * tol)] if lo < hi else []))
+    _refine(f, [seg for part in parts for seg in part] + plain)
+    out = [tuple(map(sum, zip(*(seg.sums() for seg in part)))) for part in parts]
     return out + [seg.sums() for seg in plain]
 
 
@@ -257,19 +223,16 @@ def pv_integral(
     a: float,
     b: float,
     tol: float = 1e-8,
-    residue=None,
 ) -> QuadratureResult:
     """Principal value of ``f`` over [a, b] around a simple pole.
 
-    Subtracts ``c / (x - pole)`` with the residue ``c`` estimated by a
-    Richardson limit of ``(x - pole) f(x)`` (or supplied by the caller),
-    integrates the regular remainder adaptively, and adds the exact log
-    antiderivative ``c * ln((b - pole) / (pole - a))``.
+    Folds the interval about the pole, so that the integrand
+    f(pole + t) + f(pole - t) is regular, and integrates it and the rest
+    of the interval adaptively (:func:`_lockstep`).
     """
     if not a < pole < b:
         raise DomainError(f"pole {pole} not inside ({a}, {b})")
-    [res] = _lockstep(f, [(a, pole, b)], [], tol,
-                      None if residue is None else [residue])
+    [res] = _lockstep(f, [(a, pole, b)], [], tol)
     return QuadratureResult(*res)
 
 
@@ -285,8 +248,8 @@ def pv_halfline(
     piece is a :func:`pv_integral` around its pole (a plain integral when
     there are no poles); the tail from ``split`` is mapped by x = tan(u)
     onto a finite interval.  Pieces and tail keep their own tolerances
-    (``tol`` each) and refinements, but all their panels, and all residue
-    tables, go to ``f`` together, a few calls in all.  The value is the sum
+    (``tol`` each) and refinements, but all their panels go to ``f``
+    together, one call per refinement round.  The value is the sum
     of the pieces and the tail, in that order.
     """
     poles = sorted(poles)
@@ -305,12 +268,10 @@ def fourier_coefficient(
     integrand: Callable,
     n: int,
     tol: float = 1e-12,
-    min_panels: int = 64,
-    max_panels: int = 1 << 16,
 ) -> QuadratureResult:
     """Coefficient (1/2pi) int_0^{2pi} integrand(tau) e^{i n tau} d tau.
 
-    Composite trapezoid on uniform panels with doubling refinement; panel
+    Composite trapezoid on uniform panels, 64 doubled up to 2**16; panel
     counts stay even so tau = 0 and tau = pi (the bound-state window edges)
     always fall on panel boundaries.  Trapezoid is spectrally accurate for
     smooth periodic integrands; the refinement loop certifies the result.
@@ -320,10 +281,10 @@ def fourier_coefficient(
         vals = np.asarray(integrand(tau)) * np.exp(1j * n * tau)
         return np.sum(vals) / m
 
-    m = max(min_panels, 2)
+    m = 64
     prev = approx(m)
     evals = m
-    while m < max_panels:
+    while m < 1 << 16:
         m *= 2
         cur = approx(m)
         evals += m

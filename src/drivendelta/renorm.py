@@ -134,19 +134,20 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
         if sorted(ls.tolist()) != [l for l in range(-L, L + 1) if l != 0]:
             raise DomainError("the elastic loop pairs the channels +-1 .. +-L")
         l_col = np.arange(1, L + 1, dtype=float)[:, None]
+        e_minus, e_plus = eps_i - l_col, eps_i + l_col
         # (-1)**l q(k_i)**l
         shift = _q_powers(-q_i, L)[:, None]
 
         def integrand(k):
             k = np.asarray(k, dtype=float)
-            e = eps_i - 0.5 * k * k
+            half = 0.5 * k * k
             num = _q_powers(_q_base(k, g0), L)
             num -= shift
             num *= num
-            # (e - l)(e + l), not e**2 - l**2: next to a channel pole each
-            # factor rounds as the unpaired propagator did
-            num /= (e - l_col) * (e + l_col)
-            return prefactor(k) * 2.0 * e * num.sum(axis=0)
+            # (e - l)(e + l), not e**2 - l**2, each factor one subtraction
+            # (eps_i -+ l) - k**2/2: it keeps its digits next to a pole or threshold
+            num /= (e_minus - half) * (e_plus - half)
+            return prefactor(k) * 2.0 * (eps_i - half) * num.sum(axis=0)
 
         return integrand
 
@@ -160,14 +161,14 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
     i_term = sign * (q_i ** m_in)[:, None]
     i_par = sign * par_in[:, None]
     rows_out, rows_in = m_out - 1, m_in - 1
-    col = ls[:, None]
+    e_col = eps_i + ls[:, None]
     top = int(max(m_out.max(), m_in.max()))
 
     def integrand(k):
         k = np.asarray(k, dtype=float)
         table = _q_powers(_q_base(k, g0), top)
         products = (table[rows_out] - f_term) * (i_term - i_par * table[rows_in])
-        return prefactor(k) * (products / (eps_i - 0.5 * k * k + col)).sum(axis=0)
+        return prefactor(k) * (products / (e_col - 0.5 * k * k)).sum(axis=0)
 
     return integrand
 
@@ -222,9 +223,9 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
         pole_set.add(k_f)
     for l in ls:
         kl2 = k_i * k_i + 2 * l
-        # channels within 1e-6 of threshold are left to the plain panels:
-        # their principal-value weight scales like k_l ln k_l and the
-        # residue extraction degenerates there
+        # channels within 1e-6 of threshold get no fold of their own: their
+        # principal-value weight scales like k_l ln k_l, and the panels
+        # from k = 0 take them
         if kl2 > 1e-12:
             pole_set.add(math.sqrt(kl2))
     poles = sorted(pole_set)
@@ -465,20 +466,24 @@ def b_bare(k_f: float, k_i: float, n: int, eps_i: float, g0: float,
 def _shift_integrand(n0: int, eps_i: float, g0: float, ms):
     """Channel sum of the alpha_shift integrand over the odd m = +-``ms``.
 
-    sum_m |B_{k b}(m)|**2 / (x - l), x = k**2/2 - eps_i, l = m - n0, with
-    |B_{k b}(m)|**2 = (g0 / pi) q(k)**(2 |m|) / (k**2 + g0**2 / 4).  That
-    depends on |m| only, so the channels +m and -m pair into one term with
-    the propagator sum 2 (x + n0) / ((x - l_up)(x - l_down)).
+    sum_m |B_{k b}(m)|**2 / (k**2/2 - e_l), e_l = eps_i + l, l = m - n0,
+    with |B_{k b}(m)|**2 = (g0 / pi) q(k)**(2 |m|) / (k**2 + g0**2 / 4).
+    That depends on |m| only, so the channels +m and -m pair into one term
+    with the propagator sum 2 (k**2/2 - (eps_i - n0)) / ((k**2/2 - e_up)
+    (k**2/2 - e_down)).  Each denominator is one subtraction from
+    k**2/2, so next to a channel's threshold, where e_l -> 0, it keeps its
+    digits.
     """
-    l_up, l_down = (ms - n0)[:, None], (-ms - n0)[:, None]
+    e_up, e_down = (eps_i + (ms - n0))[:, None], (eps_i + (-ms - n0))[:, None]
+    e_mid = eps_i - n0
 
     def integrand(k):
         k = np.asarray(k, dtype=float)
         q2 = _q_base(k, g0) ** 2
-        x = 0.5 * k * k - eps_i
+        half = 0.5 * k * k
         terms = _q_powers(q2, len(ms), q2 * q2)
-        terms /= (x - l_up) * (x - l_down)
-        return (2.0 * g0 / math.pi) * (x + n0) / (k * k + 0.25 * g0 * g0) \
+        terms /= (half - e_up) * (half - e_down)
+        return (2.0 * g0 / math.pi) * (half - e_mid) / (k * k + 0.25 * g0 * g0) \
             * terms.sum(axis=0)
 
     return integrand

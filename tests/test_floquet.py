@@ -26,9 +26,10 @@ class TestSolve:
 
     def test_truncation_robustness(self):
         base = solve(0.9, 0.7)
-        bigger = solve(0.9, 0.7, N=base.N + 10)
+        N = base.N + 10
+        _, t = floquet._sweep(np.array([0.9]), 0.7, N)
         for n in base.open_channels():
-            assert abs(abs(base.t[n]) ** 2 - abs(bigger.t[n]) ** 2) < 1e-12
+            assert abs(abs(base.t[n]) ** 2 - abs(t[N + n, 0]) ** 2) < 1e-12
 
     def test_continuity_identity(self):
         sol = solve(1.4, 0.5)
@@ -50,8 +51,6 @@ class TestSolve:
             solve(-0.5, 0.1)
         with pytest.raises(DomainError):
             solve(0.5, -0.1)
-        with pytest.raises(DomainError):
-            solve(2.5, 0.1, N=2)
 
 
 def _dense_solve(eps_i, g0, N):

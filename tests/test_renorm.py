@@ -44,6 +44,19 @@ class TestGammaLoop:
         assert "error_estimate" in loop.diagnostics
         assert loop.diagnostics["evaluations"] > 0
 
+    @pytest.mark.parametrize("g0", [0.1, 0.7])
+    def test_tight_tolerance_next_to_threshold(self, g0):
+        # 1e-6 above the one-quantum threshold, at tol = 1e-12, the fold
+        # about k_{-1} = 1.4e-3 refines until its nodes are within ~1e-12 of
+        # the pole; the channel denominators keep their digits there, so no
+        # node pair rounds onto the pole
+        k = math.sqrt(2.0 * (1.0 + 1e-6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loop = gamma_loop.__wrapped__(k, k, 0, g0, tol=1e-12)
+        closed = gamma_elastic_closed(k, g0, include_closed=True)
+        assert loop.re == pytest.approx(closed.re, rel=1e-9)
+
     def test_evaluations_count_batched_integrand_nodes(self, monkeypatch):
         calls = []
         make = renorm._loop_integrand
@@ -59,8 +72,8 @@ class TestGammaLoop:
         monkeypatch.setattr(renorm, "_loop_integrand", counting)
         loop = gamma_loop.__wrapped__(1.3, 1.3, 0, 0.7)
         assert loop.diagnostics["evaluations"] == sum(calls)
-        # one call for all residue tables, then one per refinement round
-        # of all the half-line's segments together
+        # one call per refinement round of all the half-line's segments
+        # together, mirror nodes of the folds included
         assert len(calls) <= 8
 
 
@@ -107,7 +120,7 @@ def _alpha_per_channel(n0, eps_i, g0, tol):
         def f(k, l=l, m=m):
             mod2 = (g0 / math.pi) * (renorm._q_base(k, g0) ** abs(m)) ** 2 \
                 / (k * k + 0.25 * g0 * g0)
-            return mod2 / (0.5 * k * k - eps_i - l)
+            return mod2 / (0.5 * k * k - (eps_i + l))
 
         poles = [math.sqrt(2.0 * (eps_i + l))] if eps_i + l > 0 else []
         split = max(4.0 * k_i, 4.0 * g0, 8.0, 1.5 * max(poles, default=0.0))
@@ -145,12 +158,18 @@ class TestAlphaShift:
     @pytest.mark.parametrize("n0, g0", [(-1, 0.1), (1, 0.55), (3, 0.7)])
     @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
     def test_failure_next_to_threshold_is_named(self, n0, g0, offset):
-        # the quadrature fails here, out of budget below the threshold and
-        # on a non-finite value above it (about 1 s each); the failure is
-        # re-raised naming the channel next to its threshold
-        eps_i = 2.0 + offset
+        # 1e-6 from its threshold, the channel m = n0 - 2 keeps the digits of
+        # its denominator k**2/2 - (eps_i + l), and the shift (hundreds to
+        # tens of thousands) matches the per-channel integrals.  1e-12 from
+        # it the quadrature runs out of budget (about 1 s), and the failure
+        # is re-raised naming that channel.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            eps_i = 2.0 + offset
+            value = alpha_shift.__wrapped__(n0, eps_i, g0)
+            assert value == pytest.approx(_alpha_per_channel(n0, eps_i, g0, 1e-8),
+                                          rel=1e-10, abs=0.0)
+            eps_i = 2.0 + 1e-6 * offset
             with pytest.raises(RegimeError) as exc:
                 alpha_shift.__wrapped__(n0, eps_i, g0)
         assert f"channel m = {n0 - 2} (n0 = {n0}) at eps_i = {eps_i!r}" in str(exc.value)
@@ -224,7 +243,7 @@ class TestReducedKernels:
         nodes = np.array([1e-6, 1e-4, 1e-2]
                          + [p + d for p in poles for d in self.OFFSETS])
         terms = renorm._loop_products(k_f, k_i, n, ls, nodes, g0) \
-            / (eps_i - 0.5 * nodes * nodes + np.array(ls)[:, None])
+            / ((eps_i + np.array(ls)[:, None]) - 0.5 * nodes * nodes)
         values = renorm._loop_integrand(k_f, k_i, n, ls, g0)(nodes)
         assert np.all(np.abs(values - terms.sum(axis=0))
                       <= 1e-12 * np.abs(terms).sum(axis=0))
@@ -246,10 +265,32 @@ class TestReducedKernels:
         mod2 = (g0 / math.pi) \
             * (renorm._q_base(nodes, g0) ** np.abs(ms)[:, None]) ** 2 \
             / (nodes * nodes + 0.25 * g0 * g0)
-        terms = mod2 / (0.5 * nodes * nodes - eps_i - ls[:, None])
+        terms = mod2 / (0.5 * nodes * nodes - (eps_i + ls[:, None]))
         values = renorm._shift_integrand(n0, eps_i, g0, np.arange(1, M + 1, 2))(nodes)
         assert np.all(np.abs(values - terms.sum(axis=0))
                       <= 1e-12 * np.abs(terms).sum(axis=0))
+
+    @pytest.mark.parametrize("eps_i", [0.3, 1.05, 2.9, 2.0 + 1e-6, 2.0 - 1e-6])
+    def test_channel_denominators_match_mpmath(self, eps_i):
+        # the references above form k**2/2 - (eps_i + l) (or its negative),
+        # as the integrands do: at every node and channel its error stays
+        # within a few roundings of its operands k**2/2 and eps_i + l, also
+        # where they cancel next to a threshold; (k**2/2 - eps_i) - l does not
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.prec = 200
+        ls = np.arange(-21, 22, 2) - 1
+        kl = [math.sqrt(2.0 * (eps_i + l)) for l in ls if eps_i + l > 0]
+        nodes = np.array([1e-6, 1e-3, 5.0]
+                         + [p + d for p in kl for d in (*self.OFFSETS, -1e-9, 1e-9)])
+        half = 0.5 * nodes * nodes
+        accurate = half - (eps_i + ls[:, None])
+        cancelling = half - eps_i - ls[:, None]
+        exact = np.array([[float(mpmath.mpf(k) ** 2 / 2 - (mpmath.mpf(eps_i) + int(l)))
+                           for k in nodes] for l in ls])
+        bound = 2.0 ** -51 * (half + np.abs(eps_i + ls[:, None]))
+        assert np.all(np.abs(accurate - exact) <= bound)
+        if abs(eps_i - 2.0) < 1e-3:
+            assert np.any(np.abs(cancelling - exact) > 1e3 * bound)
 
 
 def _cauchy_loop_re(k_f: float, k_i: float, n: int, ls, g0: float) -> float:
@@ -290,7 +331,8 @@ class TestLoopCauchyOracle:
     """Independent principal value: QUADPACK QAWC (Piessens et al. 1983)."""
 
     @pytest.mark.parametrize("g0,eps_i,n", [(0.7, 0.7, 0), (0.1, 0.3, 0),
-                                            (0.7, 2.5, 0), (0.7, 1.3, 1)])
+                                            (0.7, 2.5, 0), (0.7, 1.3, 1),
+                                            (0.55, 0.9, 1)])
     def test_real_part_matches_cauchy_quadrature(self, g0, eps_i, n):
         k_i = math.sqrt(2.0 * eps_i)
         k_f = math.sqrt(k_i * k_i + 2 * n)

@@ -25,8 +25,12 @@ default truncation N = 2 * (open channels) + 20.  The truncated system
 conserves flux exactly at every N, so its unitarity defect measures
 rounding only, and a defect above 1e-10 raises; convergence in N rests on
 that fixed margin of closed channels (checked against doubled N in the
-tests).  ``solve`` is the
-one-energy case of that sweep and ``transmission_grid`` its array form.
+tests).  ``solve`` is the one-energy case of that sweep and
+``transmission_grid`` its array form.
+
+``zero_locate_exact`` bisects the sign of the same sweep's pivot P_{-1}:
+below the first threshold t_0 vanishes where it does, that is, where the
+closed ladder n <= -1 holds a bound state.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from typing import Dict, Iterator, Tuple
 import numpy as np
 
 from .errors import DomainError, ToleranceError, ZeroNotFoundError
-from .quadrature import bracket_min
 
 __all__ = [
     "FloquetSolution",
@@ -50,6 +53,7 @@ __all__ = [
 ]
 
 _UNITARITY_TOL = 1e-10
+_MARGIN = 20           # closed channels kept beyond the open ones
 _CHUNK = 1 << 16       # sideband x energy entries per sweep: bounds memory at any N
 
 
@@ -98,13 +102,31 @@ class FloquetGrid:
     N: np.ndarray = field(repr=False)
 
 
+def _pivots(eps: np.ndarray, g0: float, N: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Channel momenta k_n, n = -N..N, and the Thomas pivots at each energy.
+
+    Closed channels carry k_n = i kappa_n.  In one loop over the sideband
+    index, row s gets P_{-N+s} in the first len(eps) columns and Q_{N-s} in
+    the last: P_n = k_n + c / P_{n-1} from below and
+    Q_n = k_n + c / Q_{n+1} from above, with c = (g0/2)**2.
+    """
+    ksq = 2.0 * eps + 2.0 * np.arange(-N, N + 1)[:, None]
+    root = np.sqrt(np.abs(ksq))
+    k = np.where(ksq >= 0, root + 0j, 1j * root)
+    c = 0.25 * g0 * g0
+    piv = np.concatenate([k[:N], k[:N:-1]], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for s in range(1, N):
+            piv[s] += c / piv[s - 1]
+    return k, piv
+
+
 def _sweep(eps: np.ndarray, g0: float, N: int) -> Tuple[np.ndarray, np.ndarray]:
     """Channel momenta k_n and coefficients t_n, n = -N..N, at each energy.
 
     Thomas elimination of the tridiagonal system from both ends towards
-    n = 0: the pivots from below, P_n = k_n + (g0/2)**2 / P_{n-1}, and from
-    above, Q_n = k_n + (g0/2)**2 / Q_{n+1}, run side by side in one loop over
-    the sideband index, vectorized over the energies ``eps``.  Then
+    n = 0, vectorized over the energies ``eps``, with the pivots P_n from
+    below and Q_n from above of :func:`_pivots`.  Then
     t_0 = k_0 / (k_0 + (g0/2)**2 (1/P_{-1} + 1/Q_1)), and every other t_n is
     t_0 times a product of the ratios t_{n-1}/t_n = (g0/2)/P_{n-1} below
     and t_{n+1}/t_n = -(g0/2)/Q_{n+1} above.  Both arrays have shape
@@ -112,16 +134,10 @@ def _sweep(eps: np.ndarray, g0: float, N: int) -> Tuple[np.ndarray, np.ndarray]:
     that energy's column; no warning is raised, the caller tests the columns.
     """
     E = eps.size
-    ksq = 2.0 * eps + 2.0 * np.arange(-N, N + 1)[:, None]
-    root = np.sqrt(np.abs(ksq))
-    k = np.where(ksq >= 0, root + 0j, 1j * root)
+    k, piv = _pivots(eps, g0, N)
     c = 0.25 * g0 * g0
-    # row s: n = -N + s (first E columns) and n = N - s (last E columns)
-    piv = np.concatenate([k[:N], k[:N:-1]], axis=1)
     t = np.empty_like(k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for s in range(1, N):
-            piv[s] += c / piv[s - 1]
         below, above = piv[::-1, :E], piv[::-1, E:]
         t[N] = k[N] / (k[N] + c / below[0] + c / above[0])
         t[N - 1::-1] = t[N] * np.cumprod(0.5 * g0 / below, axis=0)
@@ -154,7 +170,7 @@ def _converged(eps: np.ndarray, g0: float) -> Iterator[tuple]:
     singular = []
     for group in sorted(set(n_open.tolist())):    # np.unique would import numpy.ma
         pending = np.flatnonzero(n_open == group)
-        size = 2 * group + 20
+        size = 2 * group + _MARGIN
         per_chunk = max(1, _CHUNK // (2 * size + 1))
         for start in range(0, pending.size, per_chunk):
             idx = pending[start:start + per_chunk]
@@ -242,46 +258,41 @@ def total_transmission_exact(eps_i: float, g0: float) -> float:
 def zero_locate_exact(g0: float) -> float:
     """Energy of the elastic transmission zero, located on the exact solver.
 
-    The dip is a Fano zero of width comparable to the sideband coupling
-    width (orders of magnitude below the scan window at weak driving), so
-    the search scans densely, then repeatedly zooms the window around the
-    running minimum before a final golden-section refinement.  The zero is
-    exact, so the refined minimum is essentially machine zero; a shallow
-    minimum means no dip was found.
+    Below the first threshold every channel n <= -1 is closed, so the pivot
+    P_{-1} = i p(eps) is purely imaginary, and t_0 vanishes exactly where p
+    does.  p falls strictly with eps, from positive at
+    max(0.7, 1 - 1.5 g0**2) to -(g0/2)**2 / p_{-2} at eps = 1, and is
+    bisected down to adjacent floats, with :func:`solve`'s pivots and
+    truncation.  The endpoint with p > 0 is returned, so :func:`solve` is
+    regular there even where the other one's pivot rounds to exactly 0.  No
+    sign change, or |t_0|**2 above 1e-6 in that one :func:`solve`, raises
+    :class:`ZeroNotFoundError`.
     """
     if not 0 < g0 <= 1:
         raise DomainError(f"need 0 < g0 <= 1, got {g0}")
+    N = 2 + _MARGIN     # one open channel below the threshold
 
-    def objective(eps):
-        return abs(solve(eps, g0).t[0]) ** 2
+    def p(eps):
+        return float(_pivots(np.array([eps]), g0, N)[1][-1, 0].imag)
 
-    def scan(xs):
-        return transmission_grid(xs, g0).t0_sq
-
-    # the dip can sit arbitrarily close below the first sideband threshold
-    # (its distance shrinks much faster than g0**2) and its local feature
-    # width is comparable to that distance, so the scan is log-spaced in
-    # the distance delta = 1 - eps and linear zooming takes over after
-    eps_lo = max(0.7, 1.0 - 1.5 * g0 * g0)
-    xs = 1.0 - np.geomspace(1.0 - eps_lo, 1e-11, 4001)
-    ys = scan(xs)
-    i = int(np.argmin(ys))
-    if i in (0, len(xs) - 1):
+    lo, hi = max(0.7, 1.0 - 1.5 * g0 * g0), 1.0
+    p_lo, p_hi = p(lo), p(hi)
+    if not p_lo > 0 > p_hi:
         raise ZeroNotFoundError(
-            f"no interior transmission dip in [{eps_lo}, 1) for g0 = {g0}",
-            scan_trace={"window": (eps_lo, 1.0), "min_value": float(ys[i])},
+            f"Im P_-1 does not change sign on [{lo}, 1] for g0 = {g0}",
+            scan_trace={"window": (lo, hi), "pivots": (p_lo, p_hi)},
         )
-    lo, hi = xs[i - 1], xs[i + 1]
-    while hi - lo > 1e-10:
-        xs = np.linspace(lo, hi, 301)
-        ys = scan(xs)
-        i = int(np.argmin(ys))
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, len(xs) - 1)]
-    x_min, f_min, _ = bracket_min(objective, lo, hi, tol=1e-13)
-    if f_min > 1e-6:
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if p(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    depth = abs(solve(lo, g0).t[0]) ** 2
+    if depth > 1e-6:
         raise ZeroNotFoundError(
-            f"dip at eps_i = {x_min} too shallow (|t_0|**2 = {f_min:.3e})",
-            scan_trace={"window": (lo, hi), "min_value": f_min},
+            f"dip at eps_i = {lo} too shallow (|t_0|**2 = {depth:.3e})",
+            scan_trace={"window": (lo, hi), "min_value": depth},
         )
-    return float(x_min)
+    return lo

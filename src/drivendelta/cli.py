@@ -8,9 +8,10 @@ Commands:
 
 Configuration comes from defaults, then an optional ``key = value`` file
 (``--config``), then command-line flags, in increasing precedence.  The
-grid commands build their table as columns over the whole energy grid:
-the exact columns are the arrays of one batched sideband solve, and the
-perturbative ones are filled point by point.  Output is CSV (header, then
+grid commands work through the energy grid in blocks of 256 energies:
+each block's exact columns are the arrays of one batched sideband solve,
+its perturbative ones are filled point by point, and its CSV lines are
+written before the next block is computed.  Output is CSV (header, then
 one line per grid point, LF endings) or JSON (rows array plus a metadata
 object with the config echo and library version); floats are serialized
 with 17 significant digits so files round-trip exactly and byte-identical
@@ -20,11 +21,15 @@ reruns can be diffed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO
+
+import numpy as np
 
 from . import __version__
 from .errors import DrivenDeltaError, ToleranceError
@@ -39,7 +44,8 @@ __all__ = ["ScanConfig", "parse_config", "cmd_scan", "cmd_zero",
 
 _METHODS = ("perturbative", "floquet", "both")
 _FORMATS = ("csv", "json")
-_Table = Dict[str, Sequence[float]]     # column name -> values over the grid
+_BLOCK = 256    # energies per block of a grid command: its memory grows with this, not the grid
+_Block = Dict[str, Sequence[float]]     # column name -> values over one block
 
 
 class UsageError(DrivenDeltaError, ValueError):
@@ -182,38 +188,42 @@ def _perturbative_point(eps_i: float, config: ScanConfig) -> tuple:
             im_gamma, re_gamma) + fluxes
 
 
-def _scan_table(config: ScanConfig) -> _Table:
-    """Scan columns over the grid, keyed and ordered as :func:`_scan_columns`.
-
-    The floquet columns are the arrays of one batched exact solve of the
-    whole grid, solved first; the perturbative columns are filled point by
-    point.  Columns that the method leaves empty share one NaN column.
-    """
-    names = _scan_columns(config.n_max)
-    sidebands = names[8:]
-    grid = _grid(config)
-    table = dict.fromkeys(names, [math.nan] * len(grid))
-    table["eps_i"] = grid
-    if config.method in ("floquet", "both"):
-        try:
-            exact = transmission_grid(grid, config.g0, config.n_max)
-        except ToleranceError as exc:
-            raise PointFailure(exc.eps_i, exc) from exc
-        table["T_total_floquet"] = exact.T_total.tolist()
-        if config.method == "floquet":
-            table.update(T_elastic=exact.t0_sq.tolist(), R_elastic=exact.r0_sq.tolist())
-            table.update(zip(sidebands, exact.T_n.tolist()))
-    if config.method in ("perturbative", "both"):
-        filled = ["T_elastic", "R_elastic", "T_total_pert", "w0",
-                  "im_gamma", "re_gamma"] + sidebands
-        table.update(zip(filled, _pointwise(
-            lambda eps: _perturbative_point(eps, config), grid)))
-    return table
-
-
-def _grid(config: ScanConfig) -> List[float]:
+def _blocks(config: ScanConfig) -> Iterator[List[float]]:
+    """The energy grid in consecutive blocks of up to :data:`_BLOCK` energies."""
     step = (config.eps_max - config.eps_min) / (config.steps - 1)
-    return [config.eps_min + i * step for i in range(config.steps)]
+    for start in range(0, config.steps, _BLOCK):
+        stop = min(start + _BLOCK, config.steps)
+        yield [config.eps_min + i * step for i in range(start, stop)]
+
+
+def _scan_blocks(config: ScanConfig) -> Iterator[_Block]:
+    """Scan columns block by block; a column the method leaves empty is absent.
+
+    A block's exact columns come from one batched solve of its energies,
+    made before its perturbative points, which run in grid order.
+    """
+    sidebands = _scan_columns(config.n_max)[8:]
+    exact = config.method in ("floquet", "both")
+    perturbative = config.method in ("perturbative", "both")
+    for grid in _blocks(config):
+        block: _Block = {"eps_i": grid}
+        if exact:
+            try:
+                sol = transmission_grid(grid, config.g0, config.n_max)
+            except ToleranceError as exc:
+                raise PointFailure(exc.eps_i, exc) from exc
+            if perturbative:
+                block["T_total_floquet"] = sol.T_total.tolist()
+            else:
+                values = np.vstack((sol.t0_sq, sol.r0_sq, sol.T_total, sol.T_n))
+                block.update(zip(["T_elastic", "R_elastic", "T_total_floquet"]
+                                 + sidebands, values.tolist()))
+        if perturbative:
+            filled = ["T_elastic", "R_elastic", "T_total_pert", "w0",
+                      "im_gamma", "re_gamma"] + sidebands
+            block.update(zip(filled, _pointwise(
+                lambda eps: _perturbative_point(eps, config), grid)))
+        yield block
 
 
 # ---------------------------------------------------------------------------
@@ -225,48 +235,72 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+@contextlib.contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """Standard output, or a file that takes ``path``'s place only once the
+    command has succeeded: a failed command leaves no file, or the old one
+    untouched."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        yield sys.stdout
+        return
+    partial = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(partial, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(partial)
+        raise
 
 
-def _render_csv(table: _Table) -> str:
-    """Header, then one line per row: a single ``%.17g`` template applied
-    to that row's values across the columns."""
-    template = ",".join(["%.17g"] * len(table))
-    lines = [",".join(table)]
-    lines.extend(template % row for row in zip(*table.values()))
-    return "\n".join(lines) + "\n"
+def _csv_lines(columns: Sequence[str], block: _Block) -> str:
+    """One line per row of ``block``: a single ``%.17g`` template over the
+    filled columns, with the literal ``nan`` (what ``%.17g`` prints for
+    NaN) in the empty ones."""
+    template = ",".join("%.17g" if c in block else "nan" for c in columns) + "\n"
+    return "".join([template % row
+                    for row in zip(*(block[c] for c in columns if c in block))])
 
 
-def _render_json(command: str, config: ScanConfig, table: _Table,
-                 extra_metadata: Optional[Dict] = None) -> str:
-    metadata = {
-        "command": command,
-        "version": __version__,
-        "config": {f.name: getattr(config, f.name) for f in fields(ScanConfig)},
-    }
-    if extra_metadata:
-        metadata.update(extra_metadata)
-    finite = ([v if math.isfinite(v) else None for v in col] for col in table.values())
-    doc = {
-        "metadata": metadata,
-        "columns": list(table),
-        "rows": [dict(zip(table, row)) for row in zip(*finite)],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _json_rows(columns: Sequence[str], block: _Block) -> List[Dict]:
+    """Rows of ``block`` as JSON objects; non-finite and empty cells are null."""
+    size = len(block["eps_i"])
+    cells = ([v if math.isfinite(v) else None for v in block[c]] if c in block
+             else [None] * size for c in columns)
+    return [dict(zip(columns, row)) for row in zip(*cells)]
 
 
-def _write_table(command: str, config: ScanConfig, table: _Table,
-                 extra_metadata: Optional[Dict] = None) -> None:
-    if config.output_format == "csv":
-        text = _render_csv(table)
-    else:
-        text = _render_json(command, config, table, extra_metadata)
-    _emit(text, config.output_path)
+def _write_grid(command: str, config: ScanConfig, columns: Sequence[str],
+                blocks: Iterable[_Block],
+                extra_metadata: Optional[Callable[[], Dict]] = None) -> None:
+    """Write a grid command's table as its blocks are computed.
+
+    CSV is written block by block, the header with the first block, so
+    memory depends on the block size and not on the number of rows.  JSON
+    is one document whose ``metadata`` sorts before ``rows``: its rows are
+    kept until the last block, then ``extra_metadata()`` is added to the
+    metadata and the document is written.
+    """
+    with _output(config.output_path) as out:
+        if config.output_format == "csv":
+            header = ",".join(columns) + "\n"
+            for block in blocks:
+                out.write(header + _csv_lines(columns, block))
+                header = ""
+            return
+        rows = []
+        for block in blocks:
+            rows.extend(_json_rows(columns, block))
+        metadata = {
+            "command": command,
+            "version": __version__,
+            "config": {f.name: getattr(config, f.name) for f in fields(ScanConfig)},
+        }
+        if extra_metadata is not None:
+            metadata.update(extra_metadata())
+        doc = {"metadata": metadata, "columns": list(columns), "rows": rows}
+        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +308,8 @@ def _write_table(command: str, config: ScanConfig, table: _Table,
 
 def cmd_scan(config: ScanConfig) -> int:
     """Sideband-resolved scan over the energy grid; writes one row per point."""
-    _write_table("scan", config, _scan_table(config.validate()))
+    config.validate()
+    _write_grid("scan", config, _scan_columns(config.n_max), _scan_blocks(config))
     return 0
 
 
@@ -317,37 +352,50 @@ def cmd_compare(config: ScanConfig) -> int:
     is never filtered.
     """
     config = replace(config, method="both").validate()
-    scan = _scan_table(config)
-    table = {c: scan[c] for c in ("eps_i", "T_total_pert", "T_total_floquet")}
-    table["abs_diff"] = [abs(p - f) for p, f in
-                         zip(scan["T_total_pert"], scan["T_total_floquet"])]
     window = 5.0 * config.g0 * config.g0
-    included = [d for eps, d in zip(scan["eps_i"], table["abs_diff"])
-                if abs(eps - 1.0) >= window]
-    excluded = len(scan["eps_i"]) - len(included)
-    summary = {
-        "rows": len(scan["eps_i"]),
-        "excluded_window": f"|eps_i - 1| < {_fmt(window)}",
-        "excluded_points": excluded,
-        "max_abs_diff": max(included) if included else float("nan"),
-        "mean_abs_diff": (sum(included) / len(included)) if included
-        else float("nan"),
-    }
-    _write_table("compare", config, table, {"summary": summary})
-    print(f"rows = {summary['rows']}")
-    print(f"excluded resonance window: {summary['excluded_window']} "
-          f"({excluded} points)")
-    print(f"max |diff| = {_fmt(summary['max_abs_diff'])}")
-    print(f"mean |diff| = {_fmt(summary['mean_abs_diff'])}")
+    included: List[float] = []    # abs_diff outside the window, in grid order
+
+    def blocks() -> Iterator[_Block]:
+        for scan in _scan_blocks(config):
+            diff = [abs(p - f) for p, f in
+                    zip(scan["T_total_pert"], scan["T_total_floquet"])]
+            included.extend(d for eps, d in zip(scan["eps_i"], diff)
+                            if abs(eps - 1.0) >= window)
+            yield {"eps_i": scan["eps_i"], "T_total_pert": scan["T_total_pert"],
+                   "T_total_floquet": scan["T_total_floquet"], "abs_diff": diff}
+
+    def summary() -> Dict:
+        return {
+            "rows": config.steps,
+            "excluded_window": f"|eps_i - 1| < {_fmt(window)}",
+            "excluded_points": config.steps - len(included),
+            "max_abs_diff": max(included) if included else float("nan"),
+            "mean_abs_diff": (sum(included) / len(included)) if included
+            else float("nan"),
+        }
+
+    _write_grid("compare", config,
+                ["eps_i", "T_total_pert", "T_total_floquet", "abs_diff"], blocks(),
+                lambda: {"summary": summary()})
+    result = summary()
+    print(f"rows = {result['rows']}")
+    print(f"excluded resonance window: {result['excluded_window']} "
+          f"({result['excluded_points']} points)")
+    print(f"max |diff| = {_fmt(result['max_abs_diff'])}")
+    print(f"mean |diff| = {_fmt(result['mean_abs_diff'])}")
     return 0
 
 
 def cmd_w0(config: ScanConfig) -> int:
     """Bound-route weight w0 over the energy grid."""
     config.validate()
-    grid = _grid(config)
-    [w0] = _pointwise(lambda eps: (w0_weight(eps, config.g0, config.tol),), grid)
-    _write_table("w0", config, {"eps_i": grid, "w0": w0})
+
+    def blocks() -> Iterator[_Block]:
+        for grid in _blocks(config):
+            [w0] = _pointwise(lambda eps: (w0_weight(eps, config.g0, config.tol),), grid)
+            yield {"eps_i": grid, "w0": w0}
+
+    _write_grid("w0", config, ["eps_i", "w0"], blocks())
     return 0
 
 

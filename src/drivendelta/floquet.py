@@ -148,18 +148,21 @@ def _sweep(eps: np.ndarray, g0: float, N: int) -> Tuple[np.ndarray, np.ndarray]:
 def _open_flux(k: np.ndarray, amp: np.ndarray) -> np.ndarray:
     """Per-channel flux (k_n / k_0)|amp_n|**2 of a :func:`_sweep` result.
 
-    Closed channels have Re k_n = 0 and carry no flux.
+    Closed channels have Re k_n = 0 and carry no flux.  The array is in
+    Fortran order: each energy's channels are contiguous, so ``sum(axis=0)``
+    adds them pairwise, the same way however many energies share the sweep.
     """
     N = (len(k) - 1) // 2
-    return k.real / k[N].real * np.abs(amp) ** 2
+    return np.multiply(k.real / k[N].real, np.abs(amp) ** 2, order="F")
 
 
 def _converged(eps: np.ndarray, g0: float) -> Iterator[tuple]:
     """Solve at every energy of ``eps``; yield the solved blocks.
 
     Each block is (index into ``eps``, N, t, transmitted flux per channel,
-    unitarity defect).  ``N`` is 2 * (open channels) + 20, shared by the
-    energies with as many open channels.  The truncated system
+    total transmitted flux, unitarity defect).  ``N`` is
+    2 * (open channels) + 20, shared by the energies with as many open
+    channels.  The truncated system
     conserves flux at every N, so the defect measures rounding only, and
     convergence in N rests on that fixed margin of 20 closed channels.  A
     defect above 1e-10, or a singular system, raises
@@ -177,9 +180,12 @@ def _converged(eps: np.ndarray, g0: float) -> Iterator[tuple]:
             k, t = _sweep(eps[idx], g0, size)
             finite = np.isfinite(t).all(axis=0)
             flux = _open_flux(k, t)
-            r = t.copy()
-            r[size] -= 1.0
-            defect = np.abs(flux.sum(axis=0) + _open_flux(k, r).sum(axis=0) - 1.0)
+            total = flux.sum(axis=0)
+            # r_n = t_n except r_0 = t_0 - 1, so the reflected flux is
+            # total - flux_0 + |t_0 - 1|**2
+            with np.errstate(invalid="ignore"):
+                defect = np.abs(2.0 * total - flux[size]
+                                + np.abs(t[size] - 1.0) ** 2 - 1.0)
             bad = finite & (defect > _UNITARITY_TOL)
             if bad.any():
                 i = int(np.argmax(bad))
@@ -189,7 +195,9 @@ def _converged(eps: np.ndarray, g0: float) -> Iterator[tuple]:
                     value=float(defect[i]), eps_i=float(eps[idx[i]]),
                 )
             if finite.any():
-                yield idx[finite], size, t[:, finite], flux[:, finite], defect[finite]
+                keep = slice(None) if finite.all() else finite   # a view, no copy
+                yield (idx[keep], size, t[:, keep], flux[:, keep], total[keep],
+                       defect[keep])
             singular.extend(idx[~finite])
     if singular:
         first = float(eps[min(singular)])
@@ -208,7 +216,7 @@ def solve(eps_i: float, g0: float) -> FloquetSolution:
         raise DomainError(f"eps_i must be positive, got {eps_i}")
     if g0 < 0:
         raise DomainError(f"g0 must be >= 0, got {g0}")
-    (_, N, t, _, defect), = _converged(np.array([float(eps_i)]), g0)
+    (_, N, t, _, _, defect), = _converged(np.array([float(eps_i)]), g0)
     t_vec = t[:, 0]
     r_vec = t_vec.copy()
     r_vec[N] -= 1.0
@@ -225,7 +233,9 @@ def transmission_grid(eps_i, g0: float, n_max: int = 0) -> FloquetGrid:
     """Exact observables at every energy of the 1-D array ``eps_i``.
 
     Equal, energy by energy, to :func:`solve` (same truncation rule and
-    unitarity check), but one sweep serves a whole group of energies.
+    unitarity check), but one sweep serves a whole group of energies.  An
+    energy's values do not depend on the other energies of the call, bit
+    for bit, so a grid may be solved in pieces.
     """
     eps = np.atleast_1d(np.asarray(eps_i, dtype=float))
     if eps.ndim != 1:
@@ -240,10 +250,10 @@ def transmission_grid(eps_i, g0: float, n_max: int = 0) -> FloquetGrid:
     out = {name: np.empty(eps.size) for name in ("t0_sq", "r0_sq", "T_total")}
     T_n = np.zeros((2 * n_max + 1, eps.size))
     sizes = np.empty(eps.size, dtype=int)
-    for idx, N, t, flux, _ in _converged(eps, g0):
+    for idx, N, t, flux, total, _ in _converged(eps, g0):
         out["t0_sq"][idx] = np.abs(t[N]) ** 2
         out["r0_sq"][idx] = np.abs(t[N] - 1.0) ** 2
-        out["T_total"][idx] = flux.sum(axis=0)
+        out["T_total"][idx] = total
         m = min(n_max, N)
         T_n[n_max - m:n_max + m + 1, idx] = flux[N - m:N + m + 1]
         sizes[idx] = N

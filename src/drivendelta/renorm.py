@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .amplitudes import a_coefficient, a_kernel, a_signs, b_coefficient, b_kernel
 from .errors import DomainError, RegimeError, ToleranceError
@@ -298,6 +297,7 @@ def _partial_fractions(numer: np.ndarray, roots) -> List[np.ndarray]:
     per root, the coefficients c[j - 1] of 1 / (lam - r)**j, j = 1..e_r:
     the Taylor coefficients at r of numer times the cofactor.
     """
+    from numpy.polynomial import polynomial as npoly  # kept out of every command's start-up
     out = []
     for idx, (r, e) in enumerate(roots):
         ks = np.arange(e)
@@ -331,6 +331,7 @@ def _fp_rational_integral(numer: np.ndarray, roots) -> complex:
     roots outside the unit disk, whose partial fractions are integrated
     monomial by monomial with :func:`_cauchy_moments`.
     """
+    from numpy.polynomial import polynomial as npoly  # kept out of every command's start-up
     inner = [(r, e) for r, e in roots if abs(r) <= 1.0]
     outer = [(r, e) for r, e in roots if abs(r) > 1.0]
     c_in = np.ones(1, dtype=complex)
@@ -373,6 +374,7 @@ def gamma_elastic_closed(k_i: float, g0: float,
     per-channel finite parts is the principal value.  ``re`` sums all
     channels with ``include_closed`` and the open ones only without it.
     """
+    from numpy.polynomial import polynomial as npoly  # kept out of every command's start-up
     if k_i <= 0:
         raise DomainError(f"k_i must be positive, got {k_i}")
     if g0 <= 0:

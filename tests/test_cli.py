@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -15,6 +16,7 @@ import drivendelta
 from drivendelta import cli
 from drivendelta.cli import (ScanConfig, UsageError, cmd_compare, cmd_scan,
                              cmd_w0, main, parse_config)
+from drivendelta.errors import ToleranceError
 from drivendelta.renorm import gamma_elastic_closed
 from drivendelta.smatrix import w0 as w0_weight
 
@@ -245,14 +247,14 @@ class TestW0Command:
 
 
 def _reference_csv(columns, rows):
-    """The per-cell CSV renderer the columnar one replaced."""
+    """The per-cell CSV renderer the block one replaced."""
     lines = [",".join(columns)]
     lines.extend(",".join(format(row[c], ".17g") for c in columns) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _reference_json(command, config, columns, rows, extra_metadata=None):
-    """The per-cell JSON renderer the columnar one replaced."""
+    """The per-cell JSON renderer the block one replaced."""
     def clean(v):
         return None if isinstance(v, float) and not math.isfinite(v) else v
 
@@ -271,8 +273,14 @@ def _reference(command, config, columns, rows, extra_metadata=None):
     return _reference_json(command, config, columns, rows, extra_metadata)
 
 
+def _rows(columns, blocks):
+    """Per-row dicts over all blocks; a column a block leaves empty is NaN."""
+    return [{c: block[c][i] if c in block else math.nan for c in columns}
+            for block in blocks for i in range(len(block["eps_i"]))]
+
+
 class TestRendererReference:
-    """Columnar output against the per-cell renderers, byte for byte."""
+    """Block output against the per-cell renderers, byte for byte."""
 
     GRID = dict(g0=0.3, eps_min=0.5, eps_max=3.5, steps=5, n_max=1)
 
@@ -283,10 +291,12 @@ class TestRendererReference:
         config = ScanConfig(method=method, output_format=fmt,
                             output_path=str(out), **self.GRID)
         assert cmd_scan(config) == 0
-        table = cli._scan_table(config)
         columns = cli._scan_columns(config.n_max)
-        assert list(table) == columns
-        rows = [dict(zip(columns, row)) for row in zip(*table.values())]
+        blocks = list(cli._scan_blocks(config))
+        empty = {"floquet": {"T_total_pert", "w0", "im_gamma", "re_gamma"},
+                 "perturbative": {"T_total_floquet"}, "both": set()}[method]
+        assert all(set(columns) - set(b) == empty for b in blocks)
+        rows = _rows(columns, blocks)
         assert out.read_bytes() == _reference("scan", config, columns, rows).encode()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -296,12 +306,12 @@ class TestRendererReference:
         assert cmd_compare(config) == 0
         printed = capsys.readouterr().out
         both = replace(config, method="both")
-        table = cli._scan_table(both)
+        scan = _rows(cli._scan_columns(both.n_max), cli._scan_blocks(both))
         columns = ["eps_i", "T_total_pert", "T_total_floquet", "abs_diff"]
-        rows = [{"eps_i": e, "T_total_pert": p, "T_total_floquet": f,
-                 "abs_diff": abs(p - f)}
-                for e, p, f in zip(table["eps_i"], table["T_total_pert"],
-                                   table["T_total_floquet"])]
+        rows = [{"eps_i": r["eps_i"], "T_total_pert": r["T_total_pert"],
+                 "T_total_floquet": r["T_total_floquet"],
+                 "abs_diff": abs(r["T_total_pert"] - r["T_total_floquet"])}
+                for r in scan]
         window = 5.0 * config.g0 * config.g0
         included = [r["abs_diff"] for r in rows if abs(r["eps_i"] - 1.0) >= window]
         assert 0 < len(included) < len(rows)
@@ -320,19 +330,115 @@ class TestRendererReference:
         config = ScanConfig(output_format=fmt, output_path=str(out), **self.GRID)
         assert cmd_w0(config) == 0
         rows = [{"eps_i": e, "w0": w0_weight(e, config.g0, config.tol)}
-                for e in cli._grid(config)]
+                for grid in cli._blocks(config) for e in grid]
         expected = _reference("w0", config, ["eps_i", "w0"], rows)
         assert out.read_bytes() == expected.encode()
 
-    def test_special_values(self):
+    def test_special_values(self, tmp_path):
+        # two blocks; column "c" is empty, as a column the method leaves unfilled
         values = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1, 1.0]
-        table = {"a": values, "b": values[::-1], "c": [math.nan] * len(values)}
-        rows = [dict(zip(table, row)) for row in zip(*table.values())]
-        assert cli._render_csv(table) == _reference_csv(list(table), rows)
-        assert "\n-0,4.9406564584124654e-324,nan\n" in cli._render_csv(table)
-        config = ScanConfig()
-        assert cli._render_json("scan", config, table) == _reference_json(
-            "scan", config, list(table), rows)
+        columns = ["eps_i", "b", "c"]
+        blocks = [{"eps_i": values[:3], "b": values[::-1][:3]},
+                  {"eps_i": values[3:], "b": values[::-1][3:]}]
+        rows = _rows(columns, blocks)
+        out = tmp_path / "special.out"
+        text = {}
+        for fmt in ("csv", "json"):
+            config = ScanConfig(output_format=fmt, output_path=str(out))
+            cli._write_grid("scan", config, columns, iter(blocks))
+            text[fmt] = out.read_text(encoding="utf-8")
+            assert text[fmt] == _reference("scan", config, columns, rows)
+        assert "\n-0,4.9406564584124654e-324,nan\n" in text["csv"]
+
+
+def _blocked_run(monkeypatch, capsys, tmp_path, block, argv):
+    """Output file and printed text of ``main(argv)`` with blocks of ``block`` energies."""
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    out = tmp_path / "blocks.out"
+    assert main(argv + ["--output", str(out)]) == 0
+    printed = capsys.readouterr().out
+    monkeypatch.undo()
+    return out.read_bytes(), printed
+
+
+class TestBlocks:
+    """The grid commands work through the grid in blocks of ``cli._BLOCK`` energies."""
+
+    # crosses three thresholds, so a block of 3 splits a group of equal
+    # truncation into a lone energy (1.45) and the rest
+    GRID = ["--g0", "0.3", "--e-min", "0.45", "--e-max", "3.45", "--n-max", "1"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", [
+        ["scan", "--method", "floquet"], ["scan", "--method", "perturbative"],
+        ["scan", "--method", "both"], ["compare"], ["w0"]])
+    @pytest.mark.parametrize("block,steps", [(2, 6), (2, 7), (3, 7), (3, 8)])
+    def test_blocks_match_one_block(self, monkeypatch, capsys, tmp_path,
+                                    command, fmt, block, steps):
+        argv = command + self.GRID + ["--steps", str(steps), "--format", fmt]
+        single = _blocked_run(monkeypatch, capsys, tmp_path, steps, argv)
+        assert _blocked_run(monkeypatch, capsys, tmp_path, block, argv) == single
+        assert cli._BLOCK == 256 and single[0].count(b"\n") > steps
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        peaks = {}
+        for steps in (4000, 40000):
+            argv = ["scan", "--g0", "0.7", "--n-max", "4", "--method", "floquet",
+                    "--steps", str(steps), "--output", str(tmp_path / "scan.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[40000] < 4 * 2 ** 20
+        assert peaks[40000] < 1.5 * peaks[4000]
+
+    ARGV = ["--g0", "0", "--e-min", "0.5", "--e-max", "1.0", "--steps", "6",
+            "--n-max", "0"]   # eps = 1.0, singular when undriven, is in the second block
+    ERROR = ("error: numeric failure at eps_i = 1.0: "
+             "singular sideband system at eps_i = 1.0\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", [
+        ["scan", "--method", "floquet"], ["scan", "--method", "both"], ["compare"]])
+    def test_failure_in_second_block(self, monkeypatch, capsys, tmp_path, command, fmt):
+        monkeypatch.setattr(cli, "_BLOCK", 3)
+        argv = command + self.ARGV + ["--format", fmt]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == self.ERROR
+        # standard output keeps the first block's complete lines, the header
+        # with them; JSON is one document, written only on success
+        if fmt == "csv":
+            assert captured.out.endswith("\n") and captured.out.count("\n") == 4
+            assert all(line.count(",") == captured.out.count(",") // 4
+                       for line in captured.out.splitlines())
+        else:
+            assert captured.out == ""
+        new = tmp_path / "new.out"
+        assert main(argv + ["--output", str(new)]) == 1
+        old = tmp_path / "old.out"
+        old.write_text("kept\n", encoding="utf-8")
+        assert main(argv + ["--output", str(old)]) == 1
+        assert old.read_text(encoding="utf-8") == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.out"]
+        assert capsys.readouterr().err == 2 * self.ERROR
+
+    def test_blocks_fail_in_grid_order(self, monkeypatch, capsys):
+        # a perturbative failure in the first block is reported before the
+        # exact one of the second block
+        point = cli._perturbative_point
+
+        def failing(eps, config):
+            if eps == 0.6:
+                raise ToleranceError("injected")
+            return point(eps, config)
+
+        monkeypatch.setattr(cli, "_BLOCK", 3)
+        monkeypatch.setattr(cli, "_perturbative_point", failing)
+        assert main(["scan", "--method", "both"] + self.ARGV) == 1
+        assert capsys.readouterr().err == "error: numeric failure at eps_i = 0.6: injected\n"
 
 
 class TestDeterminism:
@@ -362,6 +468,7 @@ class TestImport:
         code = ("import sys, drivendelta.cli; "
                 "assert drivendelta.cli.__file__.startswith(sys.argv[1]), drivendelta.cli.__file__; "
                 "assert 'scipy' not in sys.modules; "
+                "assert 'numpy.polynomial' not in sys.modules; "
                 "assert 'concurrent.futures' not in sys.modules")
         result = subprocess.run([sys.executable, "-c", code, src], env=env,
                                 capture_output=True, text=True, timeout=60)

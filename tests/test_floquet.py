@@ -172,6 +172,18 @@ class TestBatchedSweep:
             assert grid.t0_sq[i] == pytest.approx(abs(solve(float(eps[i]), 0.3).t[0]) ** 2,
                                                   rel=1e-14, abs=1e-15)
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 256])
+    def test_pieces_match_whole_grid_bit_for_bit(self, size):
+        # the CLI solves its grid in blocks; a block can hold a lone energy
+        # of its truncation group, and every observable must not notice
+        eps = np.random.default_rng(11).uniform(0.05, 4.5, 600)
+        whole = transmission_grid(eps, 0.7, 3)
+        pieces = [transmission_grid(eps[i:i + size], 0.7, 3)
+                  for i in range(0, eps.size, size)]
+        for name in ("t0_sq", "r0_sq", "T_total", "T_n", "N"):
+            joined = np.concatenate([getattr(p, name) for p in pieces], axis=-1)
+            assert np.array_equal(joined, getattr(whole, name)), name
+
     def test_singular_system_names_first_energy(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

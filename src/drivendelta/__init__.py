@@ -18,7 +18,7 @@ from .floquet import (FloquetGrid, FloquetSolution, solve,
 from .model import Channel, q_factor, sideband_channel
 from .quadrature import (QuadratureResult, adaptive_quad, bracket_min,
                          pv_halfline, pv_integral)
-from .renorm import (LoopValue, RenormFactors, alpha_shift, b_bare, b_renorm,
+from .renorm import (LoopValue, RenormFactors, alpha_shift, b_renorm,
                      beta_width, gamma_elastic_closed, gamma_loop,
                      renorm_factors)
 from .smatrix import (DiagramTerm, SMatrixDecomposition, assemble,
@@ -38,7 +38,7 @@ __all__ = [
     "fourier_oracle",
     # renormalization
     "LoopValue", "RenormFactors", "gamma_loop", "gamma_elastic_closed",
-    "b_bare", "alpha_shift", "beta_width", "renorm_factors", "b_renorm",
+    "alpha_shift", "beta_width", "renorm_factors", "b_renorm",
     # assembly
     "DiagramTerm", "SMatrixDecomposition", "assemble", "w0",
     "find_transmission_zero", "near_zero_amplitudes",

@@ -39,18 +39,14 @@ def _gdot(tau, g0):
     return g0 * np.cos(tau)
 
 
-def phi_cc(k: float, kp: float, tau, g0: float, eta: float = 0.0):
+def phi_cc(k: float, kp: float, tau, g0: float):
     """Instantaneous c/c transition element from momentum ``kp`` to ``k``.
 
     The diagonal k == kp is excluded: the renormalized convention removes
     the delta contribution there, so callers never need it on-shell.
-    ``eta`` keeps the box regulator explicit; the production pipeline uses
-    eta = 0 off-diagonal.
     """
     if k <= 0 or kp <= 0:
         raise DomainError(f"wavenumbers must be positive, got ({k}, {kp})")
-    if eta < 0:
-        raise DomainError(f"eta must be >= 0, got {eta}")
     if k == kp:
         raise DomainError("diagonal element excluded by renormalization")
     tau = np.asarray(tau, dtype=float)
@@ -58,7 +54,7 @@ def phi_cc(k: float, kp: float, tau, g0: float, eta: float = 0.0):
     gdot = _gdot(tau, g0)
     theta_k = np.arctan2(g, k)
     theta_kp = np.arctan2(g, kp)
-    denom = k * k - (kp + 1j * eta) ** 2
+    denom = k * k - kp * kp
     out = (
         (1j / math.pi) * gdot
         * np.exp(1j * (theta_kp - theta_k))

@@ -317,6 +317,8 @@ def cmd_zero(config: ScanConfig) -> int:
     """Report the elastic transmission zero for the requested method(s)."""
     config.validate()
     g0 = config.g0
+    if g0 > 1:
+        raise UsageError(f"the zero locators need g0 <= 1, got {g0}")
     if g0 == 0:
         print("no zero: free transmission")
         return 0

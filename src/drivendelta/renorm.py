@@ -35,7 +35,6 @@ __all__ = [
     "RenormFactors",
     "gamma_loop",
     "gamma_elastic_closed",
-    "b_bare",
     "alpha_shift",
     "beta_width",
     "renorm_factors",
@@ -172,14 +171,12 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
     return integrand
 
 
-def _decay_count(q: float, cap: int = _SERIES_CAP // 2, floor: int = 10) -> int:
-    """Number of sideband orders until q**m underflows the series cutoff."""
-    if q <= 0.0:
-        return floor
+def _decay_count(q: float) -> int:
+    """Sideband orders until q**m falls below 1e-18, kept within 10 .. 32."""
     if q >= 1.0:
-        return cap
-    need = int(math.ceil(math.log(1e-18) / math.log(q)))
-    return min(cap, max(floor, need))
+        return _SERIES_CAP // 2
+    need = 10 if q <= 0.0 else int(math.ceil(math.log(1e-18) / math.log(q)))
+    return min(_SERIES_CAP // 2, max(10, need))
 
 
 def _loop_l_max(k_i: float, n: int, g0: float) -> int:
@@ -450,19 +447,6 @@ def _bound_series(k_f: float, k_i: float, n: int, g0: float, pole: float,
     if resonant is not None:
         terms[at] = num[at] * weight
     return complex(terms.sum())
-
-
-def b_bare(k_f: float, k_i: float, n: int, eps_i: float, g0: float,
-           eta: float) -> complex:
-    """Bare c/b/c amplitude with the convergence regulator ``eta`` > 0.
-
-    Sum over intermediate sideband offsets n0 of
-    B_{k_f b}(n + n0) B_{b k_i}(-n0) / (eps_i + g0**2/8 - n0 + i eta)
-    (:func:`_bound_series`); it vanishes for odd n.
-    """
-    if eta <= 0:
-        raise DomainError(f"eta must be positive, got {eta}")
-    return _bound_series(k_f, k_i, n, g0, eps_i + g0 * g0 / 8.0, eta)
 
 
 def _shift_integrand(n0: int, eps_i: float, g0: float, ms):

@@ -24,7 +24,7 @@ from .amplitudes import a_coefficient, b_coefficient, b_kernel
 from .errors import DomainError, RegimeError, ZeroNotFoundError
 from .model import _q_base, sideband_channel
 from .quadrature import bracket_min
-from .renorm import (_bound_series, _nearest_odd, alpha_shift, b_bare, b_renorm,
+from .renorm import (_bound_series, _nearest_odd, alpha_shift, b_renorm,
                      gamma_loop, renorm_factors)
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
     "near_zero_amplitudes",
 ]
 
-_ORDERS = ("first", "second_bare", "renormalized")
+_ORDERS = ("first", "renormalized")
 _NEAR_DISTANCE = 0.45     # full renormalized form within this bare pole distance
 _REGIME_FACTOR = 10.0     # pole-dominance gate of the limiting near-zero forms
 
@@ -76,24 +76,9 @@ def _open_sidebands(eps_i: float, n_max: int) -> List[int]:
             if sideband_channel(math.sqrt(2.0 * eps_i), n).is_open]
 
 
-def _b_term_regime(eps_i: float, g0: float, tol: float) -> Tuple[str, float, float]:
-    """Pick the bound-route evaluation regime at this energy.
-
-    Returns (regime, distance to the dominant pole, eta_R there); the full
-    renormalized form is used within _NEAR_DISTANCE of the pole in bare
-    effective energy, the real-denominator approximation beyond.
-    """
-    eps_t = eps_i + g0 * g0 / 8.0
-    n0 = _nearest_odd(eps_t)
-    k_i = math.sqrt(2.0 * eps_i)
-    dist0 = abs(eps_t - n0)
-    if dist0 >= _NEAR_DISTANCE:
-        # unambiguously far: skip the shift/width integrals entirely (they
-        # can hit channel thresholds at generic energies, which can never
-        # happen inside the near window) and report a zero width
-        return "far", dist0, 0.0
-    fac = renorm_factors(0, n0, k_i, k_i, eps_i, g0, tol)
-    return "near", abs(fac.eps_R - n0), fac.eta_R
+def _b_pole_sq(k: float, g0: float) -> float:
+    """|B_{k b}(+-1)|**2, equal for both signs."""
+    return abs(b_kernel(k, _q_base(k, g0), g0)) ** 2
 
 
 def _b_far_elastic(k_i: float, eps_i: float, g0: float) -> complex:
@@ -106,44 +91,64 @@ def _b_far_elastic(k_i: float, eps_i: float, g0: float) -> complex:
     """
     if eps_i == 1.0:
         raise RegimeError(f"on-pole energy eps_i = {eps_i} in far regime")
-    # |B_{k_i b}(+-1)|**2, equal for both signs
-    b_sq = abs(b_kernel(k_i, _q_base(k_i, g0), g0)) ** 2
+    b_sq = _b_pole_sq(k_i, g0)
     return 0.0j + b_sq / (eps_i - 1) + b_sq / (eps_i + 1)
+
+
+def _b_elastic(k_i: float, eps_i: float, g0: float, tol: float,
+               diagnostics: Dict) -> complex:
+    """The elastic bound route B(0) in the regime its pole distance picks.
+
+    Within _NEAR_DISTANCE of the nearest odd pole n0 in bare effective
+    energy: the renormalized B^R(0).  Beyond it: :func:`_b_far_elastic`,
+    without the shift/width integrals, which can hit channel thresholds
+    at generic energies but never inside the near window.  ``diagnostics``
+    gets ``regime``, ``pole_distance`` (|eps_R - n0| near, bare far) and,
+    near, the ``branch_mismatch`` against the far form.
+    """
+    eps_t = eps_i + g0 * g0 / 8.0
+    n0 = _nearest_odd(eps_t)
+    if abs(eps_t - n0) >= _NEAR_DISTANCE:
+        diagnostics.update(regime="far", pole_distance=abs(eps_t - n0))
+        return _b_far_elastic(k_i, eps_i, g0)
+    fac = renorm_factors(0, n0, k_i, k_i, eps_i, g0, tol)
+    diagnostics.update(regime="near", pole_distance=abs(fac.eps_R - n0))
+    b_near = b_renorm(k_i, k_i, 0, eps_i, g0, tol)
+    try:
+        diagnostics["branch_mismatch"] = abs(b_near - _b_far_elastic(k_i, eps_i, g0))
+    except RegimeError:
+        pass  # the far form is on its bare pole here
+    return b_near
+
+
+def _check_point(eps_i: float, g0: float) -> None:
+    """Reject an energy or coupling that no amplitude is defined at."""
+    if not (math.isfinite(eps_i) and eps_i > 0):
+        raise DomainError(f"eps_i must be positive and finite, got {eps_i}")
+    if not (math.isfinite(g0) and g0 >= 0):
+        raise DomainError(f"g0 must be non-negative and finite, got {g0}")
 
 
 def assemble(eps_i: float, g0: float, order: str = "renormalized",
              n_max: int = 6, tol: float = 1e-8) -> SMatrixDecomposition:
     """Build all amplitudes at one energy for the requested diagram order.
 
-    first: free term plus single c/c transitions; second_bare adds the
-    bare bound route (finite regulator) and the continuum loop;
-    renormalized replaces the bound route by B^R with automatic regime
-    switching (both branches are evaluated and their mismatch recorded in
-    a validation band around the switching threshold).  ``tol`` is the
+    first: free term plus single c/c transitions; renormalized adds the
+    bound route B^R, whose elastic term switches regime at the pole
+    distance (:func:`_b_elastic`), and the continuum loop.  ``tol`` is the
     quadrature tolerance of the loop and of the pole shift.
     """
-    if eps_i <= 0:
-        raise DomainError(f"eps_i must be positive, got {eps_i}")
+    _check_point(eps_i, g0)
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
     if order not in _ORDERS:
         raise DomainError(f"order must be one of {_ORDERS}, got {order!r}")
     k_i = math.sqrt(2.0 * eps_i)
     terms: List[DiagramTerm] = []
     T: Dict[int, complex] = {}
     diagnostics: Dict = {"order": order}
-
-    regime = b_near = None
-    if g0 > 0 and order == "renormalized":
-        regime, dist, eta_R = _b_term_regime(eps_i, g0, tol)
-        diagnostics["regime"] = regime
-        diagnostics["pole_distance"] = dist
-        if regime == "near":
-            # the elastic B^R, reused by the n = 0 sideband below
-            b_near = b_renorm(k_i, k_i, 0, eps_i, g0, tol)
-            try:
-                far = _b_far_elastic(k_i, eps_i, g0)
-                diagnostics["branch_mismatch"] = abs(b_near - far)
-            except RegimeError:
-                pass  # the far form is on its bare pole here
+    b_zero = (_b_elastic(k_i, eps_i, g0, tol, diagnostics)
+              if order == "renormalized" and g0 > 0 else None)
 
     for n in _open_sidebands(eps_i, n_max):
         k_f = math.sqrt(k_i * k_i + 2 * n)
@@ -154,17 +159,15 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
             a_val = a_coefficient(k_f, k_i, n, g0)
             sub.append(DiagramTerm(label=(1, 1, 0),
                                    value=(2j * math.pi / k_f) * a_val, sideband=n))
-        if order in ("second_bare", "renormalized") and g0 > 0:
-            if order == "second_bare":
-                b_val = b_bare(k_f, k_i, n, eps_i, g0, eta=1e-8)
-            elif regime == "near":
-                b_val = b_near if n == 0 else b_renorm(k_f, k_i, n, eps_i, g0, tol)
-            elif n == 0:
-                # dominant-pole bound route; the loop below stays complete,
-                # since Re Gamma(0) is of order g0**2 (the bound route is
-                # g0**3) and carries the exact closed-channel term
-                # i g0**2 / (4 k_0 kappa) below threshold
-                b_val = _b_far_elastic(k_i, eps_i, g0)
+        if b_zero is not None:
+            if n == 0:
+                # either regime's elastic route; with the far form the
+                # loop below stays complete, since Re Gamma(0) is of order
+                # g0**2 (the bound route is g0**3) and carries the exact
+                # closed-channel term i g0**2 / (4 k_0 kappa) below threshold
+                b_val = b_zero
+            elif diagnostics["regime"] == "near":
+                b_val = b_renorm(k_f, k_i, n, eps_i, g0, tol)
             else:
                 # far from the pole: real denominators, no Z, valid when
                 # the pole distance dominates the width
@@ -190,16 +193,13 @@ def w0(eps_i: float, g0: float, tol: float = 1e-8) -> float:
     """Relative weight of the bound route against the continuum route.
 
     |2 pi Re B^R(0)| / |k_i + 4 pi Im Gamma(0)| with the renormalized
-    elastic quantities, at quadrature tolerance ``tol``.
+    elastic quantities of :func:`assemble`, at quadrature tolerance ``tol``.
     """
-    if eps_i <= 0:
-        raise DomainError(f"eps_i must be positive, got {eps_i}")
+    _check_point(eps_i, g0)
     if g0 == 0:
         return 0.0
     k_i = math.sqrt(2.0 * eps_i)
-    regime, _, _ = _b_term_regime(eps_i, g0, tol)
-    b_val = (b_renorm(k_i, k_i, 0, eps_i, g0, tol) if regime == "near"
-             else _b_far_elastic(k_i, eps_i, g0))
+    b_val = _b_elastic(k_i, eps_i, g0, tol, {})
     loop = gamma_loop(k_i, k_i, 0, g0, tol)
     return abs(2.0 * math.pi * b_val.real) / abs(k_i + 4.0 * math.pi * loop.im)
 
@@ -227,10 +227,9 @@ def find_transmission_zero(g0: float, tol: float = 1e-8) -> Tuple[float, Dict]:
     loop0 = gamma_loop(k_c, k_c, 0, g0, tol)
     eps_tc = eps_c + g0 * g0 / 8.0
     rest = _bound_series(k_c, k_c, 0, g0, eps_tc, resonant=(1, 0.0))
-    b1sq = abs(b_kernel(k_c, _q_base(k_c, g0), g0)) ** 2
     background = 1.0 - (2j * math.pi / k_c) * rest \
         - (4j * math.pi / k_c) * loop0.value
-    resonant_denom = (2j * math.pi / k_c) * fac.Z * b1sq / background
+    resonant_denom = (2j * math.pi / k_c) * fac.Z * _b_pole_sq(k_c, g0) / background
     eps_z = 1.0 - g0 * g0 / 8.0 - fac.alpha + resonant_denom.real
 
     def objective(eps):
@@ -271,6 +270,7 @@ def near_zero_amplitudes(eps_i: float, g0: float, tol: float = 1e-8) -> Dict:
     their flux coefficients, and the elastic reflection check value;
     ``tol`` is the quadrature tolerance of the loops and the shift.
     """
+    _check_point(eps_i, g0)
     k_i = math.sqrt(2.0 * eps_i)
     fac = renorm_factors(0, 1, k_i, k_i, eps_i, g0, tol)
     if abs(fac.eps_R - 1.0) > _REGIME_FACTOR * fac.eta_R:

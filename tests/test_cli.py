@@ -84,6 +84,14 @@ class TestValidation:
         with pytest.raises(UsageError):
             ScanConfig(output_format="xml").validate()
 
+    def test_bare_order_removed(self, config_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--order", "second_bare"])
+        assert exc.value.code == 2
+        rc = main(["scan", "--config", config_file("order = second_bare\n")])
+        assert rc == 2
+        assert "order must be one of ('first', 'renormalized')" in capsys.readouterr().err
+
     def test_usage_error_exit_code(self, tmp_path):
         rc = main(["scan", "--g0", "0.1", "--steps", "1",
                    "--output", str(tmp_path / "out.csv")])
@@ -211,6 +219,22 @@ class TestZero:
         rc = main(["zero", "--g0", "0"])
         assert rc == 0
         assert "no zero: free transmission" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("g0", ["0", "1.5", "2.8284271247461903", "3"])
+    def test_coupling_range_checked_first(self, g0, monkeypatch, capsys):
+        # above g0 = 1 both locators refuse; the pole prediction once ran
+        # first and, from g0**2/8 >= 1 on, ended in a math domain error
+        def forbidden(*args):
+            raise AssertionError("no computing before the range check")
+
+        monkeypatch.setattr(cli, "alpha_shift", forbidden)
+        rc = main(["zero", "--g0", g0])
+        captured = capsys.readouterr()
+        if g0 == "0":
+            assert (rc, captured.out) == (0, "no zero: free transmission\n")
+        else:
+            assert rc == 2
+            assert captured.err == f"error: the zero locators need g0 <= 1, got {float(g0)}\n"
 
     def test_floquet_report(self, capsys):
         rc = main(["zero", "--g0", "0.2", "--method", "floquet"])

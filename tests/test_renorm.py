@@ -11,7 +11,7 @@ import drivendelta.renorm as renorm
 from drivendelta.amplitudes import a_coefficient, b_coefficient
 from drivendelta.errors import DomainError, RegimeError, ToleranceError
 from drivendelta.model import q_factor
-from drivendelta.renorm import (alpha_shift, b_bare, b_renorm, beta_width,
+from drivendelta.renorm import (alpha_shift, b_renorm, beta_width,
                                 gamma_elastic_closed, gamma_loop,
                                 renorm_factors)
 from test_numerics import _sequential_halfline
@@ -365,19 +365,18 @@ class TestGammaElasticClosed:
 
 class TestBoundRoute:
     def test_bare_regulator_insensitive_off_resonance(self):
+        # the regulated denominator rule that renorm_factors sums for Z
         k = math.sqrt(2.0 * 0.4)
-        v1 = b_bare(k, k, 0, 0.4, 0.3, eta=1e-6)
-        v2 = b_bare(k, k, 0, 0.4, 0.3, eta=1e-9)
+        eps_t = 0.4 + 0.3 * 0.3 / 8.0
+        v1 = renorm._bound_series(k, k, 0, 0.3, eps_t, width=1e-6)
+        v2 = renorm._bound_series(k, k, 0, 0.3, eps_t, width=1e-9)
         assert abs(v1 - v2) < 1e-6
-
-    def test_bare_requires_regulator(self):
-        with pytest.raises(DomainError):
-            b_bare(1.0, 1.0, 0, 0.5, 0.3, eta=0.0)
 
     def test_odd_sideband_amplitude_vanishes(self):
         k_i = math.sqrt(2.0 * 0.8)
         k_f = math.sqrt(k_i * k_i + 2.0)
-        assert b_bare(k_f, k_i, 1, 0.8, 0.3, eta=1e-6) == 0.0
+        eps_t = 0.8 + 0.3 * 0.3 / 8.0
+        assert renorm._bound_series(k_f, k_i, 1, 0.3, eps_t, width=1e-6) == 0.0
         assert b_renorm(k_f, k_i, 1, 0.8, 0.3) == 0.0
 
     def test_renormalized_structure(self):
@@ -431,7 +430,8 @@ class TestBoundRoute:
         eps_i = 0.93
         k_i = math.sqrt(2.0 * eps_i)
         k_f = math.sqrt(k_i * k_i + 2 * n)
-        assert b_bare(k_f, k_i, n, eps_i, g0, eta=1e-8) == pytest.approx(
+        assert renorm._bound_series(k_f, k_i, n, g0, eps_i + g0 * g0 / 8.0,
+                                    width=1e-8) == pytest.approx(
             full_sum(k_f, k_i, eps_i, lambda eps_t, n0: eps_t - n0 + 1e-8j), rel=1e-13)
 
 

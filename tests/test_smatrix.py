@@ -7,7 +7,8 @@ import pytest
 from drivendelta import amplitudes, renorm, smatrix
 from drivendelta.errors import DomainError, RegimeError
 from drivendelta.floquet import solve
-from drivendelta.smatrix import DiagramTerm, assemble, find_transmission_zero, w0
+from drivendelta.smatrix import (DiagramTerm, assemble, find_transmission_zero,
+                                 near_zero_amplitudes, w0)
 
 
 class TestDiagramTerm:
@@ -42,11 +43,6 @@ class TestAssemble:
         assert dec.T[0] == 1.0
         assert dec.T[1] != 0.0
 
-    def test_bare_second_order_close_to_renormalized_off_resonance(self):
-        bare = assemble(0.35, 0.1, order="second_bare", n_max=2)
-        ren = assemble(0.35, 0.1, order="renormalized", n_max=2)
-        assert abs(bare.T[0] - ren.T[0]) < 5e-3
-
     def test_far_elastic_matches_exact_second_order(self):
         # at order g0**2 the exact elastic amplitude is
         # 1 - (g0**2 / 4 k_0) (1/k_1 + 1/k_{-1}); its imaginary part comes
@@ -76,6 +72,61 @@ class TestAssemble:
             assemble(-1.0, 0.1)
         with pytest.raises(DomainError):
             assemble(0.5, 0.1, order="third")
+
+    @pytest.mark.parametrize("g0", [0.55, 0.7])
+    @pytest.mark.parametrize("eps_i", [0.2, 0.3, 0.4])
+    def test_far_form_beats_shifted_series_below_resonance(self, eps_i, g0):
+        # the far form divides by the bare eps_i - n0; the full series over
+        # the shifted eps_i + g0**2/8 - n0 lands farther from the exact t_0
+        # (0.291 against 0.170 at g0 = 0.7, eps_i = 0.2)
+        dec = assemble(eps_i, g0, n_max=0)
+        assert dec.diagnostics["regime"] == "far"
+        k = math.sqrt(2.0 * eps_i)
+        shifted = renorm._bound_series(k, k, 0, g0, eps_i + g0 * g0 / 8.0)
+        swapped = dec.T[0] + (2j * math.pi / k) * (
+            smatrix._b_far_elastic(k, eps_i, g0) - shifted)
+        exact = solve(eps_i, g0).t[0]
+        assert abs(dec.T[0] - exact) < abs(swapped - exact)
+
+
+@pytest.mark.parametrize("g0", [0.1, 0.7])
+def test_w0_and_assemble_share_one_regime(g0):
+    # w0 is |Im T_B| / |1 + Re T_Gamma| of assemble's own elastic terms,
+    # exactly so only where both took the same branch of the bound route
+    shift = g0 * g0 / 8.0
+    near = smatrix._NEAR_DISTANCE
+    edges = [1.0 - near - shift, 1.0 + near - shift]
+    energies = [0.3, 1.0, 1.8, 2.9] + [e + d for e in edges for d in (-1e-9, 1e-9)]
+    regimes = []
+    for eps_i in energies:
+        dec = assemble(eps_i, g0, n_max=0)
+        by_label = {t.label: t.value for t in dec.terms if t.sideband == 0}
+        expected = abs(by_label[(2, 0, 2)].imag) / abs(1.0 + by_label[(2, 2, 0)].real)
+        assert w0(eps_i, g0) == pytest.approx(expected, rel=1e-13)
+        regimes.append(dec.diagnostics["regime"])
+    assert regimes[:4] == ["far", "near", "far", "near"]
+    assert regimes[4:] == ["far", "near", "near", "far"]
+
+
+@pytest.mark.parametrize("fn, args, kwargs, name", [
+    (assemble, (0.5, 0.1), {"n_max": -1}, "n_max"),
+    (assemble, (0.5, -0.1), {}, "g0"),
+    (assemble, (0.5, math.nan), {}, "g0"),
+    (assemble, (0.5, math.inf), {}, "g0"),
+    (assemble, (math.nan, 0.1), {}, "eps_i"),
+    (assemble, (math.inf, 0.1), {}, "eps_i"),
+    (assemble, (0.0, 0.1), {}, "eps_i"),
+    (w0, (math.nan, 0.1), {}, "eps_i"),
+    (w0, (-0.5, 0.1), {}, "eps_i"),
+    (w0, (0.5, -0.1), {}, "g0"),
+    (w0, (0.5, math.nan), {}, "g0"),
+    (near_zero_amplitudes, (math.nan, 0.3), {}, "eps_i"),
+    (near_zero_amplitudes, (-1.0, 0.3), {}, "eps_i"),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_point_inputs_rejected(fn, args, kwargs, name):
+    # these once raised KeyError or ValueError, or returned NaN amplitudes
+    with pytest.raises(DomainError, match=f"^{name} must be"):
+        fn(*args, **kwargs)
 
 
 class TestW0:

@@ -1,0 +1,100 @@
+"""Compare the CLI output of two drivendelta checkouts over a fixed command list.
+
+Runs every command of the list once in each checkout, in a fresh
+interpreter with ``PYTHONPATH=<root>/src`` and a fresh working directory,
+and compares standard output, standard error, the exit code and the
+``--output`` file.  Prints ``SAME`` or ``DIFF`` per command and exits 1 if
+any command differs.
+
+The list: both benchmark workloads' commands at seeds 1 and 2 (read from
+``perfbench/workloads.py`` next to this script); ``w0`` grids over
+0.1-3.0 and 1e-9 either side of both near/far switch edges at g0 0, 0.1
+and 0.7; a perturbative ``scan`` at g0 0.7 over 0.1-3.0; ``compare`` at
+g0 0.3; ``zero`` at g0 0.55 and 0.7.  Each grid command runs as CSV on
+standard output and again as a JSON ``--output`` file.
+
+Usage:
+    python scripts/output_diff.py OLD_ROOT NEW_ROOT
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import List, Optional, Sequence, Tuple
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from perfbench import workloads  # noqa: E402
+
+OUTPUT = "out.json"     # relative, so the JSON config echo is the same in both checkouts
+_RUN = "import sys; from drivendelta.cli import main; sys.exit(main(sys.argv[1:]))"
+_NEAR_DISTANCE = 0.45   # smatrix's near/far switch, in bare pole distance
+
+
+def commands() -> List[Tuple[str, ...]]:
+    """The fixed command list, each as the arguments after the program name."""
+    grid: List[Tuple[str, ...]] = []
+    other: List[Tuple[str, ...]] = []
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2):
+            for cmd in workloads.plan(workload, seed):
+                (grid if cmd.kind == "scan" else other).append(cmd.argv)
+    for g0 in (0.0, 0.1, 0.7):
+        grid.append(("w0", "--g0", repr(g0), "--e-min", "0.1", "--e-max", "3.0",
+                     "--steps", "30"))
+        for edge in (1.0 - _NEAR_DISTANCE, 1.0 + _NEAR_DISTANCE):
+            eps = edge - g0 * g0 / 8.0
+            grid.append(("w0", "--g0", repr(g0), "--e-min", repr(eps - 1e-9),
+                         "--e-max", repr(eps + 1e-9), "--steps", "3"))
+    grid.append(("scan", "--g0", "0.7", "--e-min", "0.1", "--e-max", "3.0",
+                 "--steps", "30", "--n-max", "2", "--method", "perturbative"))
+    grid.append(("compare", "--g0", "0.3", "--e-min", "0.2", "--e-max", "3.0",
+                 "--steps", "15", "--n-max", "2"))
+    other += [("zero", "--g0", "0.55"), ("zero", "--g0", "0.7")]
+    as_json = [argv + ("--format", "json", "--output", OUTPUT) for argv in grid]
+    return list(dict.fromkeys(grid + as_json + other))    # the workloads repeat commands
+
+
+def run(root: Path, argv: Sequence[str]) -> Tuple[int, bytes, bytes, Optional[bytes]]:
+    """Exit code, standard output, standard error and ``--output`` file
+    (None if none was written) of one command in checkout ``root``."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-c", _RUN, *argv], cwd=cwd, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        out = Path(cwd, OUTPUT)
+        written = out.read_bytes() if out.exists() else None
+    return proc.returncode, proc.stdout, proc.stderr, written
+
+
+def compare(old: Path, new: Path, cmds: Sequence[Sequence[str]]) -> int:
+    """Print SAME or DIFF per command; 1 if any differs, else 0."""
+    parts = ("exit code", "stdout", "stderr", "output file")
+    status = 0
+    for argv in cmds:
+        differs = [part for part, a, b in zip(parts, run(old, argv), run(new, argv))
+                   if a != b]
+        line = " ".join(argv)
+        if differs:
+            status = 1
+            print(f"DIFF  {line}  ({', '.join(differs)})", flush=True)
+        else:
+            print(f"SAME  {line}", flush=True)
+    return status
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_root", type=Path)
+    parser.add_argument("new_root", type=Path)
+    args = parser.parse_args(argv)
+    for root in (args.old_root, args.new_root):
+        if not (root / "src" / "drivendelta" / "cli.py").is_file():
+            parser.error(f"no src/drivendelta/cli.py under {root}")
+    return compare(args.old_root.resolve(), args.new_root.resolve(), commands())
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,7 +35,7 @@ from . import __version__
 from .errors import DrivenDeltaError, ToleranceError
 from .floquet import solve as floquet_solve
 from .floquet import transmission_grid, zero_locate_exact
-from .renorm import alpha_shift, gamma_loop
+from .renorm import alpha_shift
 from .smatrix import _ORDERS, assemble, find_transmission_zero
 from .smatrix import w0 as w0_weight
 
@@ -107,34 +107,38 @@ def parse_config(path: str) -> ScanConfig:
     """Read a ``key = value`` config file into a :class:`ScanConfig`.
 
     Lines are ``key = value`` with ``#`` comments; omitted keys keep their
-    defaults.  Unknown keys and type mismatches raise :class:`UsageError`
-    (the latter with the offending line number).
+    defaults.  A file that is not UTF-8, unknown keys and type mismatches
+    raise :class:`UsageError` (the latter with the offending line number).
     """
     overrides: Dict[str, object] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _VALID_KEYS:
-                raise UsageError(
-                    f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                    + ", ".join(_VALID_KEYS))
-            try:
-                if key in _FLOAT_KEYS:
-                    overrides[key] = float(value)
-                elif key in _INT_KEYS:
-                    overrides[key] = int(value)
-                else:
-                    overrides[key] = value
-            except ValueError as exc:
-                raise UsageError(
-                    f"{path}:{lineno}: cannot parse {value!r} for key {key!r}: {exc}"
-                ) from exc
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _VALID_KEYS:
+            raise UsageError(
+                f"{path}:{lineno}: unknown key {key!r}; valid keys: "
+                + ", ".join(_VALID_KEYS))
+        try:
+            if key in _FLOAT_KEYS:
+                overrides[key] = float(value)
+            elif key in _INT_KEYS:
+                overrides[key] = int(value)
+            else:
+                overrides[key] = value
+        except ValueError as exc:
+            raise UsageError(
+                f"{path}:{lineno}: cannot parse {value!r} for key {key!r}: {exc}"
+            ) from exc
     return replace(ScanConfig(), **overrides)
 
 
@@ -172,20 +176,15 @@ def _pointwise(fn, grid: Sequence[float]) -> List[tuple]:
 
 def _perturbative_point(eps_i: float, config: ScanConfig) -> tuple:
     """T_elastic, R_elastic, T_total_pert, w0, im_gamma, re_gamma and the
-    sideband fluxes T_n at one energy."""
+    sideband fluxes T_n at one energy, all from one :func:`assemble`."""
     k_i = math.sqrt(2.0 * eps_i)
     dec = assemble(eps_i, config.g0, order=config.order,
                    n_max=config.n_max, tol=config.tol)
-    w0 = w0_weight(eps_i, config.g0, config.tol)
-    im_gamma = re_gamma = 0.0
-    if config.g0 > 0:
-        loop = gamma_loop(k_i, k_i, 0, config.g0, config.tol)
-        im_gamma, re_gamma = loop.im, loop.re
     fluxes = tuple(math.sqrt(k_i * k_i + 2 * n) / k_i * abs(dec.T[n]) ** 2
                    if n in dec.T else 0.0
                    for n in range(-config.n_max, config.n_max + 1))
-    return (abs(dec.T[0]) ** 2, abs(dec.R[0]) ** 2, dec.T_total, w0,
-            im_gamma, re_gamma) + fluxes
+    return (abs(dec.T[0]) ** 2, abs(dec.R[0]) ** 2, dec.T_total, dec.w0,
+            dec.loop.im, dec.loop.re) + fluxes
 
 
 def _blocks(config: ScanConfig) -> Iterator[List[float]]:
@@ -243,6 +242,8 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
     if path is None:
         yield sys.stdout
         return
+    if os.path.isdir(path):     # os.replace would fail only after the command ran
+        raise UsageError(f"output path {path!r} is a directory")
     partial = f"{path}.{os.getpid()}.tmp"
     try:
         with open(partial, "w", encoding="utf-8", newline="\n") as fh:
@@ -451,10 +452,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _merge(args)
         return _COMMANDS[args.command](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DrivenDeltaError as exc:

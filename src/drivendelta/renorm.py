@@ -78,19 +78,18 @@ class RenormFactors:
 
 
 def _loop_products(k_f: float, k_i: float, n: int, ls, k, g0: float):
-    """Table of Re[A_{k_f k}(n - l) A_{k k_i}(l)], channels ``ls`` by nodes ``k``.
+    """Re[A_{k_f k}(n - l) A_{k k_i}(l)] for channels ``ls`` at momenta ``k``.
 
-    Each momentum's q-base is raised once to every power the channels
-    need, and the channels pick their rows of that table.  No pole guards.
+    ``ls`` and ``k`` broadcast against each other: equal shapes pair each
+    channel with one momentum, a column of channels against a row of
+    momenta gives the full table.  No pole guards.
     """
-    ls = np.asarray(ls)[:, None]
+    ls = np.asarray(ls)
     m_out, m_in = np.abs(n - ls), np.abs(ls)
-    powers = np.arange(max(m_out.max(), m_in.max()) + 1)
-    q_k = _q_base(k, g0) ** powers[:, None]
-    q_f, q_i = _q_base(k_f, g0) ** powers, _q_base(k_i, g0) ** powers
+    q_k = _q_base(k, g0)
     # both factors are purely imaginary: Re[(i a)(i b)] = -a b
-    return -(a_kernel(k_f, k, n - ls, q_f[m_out], q_k[m_out[:, 0]])
-             * a_kernel(k, k_i, ls, q_k[m_in[:, 0]], q_i[m_in]))
+    return -(a_kernel(k_f, k, n - ls, _q_base(k_f, g0) ** m_out, q_k ** m_out)
+             * a_kernel(k, k_i, ls, q_k ** m_in, _q_base(k_i, g0) ** m_in))
 
 
 def _q_powers(q, rows: int, step=None):
@@ -207,12 +206,11 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
     ls = [l for l in range(-L, L + 1) if l != 0 and l != n]
     diag["channels"] = ls
 
-    # finite residue sum over open intermediate channels: channel l at its
-    # own k_l, the diagonal of the channels-by-momenta table
+    # finite residue sum over open intermediate channels, each at its own k_l
     l_open = np.array([l for l in ls if k_i * k_i + 2 * l > 0])
     k_open = np.sqrt(k_i * k_i + 2 * l_open)
     im_total = -math.pi * float(np.sum(
-        np.diagonal(_loop_products(k_f, k_i, n, l_open, k_open, g0)) / k_open))
+        _loop_products(k_f, k_i, n, l_open, k_open, g0) / k_open))
 
     pole_set = {k_i}
     if n != 0:
@@ -539,7 +537,6 @@ def beta_width(n0: int, eps_i: float, g0: float) -> float:
     return float(np.sum((2.0 * math.pi / kl) * np.abs(b) ** 2))
 
 
-@functools.lru_cache(maxsize=4096)
 def renorm_factors(n: int, n0: int, k_f: float, k_i: float, eps_i: float,
                    g0: float, tol: float = 1e-8) -> RenormFactors:
     """Corrected pole parameters for the n0-term of the c/b/c amplitude.
@@ -595,8 +592,8 @@ def b_renorm(k_f: float, k_i: float, n: int, eps_i: float, g0: float,
     corrections are suppressed by the pole distance.  ``tol`` is the
     quadrature tolerance of :func:`renorm_factors`.
     """
-    if g0 == 0:
-        return 0.0 + 0.0j
+    if g0 == 0 or n % 2 != 0:
+        return 0.0 + 0.0j     # odd n: the series vanishes (see _bound_series)
     eps_t = eps_i + g0 * g0 / 8.0
     n0_star = _nearest_odd(eps_t)
     fac = renorm_factors(n, n0_star, k_f, k_i, eps_i, g0, tol)

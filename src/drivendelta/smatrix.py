@@ -24,8 +24,8 @@ from .amplitudes import a_coefficient, b_coefficient, b_kernel
 from .errors import DomainError, RegimeError, ZeroNotFoundError
 from .model import _q_base, sideband_channel
 from .quadrature import bracket_min
-from .renorm import (_bound_series, _nearest_odd, alpha_shift, b_renorm,
-                     gamma_loop, renorm_factors)
+from .renorm import (LoopValue, _bound_series, _nearest_odd, alpha_shift,
+                     b_renorm, gamma_loop, renorm_factors)
 
 __all__ = [
     "DiagramTerm",
@@ -39,6 +39,7 @@ __all__ = [
 _ORDERS = ("first", "renormalized")
 _NEAR_DISTANCE = 0.45     # full renormalized form within this bare pole distance
 _REGIME_FACTOR = 10.0     # pole-dominance gate of the limiting near-zero forms
+_NO_LOOP = LoopValue(re=0.0, im=0.0, n=0)
 
 
 @dataclass(frozen=True)
@@ -68,6 +69,8 @@ class SMatrixDecomposition:
     R: Dict[int, complex] = field(repr=False)
     T_total: float = 0.0
     diagnostics: Dict = field(default_factory=dict, repr=False)
+    w0: float = 0.0                 # :func:`w0` of this expansion; 0 without a bound route
+    loop: LoopValue = _NO_LOOP      # its elastic loop Gamma(0); 0 without one
 
 
 def _open_sidebands(eps_i: float, n_max: int) -> List[int]:
@@ -111,8 +114,8 @@ def _b_elastic(k_i: float, eps_i: float, g0: float, tol: float,
     if abs(eps_t - n0) >= _NEAR_DISTANCE:
         diagnostics.update(regime="far", pole_distance=abs(eps_t - n0))
         return _b_far_elastic(k_i, eps_i, g0)
-    fac = renorm_factors(0, n0, k_i, k_i, eps_i, g0, tol)
-    diagnostics.update(regime="near", pole_distance=abs(fac.eps_R - n0))
+    diagnostics.update(regime="near",      # eps_t + alpha: renorm_factors' eps_R
+                       pole_distance=abs(eps_t + alpha_shift(n0, eps_i, g0, tol) - n0))
     b_near = b_renorm(k_i, k_i, 0, eps_i, g0, tol)
     try:
         diagnostics["branch_mismatch"] = abs(b_near - _b_far_elastic(k_i, eps_i, g0))
@@ -127,6 +130,9 @@ def _check_point(eps_i: float, g0: float) -> None:
         raise DomainError(f"eps_i must be positive and finite, got {eps_i}")
     if not (math.isfinite(g0) and g0 >= 0):
         raise DomainError(f"g0 must be non-negative and finite, got {g0}")
+    if g0 > 0 and eps_i + g0 * g0 / 8.0 >= 2.0 ** 53:    # its nearest odd pole unresolved
+        raise DomainError(f"g0 must be small enough that eps_i + g0**2/8 < 2**53, "
+                          f"got {g0} at eps_i = {eps_i}")
 
 
 def assemble(eps_i: float, g0: float, order: str = "renormalized",
@@ -147,8 +153,11 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
     terms: List[DiagramTerm] = []
     T: Dict[int, complex] = {}
     diagnostics: Dict = {"order": order}
-    b_zero = (_b_elastic(k_i, eps_i, g0, tol, diagnostics)
-              if order == "renormalized" and g0 > 0 else None)
+    b_zero, weight, loop = None, 0.0, _NO_LOOP
+    if order == "renormalized" and g0 > 0:
+        b_zero = _b_elastic(k_i, eps_i, g0, tol, diagnostics)
+        loop = gamma_loop(k_i, k_i, 0, g0, tol)
+        weight = abs(2.0 * math.pi * b_zero.real) / abs(k_i + 4.0 * math.pi * loop.im)
 
     for n in _open_sidebands(eps_i, n_max):
         k_f = math.sqrt(k_i * k_i + 2 * n)
@@ -174,9 +183,9 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
                 b_val = _bound_series(k_f, k_i, n, g0, eps_i + g0 * g0 / 8.0)
             sub.append(DiagramTerm(label=(2, 0, 2),
                                    value=-(2j * math.pi / k_f) * b_val, sideband=n))
+            loop_n = loop if n == 0 else gamma_loop(k_f, k_i, n, g0, tol)
             sub.append(DiagramTerm(label=(2, 2, 0),
-                                   value=-(4j * math.pi / k_f)
-                                   * gamma_loop(k_f, k_i, n, g0, tol).value,
+                                   value=-(4j * math.pi / k_f) * loop_n.value,
                                    sideband=n))
         terms.extend(sub)
         T[n] = sum(t.value for t in sub)
@@ -186,7 +195,8 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
         math.sqrt(k_i * k_i + 2 * n) / k_i * abs(T[n]) ** 2
         for n in T if n != 0)
     return SMatrixDecomposition(eps_i=eps_i, g0=g0, terms=terms, T=T, R=R,
-                                T_total=float(T_total), diagnostics=diagnostics)
+                                T_total=float(T_total), diagnostics=diagnostics,
+                                w0=weight, loop=loop)
 
 
 def w0(eps_i: float, g0: float, tol: float = 1e-8) -> float:
@@ -195,13 +205,7 @@ def w0(eps_i: float, g0: float, tol: float = 1e-8) -> float:
     |2 pi Re B^R(0)| / |k_i + 4 pi Im Gamma(0)| with the renormalized
     elastic quantities of :func:`assemble`, at quadrature tolerance ``tol``.
     """
-    _check_point(eps_i, g0)
-    if g0 == 0:
-        return 0.0
-    k_i = math.sqrt(2.0 * eps_i)
-    b_val = _b_elastic(k_i, eps_i, g0, tol, {})
-    loop = gamma_loop(k_i, k_i, 0, g0, tol)
-    return abs(2.0 * math.pi * b_val.real) / abs(k_i + 4.0 * math.pi * loop.im)
+    return assemble(eps_i, g0, n_max=0, tol=tol).w0
 
 
 def find_transmission_zero(g0: float, tol: float = 1e-8) -> Tuple[float, Dict]:
@@ -277,8 +281,8 @@ def near_zero_amplitudes(eps_i: float, g0: float, tol: float = 1e-8) -> Dict:
         raise RegimeError(
             f"|eps_R - 1| = {abs(fac.eps_R - 1.0):.3e} exceeds "
             f"{_REGIME_FACTOR} * eta_R = {_REGIME_FACTOR * fac.eta_R:.3e}")
-    loop = gamma_loop(k_i, k_i, 0, g0, tol)
-    bracket = 1.0 + (2.0 * math.pi / k_i) * loop.im
+    elastic = assemble(eps_i, g0, order="renormalized", n_max=2, tol=tol)
+    bracket = 1.0 + (2.0 * math.pi / k_i) * elastic.loop.im
     b1 = b_coefficient(k_i, 1, g0)
     out: Dict = {"T": {}, "R": {}, "flux": {}}
     for n in range(1, 7):
@@ -290,6 +294,5 @@ def near_zero_amplitudes(eps_i: float, g0: float, tol: float = 1e-8) -> Dict:
         out["T"][n] = t_n
         out["R"][n] = t_n
         out["flux"][n] = (ch.k / k_i) * abs(t_n) ** 2
-    elastic = assemble(eps_i, g0, order="renormalized", n_max=2, tol=tol)
     out["R0_sq"] = abs(elastic.R[0]) ** 2
     return out

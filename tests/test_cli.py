@@ -13,11 +13,12 @@ from pathlib import Path
 import pytest
 
 import drivendelta
-from drivendelta import cli
+from drivendelta import cli, renorm, smatrix
 from drivendelta.cli import (ScanConfig, UsageError, cmd_compare, cmd_scan,
                              cmd_w0, main, parse_config)
 from drivendelta.errors import ToleranceError
 from drivendelta.renorm import gamma_elastic_closed
+from drivendelta.smatrix import assemble
 from drivendelta.smatrix import w0 as w0_weight
 
 
@@ -65,6 +66,12 @@ class TestParseConfig:
         with pytest.raises(UsageError) as exc:
             parse_config(config_file("g0 = 0.2\n\ntol = fast\n"))
         assert ":3:" in str(exc.value)
+
+    def test_crlf_lines_counted_once(self, tmp_path):
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(b"g0 = 0.2\r\n\r\ntol = fast\r\n")
+        with pytest.raises(UsageError, match=":3:"):
+            parse_config(str(path))
 
 
 class TestValidation:
@@ -169,6 +176,48 @@ class TestScan:
         rc = main(["scan", "--config", str(tmp_path / "absent.txt")])
         assert rc == 2
 
+    def test_config_directory_is_usage_error(self, tmp_path, capsys):
+        # once an IsADirectoryError traceback
+        assert main(["scan", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(str(tmp_path)) in err
+
+    def test_config_not_utf8_is_usage_error(self, tmp_path, capsys):
+        # once a UnicodeDecodeError traceback
+        cfg = tmp_path / "latin1.txt"
+        cfg.write_bytes(b"g0 = 0.1\n# caf\xe9\n")
+        assert main(["scan", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: not UTF-8 text: ")
+
+    @pytest.mark.parametrize("command", ["scan", "compare", "w0"])
+    def test_output_directory_fails_before_computing(self, tmp_path, monkeypatch,
+                                                     capsys, command):
+        # once the whole table was computed, then os.replace raised
+        # IsADirectoryError and left FILE.<pid>.tmp behind
+        def forbidden(*args):
+            raise AssertionError("no computing before the output check")
+
+        for name in ("_perturbative_point", "transmission_grid", "w0_weight"):
+            monkeypatch.setattr(cli, name, forbidden)
+        target = tmp_path / "out"
+        target.mkdir()
+        rc = main([command, "--g0", "0.1", "--steps", "2", "--output", str(target)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: output path {str(target)!r} is a directory\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+        assert list(target.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["scan", "w0"])
+    @pytest.mark.parametrize("g0", ["1e9", "1e20", "1e200"])
+    def test_huge_coupling_is_named(self, capsys, command, g0):
+        # once an OverflowError traceback from renorm._nearest_odd or alpha_shift
+        rc = main([command, "--g0", g0, "--e-min", "0.5", "--e-max", "0.6",
+                   "--steps", "2", "--n-max", "0", "--method", "perturbative"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: numeric failure at eps_i = 0.5: g0 must be small enough that "
+            f"eps_i + g0**2/8 < 2**53, got {float(g0)} at eps_i = 0.5\n")
+
     def test_singular_system_is_numeric_failure(self, capsys):
         # undriven, k_{-1} = 0 at eps = 1 makes the sideband system singular
         with warnings.catch_warnings():
@@ -196,6 +245,48 @@ class TestScan:
             re_gamma[tol] = float(dict(zip(header.split(","), first.split(",")))["re_gamma"])
         assert re_gamma["1e-11"] == pytest.approx(exact, rel=1e-9, abs=0.0)
         assert re_gamma[None] != pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
+class TestOneEvaluationPerRow:
+    """A perturbative row reads every column off one ``assemble``."""
+
+    def test_row_reads_the_decomposition(self):
+        config = ScanConfig(g0=0.1, n_max=2)
+        row = cli._perturbative_point(0.95, config)
+        dec = assemble(0.95, 0.1, n_max=2)
+        assert row[3:6] == (dec.w0, dec.loop.im, dec.loop.re)
+        assert row[:3] == (abs(dec.T[0]) ** 2, abs(dec.R[0]) ** 2, dec.T_total)
+
+    def test_bound_route_once(self, monkeypatch):
+        # a near point: the row once made two n = 0 b_renorm calls (one in
+        # assemble, one in w0) and six renorm_factors calls
+        calls = {"b_renorm": [], "renorm_factors": []}
+        for module, name in ((smatrix, "b_renorm"), (renorm, "renorm_factors")):
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name].append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counting)
+        cli._perturbative_point(0.95, ScanConfig(g0=0.1, n_max=2))
+        assert [args[2] for args in calls["b_renorm"]].count(0) == 1
+        assert len(calls["renorm_factors"]) <= 2
+        del calls["b_renorm"][:]
+        w0_weight(0.95, 0.1)
+        assert [args[2] for args in calls["b_renorm"]] == [0]
+
+    def test_first_order_row_has_no_bound_route_or_loop(self, tmp_path):
+        # the row once carried the renormalized w0 and Gamma(0)
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--g0", "0.7", "--e-min", "0.5", "--e-max", "0.6",
+                     "--steps", "2", "--n-max", "1", "--method", "perturbative",
+                     "--order", "first", "--output", str(out)]) == 0
+        header, first = out.read_text(encoding="utf-8").splitlines()[:2]
+        row = dict(zip(header.split(","), map(float, first.split(","))))
+        assert (row["w0"], row["im_gamma"], row["re_gamma"]) == (0.0, 0.0, 0.0)
+        assert row["T_elastic"] == 1.0
+        assert row["T_total_pert"] == assemble(0.5, 0.7, order="first", n_max=1).T_total
 
 
 class TestCompare:

@@ -103,7 +103,9 @@ class TestLockstepLoop:
         assert diag["evaluations"] == sum(p.evaluations for p in parts)
         l_open = np.array([l for l in ls if k_i * k_i + 2 * l > 0])
         k_open = np.sqrt(k_i * k_i + 2 * l_open)
-        table = renorm._loop_products(k_f, k_i, n, l_open, k_open, g0)
+        # the channels-by-momenta table's diagonal: the residue sum before
+        # _loop_products paired each channel with its own momentum
+        table = renorm._loop_products(k_f, k_i, n, l_open[:, None], k_open, g0)
         assert loop.im == -math.pi * float(np.sum(np.diagonal(table) / k_open))
 
 
@@ -196,7 +198,7 @@ class TestLoopKernel:
         k_i = math.sqrt(2.0 * self.EPS_I)
         k_f = math.sqrt(k_i * k_i + 2 * n)
         ls = [l for l in self.CHANNELS if l not in (0, n)]
-        table = renorm._loop_products(k_f, k_i, n, ls, self.NODES, g0)
+        table = renorm._loop_products(k_f, k_i, n, np.array(ls)[:, None], self.NODES, g0)
         assert table.shape == (len(ls), len(self.NODES))
         for row, l in zip(table, ls):
             for value, k in zip(row, self.NODES):
@@ -242,7 +244,7 @@ class TestReducedKernels:
         poles = [k_i, k_f] + [math.sqrt(k_i * k_i + 2 * l) for l in (-2, -1, 3)]
         nodes = np.array([1e-6, 1e-4, 1e-2]
                          + [p + d for p in poles for d in self.OFFSETS])
-        terms = renorm._loop_products(k_f, k_i, n, ls, nodes, g0) \
+        terms = renorm._loop_products(k_f, k_i, n, np.array(ls)[:, None], nodes, g0) \
             / ((eps_i + np.array(ls)[:, None]) - 0.5 * nodes * nodes)
         values = renorm._loop_integrand(k_f, k_i, n, ls, g0)(nodes)
         assert np.all(np.abs(values - terms.sum(axis=0))
@@ -378,6 +380,16 @@ class TestBoundRoute:
         eps_t = 0.8 + 0.3 * 0.3 / 8.0
         assert renorm._bound_series(k_f, k_i, 1, 0.3, eps_t, width=1e-6) == 0.0
         assert b_renorm(k_f, k_i, 1, 0.8, 0.3) == 0.0
+
+    @pytest.mark.parametrize("n", [-3, -1, 1, 3])
+    def test_odd_sideband_computes_no_factors(self, n, monkeypatch):
+        # the pole parameters of an identically zero series are never needed
+        def forbidden(*args):
+            raise AssertionError("renorm_factors called for an odd sideband")
+
+        monkeypatch.setattr(renorm, "renorm_factors", forbidden)
+        k_i = math.sqrt(2.0 * 3.5)
+        assert b_renorm(math.sqrt(k_i * k_i + 2 * n), k_i, n, 3.5, 0.3) == 0.0
 
     def test_renormalized_structure(self):
         # the dominant layer carries Z and the corrected denominator; all

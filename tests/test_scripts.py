@@ -35,3 +35,19 @@ def test_w0_curves(tmp_path):
     for row in rows:
         values = [float(v) for v in row.split(",")]
         assert len(values) == 3 and all(math.isfinite(v) for v in values)
+
+
+def test_output_diff_same_checkout(capsys):
+    # the repository against itself: one command on standard output, one
+    # with a JSON --output file
+    module = _load("output_diff")
+    root = SCRIPTS.parent
+    cmds = module.commands()
+    # a 3-point w0 grid at g0 0.1 across the near/far switch
+    grid = next(a for a in cmds if a[:3] == ("w0", "--g0", "0.1") and a[-1] == "3")
+    picked = [grid, grid + ("--format", "json", "--output", module.OUTPUT)]
+    assert picked[1] in cmds
+    assert module.compare(root, root, picked) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["SAME  " + " ".join(argv) for argv in picked]
+    assert module.run(root, picked[1])[3].startswith(b"{\n")

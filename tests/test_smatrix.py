@@ -91,8 +91,9 @@ class TestAssemble:
 
 @pytest.mark.parametrize("g0", [0.1, 0.7])
 def test_w0_and_assemble_share_one_regime(g0):
-    # w0 is |Im T_B| / |1 + Re T_Gamma| of assemble's own elastic terms,
-    # exactly so only where both took the same branch of the bound route
+    # w0 is the decomposition's own w0, |Im T_B| / |1 + Re T_Gamma| of its
+    # elastic terms, exactly so only where both took the same branch of
+    # the bound route
     shift = g0 * g0 / 8.0
     near = smatrix._NEAR_DISTANCE
     edges = [1.0 - near - shift, 1.0 + near - shift]
@@ -102,7 +103,9 @@ def test_w0_and_assemble_share_one_regime(g0):
         dec = assemble(eps_i, g0, n_max=0)
         by_label = {t.label: t.value for t in dec.terms if t.sideband == 0}
         expected = abs(by_label[(2, 0, 2)].imag) / abs(1.0 + by_label[(2, 2, 0)].real)
-        assert w0(eps_i, g0) == pytest.approx(expected, rel=1e-13)
+        assert w0(eps_i, g0) == dec.w0
+        assert dec.w0 == pytest.approx(expected, rel=1e-13)
+        assert dec.loop == renorm.gamma_loop(math.sqrt(2.0 * eps_i), math.sqrt(2.0 * eps_i), 0, g0)
         regimes.append(dec.diagnostics["regime"])
     assert regimes[:4] == ["far", "near", "far", "near"]
     assert regimes[4:] == ["far", "near", "near", "far"]
@@ -122,11 +125,29 @@ def test_w0_and_assemble_share_one_regime(g0):
     (w0, (0.5, math.nan), {}, "g0"),
     (near_zero_amplitudes, (math.nan, 0.3), {}, "eps_i"),
     (near_zero_amplitudes, (-1.0, 0.3), {}, "eps_i"),
+    # eps_i + g0**2/8 >= 2**53: once a ZeroDivisionError or an OverflowError
+    (assemble, (0.5, 1e9), {}, "g0"),
+    (assemble, (0.5, 9e9), {}, "g0"),
+    (assemble, (0.5, 1e200), {}, "g0"),
+    (w0, (0.5, 1e20), {}, "g0"),
 ], ids=lambda v: getattr(v, "__name__", None))
 def test_point_inputs_rejected(fn, args, kwargs, name):
     # these once raised KeyError or ValueError, or returned NaN amplitudes
     with pytest.raises(DomainError, match=f"^{name} must be"):
         fn(*args, **kwargs)
+
+
+def test_largest_coupling_still_assembled():
+    # eps_i + g0**2/8 = 8.45e15, below 2**53 = 9.007e15
+    dec = assemble(0.5, 2.6e8, n_max=1)
+    assert all(math.isfinite(abs(t)) for t in dec.T.values())
+
+
+@pytest.mark.parametrize("order, g0", [("first", 0.7), ("first", 0.0),
+                                       ("renormalized", 0.0)])
+def test_expansion_without_bound_route_reports_zero(order, g0):
+    dec = assemble(0.5, g0, order=order, n_max=1)
+    assert (dec.w0, dec.loop.re, dec.loop.im) == (0.0, 0.0, 0.0)
 
 
 class TestW0:
@@ -158,8 +179,7 @@ class TestLocatorCost:
 
         for module in (amplitudes, renorm, smatrix):
             monkeypatch.setattr(module, "b_coefficient", counting)
-        for cached in (renorm.gamma_loop, renorm.alpha_shift, renorm.beta_width,
-                       renorm.renorm_factors):
+        for cached in (renorm.gamma_loop, renorm.alpha_shift, renorm.beta_width):
             cached.cache_clear()
         find_transmission_zero(0.55)
         assert len(calls) <= 5

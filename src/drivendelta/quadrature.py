@@ -7,7 +7,8 @@ minimization.
 
 All kernels are deterministic: identical inputs produce bit-identical
 results.  Integrands are expected to accept numpy arrays of evaluation
-points and return arrays (real or complex).
+points and return arrays (real or complex); each call gets at least two
+points.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # 15 ascending nodes
 _W15 = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _W7 = np.zeros(15)
 _W7[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+
+_BLOCK = 512    # nodes per integrand call: bounds a round's node x channel tables
 
 
 @dataclass(frozen=True)
@@ -117,12 +120,16 @@ class _Segment:
 def _gk15(f, jobs):
     """Gauss-Kronrod 15(7) on the (lo, hi) panels of every (segment, panels) job.
 
-    The nodes of all panels go to ``f`` in one call, and every panel's
-    node map is one array operation over the round: a tail panel
-    integrates f(tan u) (1 + tan**2 u), a fold panel f(p + d) + f(p - d)
-    at d = (p + u) - p, so that each node pair lies exactly symmetric
-    about the pole p and its 1/d parts cancel exactly.  Returns the panel
-    values and error estimates, in job order."""
+    Every panel's node map is one array operation over the round: a tail
+    panel integrates f(tan u) (1 + tan**2 u), a fold panel f(p + d) +
+    f(p - d) at d = (p + u) - p, so that each node pair lies exactly
+    symmetric about the pole p and its 1/d parts cancel exactly.  The
+    round's nodes, mirrors included, go to ``f`` in consecutive blocks of
+    ``_BLOCK``, the last block taking a leftover node: each call gets 2 to
+    ``_BLOCK + 1`` nodes.  A 1-node call would change the bits of an
+    integrand that sums a (terms, nodes) table over its rows: numpy adds
+    the rows of a 1-column table pairwise, of a wider one in sequence.
+    Returns the panel values and error estimates, in job order."""
     rows = [(lo, hi, seg.fold is not None, seg.fold or 0.0, seg.tail)
             for seg, panels in jobs for lo, hi in panels]
     a, b, fold, centre, tail = (np.array(col) for col in zip(*rows))
@@ -132,7 +139,9 @@ def _gk15(f, jobs):
     x[tail] = np.tan(u[tail])
     p = centre[fold, None]
     mirror = p - (x[fold] - p)
-    y = np.asarray(f(np.concatenate([x.ravel(), mirror.ravel()])))
+    nodes = np.concatenate([x.ravel(), mirror.ravel()])
+    y = np.concatenate([f(block) for block in
+                        np.split(nodes, range(_BLOCK, nodes.size - 1, _BLOCK))])
     g = y[:x.size].reshape(u.shape)
     g[fold] += y[x.size:].reshape(mirror.shape)
     g[tail] *= 1.0 + x[tail] * x[tail]
@@ -149,9 +158,9 @@ def _refine(f, segments):
     Each segment refines exactly as it would alone: it splits its interval
     with the largest error estimate until its summed estimate drops below
     its tolerance or its interval budget is spent.  Per round, the panels
-    of all unfinished segments go to ``f`` in a single call.  A finished
-    segment never reopens, so each round checks only the segments it
-    refined.
+    of all unfinished segments go to ``f`` together, in node blocks
+    (:func:`_gk15`).  A finished segment never reopens, so each round
+    checks only the segments it refined.
     """
     jobs = [(seg, [(seg.a, seg.b)]) for seg in segments]
     while jobs:
@@ -248,8 +257,8 @@ def pv_halfline(
     there are no poles); the tail from ``split`` is mapped by x = tan(u)
     onto a finite interval.  Pieces and tail keep their own tolerances
     (``tol`` each) and refinements, but all their panels go to ``f``
-    together, one call per refinement round.  The value is the sum
-    of the pieces and the tail, in that order.
+    together, each refinement round in blocks of at most ``_BLOCK + 1``
+    nodes.  The value is the sum of the pieces and the tail, in that order.
     """
     poles = sorted(poles)
     if not (0.0 < min(poles, default=split) and max(poles, default=0.0) < split):

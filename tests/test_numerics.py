@@ -137,7 +137,10 @@ class TestHalfLine:
         assert res.error_estimate == sum(p.error_estimate for p in parts)
         assert res.evaluations == sum(p.evaluations for p in parts)
         assert res.evaluations == sum(calls[:rounds])
+        # the lockstep rounds' node blocks are fewer calls than the parts
+        # make one at a time, and no call has 1 node or more than _BLOCK + 1
         assert rounds < len(calls) - rounds
+        assert all(2 <= size <= quadrature._BLOCK + 1 for size in calls)
 
     def test_rejects_poles_outside(self):
         with pytest.raises(DomainError):

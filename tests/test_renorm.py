@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import drivendelta.quadrature as quadrature
 import drivendelta.renorm as renorm
 from drivendelta.amplitudes import a_coefficient, b_coefficient
 from drivendelta.errors import DomainError, RegimeError, ToleranceError
@@ -72,9 +73,11 @@ class TestGammaLoop:
         monkeypatch.setattr(renorm, "_loop_integrand", counting)
         loop = gamma_loop.__wrapped__(1.3, 1.3, 0, 0.7)
         assert loop.diagnostics["evaluations"] == sum(calls)
-        # one call per refinement round of all the half-line's segments
-        # together, mirror nodes of the folds included
+        # each refinement round of all the half-line's segments together,
+        # mirror nodes of the folds included, goes out in node blocks of
+        # _BLOCK, the last block taking a leftover node
         assert len(calls) <= 8
+        assert all(2 <= size <= quadrature._BLOCK + 1 for size in calls)
 
 
 # the QUADPACK oracle points, and one 5e-4 above the one-quantum threshold
@@ -107,6 +110,46 @@ class TestLockstepLoop:
         # _loop_products paired each channel with its own momentum
         table = renorm._loop_products(k_f, k_i, n, l_open[:, None], k_open, g0)
         assert loop.im == -math.pi * float(np.sum(np.diagonal(table) / k_open))
+
+
+class TestNodeBlocks:
+    """Rounds split into node blocks give the bits of one call per round."""
+
+    # the loop points, and two at eps_i = 40 (L = 42 channels), where every
+    # round splits into blocks
+    POINTS = LOOP_POINTS + [(0.7, 40.0, 0), (0.7, 40.0, 2)]
+
+    @staticmethod
+    def _evaluate(monkeypatch, block, g0, eps_i, n):
+        monkeypatch.setattr(quadrature, "_BLOCK", block)
+        sizes = []
+        for name in ("_loop_integrand", "_shift_integrand"):
+            def counting(*args, _make=getattr(renorm, name)):
+                integrand = _make(*args)
+
+                def wrapped(k):
+                    sizes.append(np.size(k))
+                    return integrand(k)
+                return wrapped
+            monkeypatch.setattr(renorm, name, counting)
+        k_i = math.sqrt(2.0 * eps_i)
+        k_f = math.sqrt(k_i * k_i + 2 * n)
+        loop = gamma_loop.__wrapped__(k_f, k_i, n, g0)
+        diag = loop.diagnostics
+        values = (loop.re, loop.im, diag["evaluations"], diag["error_estimate"],
+                  alpha_shift.__wrapped__(1, eps_i, g0))
+        monkeypatch.undo()
+        return values, sizes
+
+    @pytest.mark.parametrize("g0,eps_i,n", POINTS)
+    def test_tiny_blocks_bit_identical_to_one_block(self, monkeypatch, g0, eps_i, n):
+        whole, sizes = self._evaluate(monkeypatch, 10 ** 9, g0, eps_i, n)
+        assert max(sizes) > 7
+        for block in (2, 3, 7):
+            values, sizes = self._evaluate(monkeypatch, block, g0, eps_i, n)
+            assert values == whole
+            # a 1-node call would add its channels pairwise and change the bits
+            assert 2 <= min(sizes) and max(sizes) <= block + 1
 
 
 def _alpha_per_channel(n0, eps_i, g0, tol):

@@ -1,6 +1,7 @@
 """Unit tests for amplitude assembly and derived observables."""
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -184,3 +185,21 @@ class TestLocatorCost:
         find_transmission_zero(0.55)
         assert len(calls) <= 5
         assert renorm.gamma_loop.cache_info().misses == 51
+
+
+def test_point_memory_does_not_grow_like_channels_squared():
+    # the loop and shift integrands tabulate node x channel entries, with
+    # L ~ eps_i channels and ~L poles per round: node blocks keep the peak
+    # growing like L, not L**2 (12.5 and 48 MiB with whole rounds)
+    peaks = {}
+    for eps_i in (75.0, 150.0):
+        for cached in (renorm.gamma_loop, renorm.alpha_shift, renorm.beta_width):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            assemble(eps_i, 0.7, n_max=0)
+            peaks[eps_i] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[150.0] < 4 * 2 ** 20
+    assert peaks[150.0] < 2.2 * peaks[75.0]

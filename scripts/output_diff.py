@@ -10,11 +10,13 @@ The list: both benchmark workloads' commands at seeds 1 and 2 (read from
 ``perfbench/workloads.py`` next to this script); ``w0`` grids over
 0.1-3.0 and 1e-9 either side of both near/far switch edges at g0 0, 0.1
 and 0.7; a perturbative ``scan`` at g0 0.7 over 0.1-3.0; ``compare`` at
-g0 0.3; ``zero`` at g0 0.55 and 0.7; and, at energies where each
-quadrature round splits into many node blocks, ``w0`` at g0 0.7 over
-75-76 and a perturbative ``scan`` at g0 0.7 over 20-40.  Each grid
-command runs as CSV on standard output and again as a JSON ``--output``
-file.
+g0 0.3; ``scan`` (both methods, g0 0.7) and ``compare`` (g0 0.3) at
+``--order first``; ``zero`` at g0 0.55 and 0.7, and at g0 0.55 with
+``--method floquet`` and ``--method perturbative``; and, at energies
+where each quadrature round splits into many node blocks, ``w0`` at g0
+0.7 over 75-76 and a perturbative ``scan`` at g0 0.7 over 20-40.  Each
+grid command runs as CSV on standard output and again as a JSON
+``--output`` file.
 
 Usage:
     python scripts/output_diff.py OLD_ROOT NEW_ROOT
@@ -55,10 +57,16 @@ def commands() -> List[Tuple[str, ...]]:
                  "--steps", "30", "--n-max", "2", "--method", "perturbative"))
     grid.append(("compare", "--g0", "0.3", "--e-min", "0.2", "--e-max", "3.0",
                  "--steps", "15", "--n-max", "2"))
+    grid.append(("scan", "--g0", "0.7", "--e-min", "0.1", "--e-max", "3.0",
+                 "--steps", "30", "--n-max", "2", "--order", "first"))
+    grid.append(("compare", "--g0", "0.3", "--e-min", "0.2", "--e-max", "3.0",
+                 "--steps", "15", "--n-max", "2", "--order", "first"))
     grid.append(("w0", "--g0", "0.7", "--e-min", "75", "--e-max", "76", "--steps", "2"))
     grid.append(("scan", "--g0", "0.7", "--e-min", "20", "--e-max", "40",
                  "--steps", "5", "--n-max", "2", "--method", "perturbative"))
-    other += [("zero", "--g0", "0.55"), ("zero", "--g0", "0.7")]
+    other += [("zero", "--g0", "0.55"), ("zero", "--g0", "0.7"),
+              ("zero", "--g0", "0.55", "--method", "floquet"),
+              ("zero", "--g0", "0.55", "--method", "perturbative")]
     as_json = [argv + ("--format", "json", "--output", OUTPUT) for argv in grid]
     return list(dict.fromkeys(grid + as_json + other))    # the workloads repeat commands
 

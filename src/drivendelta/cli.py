@@ -7,11 +7,16 @@ Commands:
     w0       bound-route weight curve over an energy grid
 
 Configuration comes from defaults, then an optional ``key = value`` file
-(``--config``), then command-line flags, in increasing precedence.  The
-grid commands work through the energy grid in blocks of 256 energies:
-each block's exact columns are the arrays of one batched sideband solve,
-its perturbative ones are filled point by point, and its CSV lines are
-written before the next block is computed.  Output is CSV (header, then
+(``--config``), then command-line flags, in increasing precedence.  One
+table, :data:`_SETTINGS`, gives each setting its flag, type and allowed
+values; a command accepts a flag only for the settings it reads
+(:data:`_READS`), while a config file may set every key, so that one file
+serves several commands, and each command ignores the keys it does not
+read.  The grid commands work through the energy grid in blocks of 256
+energies: each block's exact columns are the arrays of one batched
+sideband solve, its perturbative ones are filled point by point, and its
+CSV lines are written before the next block is computed; ``w0`` is the
+``w0`` column of a perturbative scan.  Output is CSV (header, then
 one line per grid point, LF endings) or JSON (rows array plus a metadata
 object with the config echo and library version); floats are serialized
 with 17 significant digits so files round-trip exactly and byte-identical
@@ -26,7 +31,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO
 
 import numpy as np
@@ -37,13 +42,33 @@ from .floquet import solve as floquet_solve
 from .floquet import transmission_grid, zero_locate_exact
 from .renorm import alpha_shift
 from .smatrix import _ORDERS, assemble, find_transmission_zero
-from .smatrix import w0 as w0_weight
 
 __all__ = ["ScanConfig", "parse_config", "cmd_scan", "cmd_zero",
            "cmd_compare", "cmd_w0", "main"]
 
 _METHODS = ("perturbative", "floquet", "both")
 _FORMATS = ("csv", "json")
+# setting -> (flag, type, allowed values); the "unknown key" error lists them in this order
+_SETTINGS = {
+    "g0": ("--g0", float, None),
+    "eps_min": ("--e-min", float, None),
+    "eps_max": ("--e-max", float, None),
+    "tol": ("--tol", float, None),
+    "steps": ("--steps", int, None),
+    "n_max": ("--n-max", int, None),
+    "workers": ("--workers", int, None),
+    "method": ("--method", str, _METHODS),
+    "order": ("--order", str, _ORDERS),
+    "output_format": ("--format", str, _FORMATS),
+    "output_path": ("--output", str, None),
+}
+_GRID = ("g0", "eps_min", "eps_max", "steps", "tol", "output_format", "output_path")
+# the settings each command reads: its flags besides --config.  scan's
+# --workers changes nothing (points run serially) but stays accepted.
+_READS = {"scan": _GRID + ("n_max", "method", "order", "workers"),
+          "zero": ("g0", "method", "tol"),
+          "compare": _GRID + ("n_max", "order"),
+          "w0": _GRID}
 _BLOCK = 256    # energies per block of a grid command: its memory grows with this, not the grid
 _Block = Dict[str, Sequence[float]]     # column name -> values over one block
 
@@ -54,7 +79,7 @@ class UsageError(DrivenDeltaError, ValueError):
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Grid and output settings shared by all scanning commands."""
+    """The settings of every command; :data:`_READS` names those each one reads."""
 
     g0: float = 0.1
     eps_min: float = 0.2
@@ -69,9 +94,12 @@ class ScanConfig:
     workers: int = 1
 
     def validate(self) -> "ScanConfig":
-        for key in _FLOAT_KEYS:
-            if not math.isfinite(getattr(self, key)):
-                raise UsageError(f"{key} must be finite, got {getattr(self, key)}")
+        for key, (_, kind, choices) in _SETTINGS.items():
+            value = getattr(self, key)
+            if kind is float and not math.isfinite(value):
+                raise UsageError(f"{key} must be finite, got {value}")
+            if choices is not None and value not in choices:
+                raise UsageError(f"{key} must be one of {choices}, got {value!r}")
         if self.g0 < 0:
             raise UsageError(f"g0 must be >= 0, got {self.g0}")
         if self.eps_min <= 0:
@@ -83,24 +111,11 @@ class ScanConfig:
             raise UsageError(f"steps must be >= 2, got {self.steps}")
         if self.n_max < 0:
             raise UsageError(f"n_max must be >= 0, got {self.n_max}")
-        if self.method not in _METHODS:
-            raise UsageError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.order not in _ORDERS:
-            raise UsageError(f"order must be one of {_ORDERS}, got {self.order!r}")
         if self.tol <= 0:
             raise UsageError(f"tol must be positive, got {self.tol}")
-        if self.output_format not in _FORMATS:
-            raise UsageError(
-                f"output_format must be one of {_FORMATS}, got {self.output_format!r}")
         if self.workers < 1:
             raise UsageError(f"workers must be >= 1, got {self.workers}")
         return self
-
-
-_FLOAT_KEYS = ("g0", "eps_min", "eps_max", "tol")
-_INT_KEYS = ("steps", "n_max", "workers")
-_STR_KEYS = ("method", "order", "output_format", "output_path")
-_VALID_KEYS = _FLOAT_KEYS + _INT_KEYS + _STR_KEYS
 
 
 def parse_config(path: str) -> ScanConfig:
@@ -124,17 +139,12 @@ def parse_config(path: str) -> ScanConfig:
             raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _VALID_KEYS:
+        if key not in _SETTINGS:
             raise UsageError(
                 f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                + ", ".join(_VALID_KEYS))
+                + ", ".join(_SETTINGS))
         try:
-            if key in _FLOAT_KEYS:
-                overrides[key] = float(value)
-            elif key in _INT_KEYS:
-                overrides[key] = int(value)
-            else:
-                overrides[key] = value
+            overrides[key] = _SETTINGS[key][1](value)
         except ValueError as exc:
             raise UsageError(
                 f"{path}:{lineno}: cannot parse {value!r} for key {key!r}: {exc}"
@@ -159,19 +169,6 @@ class PointFailure(DrivenDeltaError, RuntimeError):
         super().__init__(f"numeric failure at eps_i = {eps_i!r}: {cause}")
         self.eps_i = eps_i
         self.cause = cause
-
-
-def _pointwise(fn, grid: Sequence[float]) -> List[tuple]:
-    """Columns of ``fn(eps)`` (one tuple of values per point), evaluated
-    point by point in grid order; the first failing point raises
-    :class:`PointFailure` naming its ``eps_i``."""
-    values = []
-    for eps in grid:
-        try:
-            values.append(fn(eps))
-        except DrivenDeltaError as exc:
-            raise PointFailure(eps, exc) from exc
-    return list(zip(*values))
 
 
 def _perturbative_point(eps_i: float, config: ScanConfig) -> tuple:
@@ -199,7 +196,8 @@ def _scan_blocks(config: ScanConfig) -> Iterator[_Block]:
     """Scan columns block by block; a column the method leaves empty is absent.
 
     A block's exact columns come from one batched solve of its energies,
-    made before its perturbative points, which run in grid order.
+    made before its perturbative points, which run in grid order; the
+    first failing point raises :class:`PointFailure` naming its ``eps_i``.
     """
     sidebands = _scan_columns(config.n_max)[8:]
     exact = config.method in ("floquet", "both")
@@ -218,10 +216,15 @@ def _scan_blocks(config: ScanConfig) -> Iterator[_Block]:
                 block.update(zip(["T_elastic", "R_elastic", "T_total_floquet"]
                                  + sidebands, values.tolist()))
         if perturbative:
+            rows = []
+            for eps in grid:
+                try:
+                    rows.append(_perturbative_point(eps, config))
+                except DrivenDeltaError as exc:
+                    raise PointFailure(eps, exc) from exc
             filled = ["T_elastic", "R_elastic", "T_total_pert", "w0",
                       "im_gamma", "re_gamma"] + sidebands
-            block.update(zip(filled, _pointwise(
-                lambda eps: _perturbative_point(eps, config), grid)))
+            block.update(zip(filled, zip(*rows)))
         yield block
 
 
@@ -296,7 +299,7 @@ def _write_grid(command: str, config: ScanConfig, columns: Sequence[str],
         metadata = {
             "command": command,
             "version": __version__,
-            "config": {f.name: getattr(config, f.name) for f in fields(ScanConfig)},
+            "config": asdict(config),
         }
         if extra_metadata is not None:
             metadata.update(extra_metadata())
@@ -390,15 +393,12 @@ def cmd_compare(config: ScanConfig) -> int:
 
 
 def cmd_w0(config: ScanConfig) -> int:
-    """Bound-route weight w0 over the energy grid."""
-    config.validate()
-
-    def blocks() -> Iterator[_Block]:
-        for grid in _blocks(config):
-            [w0] = _pointwise(lambda eps: (w0_weight(eps, config.g0, config.tol),), grid)
-            yield {"eps_i": grid, "w0": w0}
-
-    _write_grid("w0", config, ["eps_i", "w0"], blocks())
+    """Bound-route weight w0 over the energy grid: the ``w0`` column of a
+    renormalized perturbative scan without sidebands."""
+    scan = replace(config.validate(), method="perturbative", n_max=0,
+                   order="renormalized")
+    _write_grid("w0", config, ["eps_i", "w0"],
+                ({"eps_i": b["eps_i"], "w0": b["w0"]} for b in _scan_blocks(scan)))
     return 0
 
 
@@ -418,28 +418,18 @@ def _build_parser() -> argparse.ArgumentParser:
         ("w0", "bound-route weight curve"),
     ):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--g0", type=float, default=None)
-        sp.add_argument("--e-min", dest="eps_min", type=float, default=None)
-        sp.add_argument("--e-max", dest="eps_max", type=float, default=None)
-        sp.add_argument("--steps", type=int, default=None)
-        sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-        sp.add_argument("--method", choices=_METHODS, default=None)
-        sp.add_argument("--order", choices=_ORDERS, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--output", dest="output_path", default=None)
-        sp.add_argument("--format", dest="output_format", choices=_FORMATS,
-                        default=None)
-        sp.add_argument("--config", dest="config_path", default=None)
-        sp.add_argument("--workers", type=int, default=None)
+        for key, (flag, kind, choices) in _SETTINGS.items():
+            if key in _READS[name]:
+                sp.add_argument(flag, dest=key, type=kind, choices=choices)
+        sp.add_argument("--config", dest="config_path")
     return parser
 
 
 def _merge(args: argparse.Namespace) -> ScanConfig:
     config = (parse_config(args.config_path) if args.config_path is not None
               else ScanConfig())
-    overrides = {f.name: getattr(args, f.name)
-                 for f in fields(ScanConfig)
-                 if getattr(args, f.name, None) is not None}
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in _SETTINGS and value is not None}
     return replace(config, **overrides)
 
 

@@ -212,10 +212,10 @@ def solve(eps_i: float, g0: float) -> FloquetSolution:
     1e-10 or a singular system raises :class:`ToleranceError`
     (:func:`_converged`).
     """
-    if eps_i <= 0:
-        raise DomainError(f"eps_i must be positive, got {eps_i}")
-    if g0 < 0:
-        raise DomainError(f"g0 must be >= 0, got {g0}")
+    if not (math.isfinite(eps_i) and eps_i > 0):
+        raise DomainError(f"eps_i must be positive and finite, got {eps_i}")
+    if not (math.isfinite(g0) and g0 >= 0):
+        raise DomainError(f"g0 must be non-negative and finite, got {g0}")
     (_, N, t, _, _, defect), = _converged(np.array([float(eps_i)]), g0)
     t_vec = t[:, 0]
     r_vec = t_vec.copy()
@@ -240,11 +240,11 @@ def transmission_grid(eps_i, g0: float, n_max: int = 0) -> FloquetGrid:
     eps = np.atleast_1d(np.asarray(eps_i, dtype=float))
     if eps.ndim != 1:
         raise DomainError(f"eps_i must be a 1-D array, got shape {eps.shape}")
-    bad = np.flatnonzero(~(eps > 0))
+    bad = np.flatnonzero(~((eps > 0) & np.isfinite(eps)))
     if bad.size:
-        raise DomainError(f"eps_i must be positive, got {eps[bad[0]]}")
-    if g0 < 0:
-        raise DomainError(f"g0 must be >= 0, got {g0}")
+        raise DomainError(f"eps_i must be positive and finite, got {eps[bad[0]]}")
+    if not (math.isfinite(g0) and g0 >= 0):
+        raise DomainError(f"g0 must be non-negative and finite, got {g0}")
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     out = {name: np.empty(eps.size) for name in ("t0_sq", "r0_sq", "T_total")}

@@ -196,6 +196,8 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
     """
     if k_f <= 0 or k_i <= 0:
         raise DomainError(f"wavenumbers must be positive, got ({k_f}, {k_i})")
+    if not (math.isfinite(g0) and g0 >= 0):
+        raise DomainError(f"g0 must be non-negative and finite, got {g0}")
     diag: Dict = {}
     if g0 == 0:
         return LoopValue(re=0.0, im=0.0, n=n, diagnostics={"channels": []})
@@ -491,8 +493,8 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     :class:`RegimeError` before integrating; so does a failed quadrature
     with a channel within ``_THRESHOLD_GAP`` of its threshold.
     """
-    if g0 <= 0:
-        raise DomainError(f"g0 must be positive, got {g0}")
+    if not (math.isfinite(g0) and g0 > 0):
+        raise DomainError(f"g0 must be positive and finite, got {g0}")
     k_i = math.sqrt(2.0 * eps_i)
     ms = np.arange(1, _bound_channels(k_i, g0) + 1, 2)
     integrand = _shift_integrand(n0, eps_i, g0, ms)
@@ -525,8 +527,8 @@ def beta_width(n0: int, eps_i: float, g0: float) -> float:
     sum over open l of (2 pi / k_l) |B_{k_l b}(n0 + l)|**2 with
     k_l = sqrt(2 (eps_i + l)).
     """
-    if g0 <= 0:
-        raise DomainError(f"g0 must be positive, got {g0}")
+    if not (math.isfinite(g0) and g0 > 0):
+        raise DomainError(f"g0 must be positive and finite, got {g0}")
     M = _bound_channels(math.sqrt(2.0 * eps_i), g0)
     ms = np.arange(-M, M + 1)
     ms = ms[ms % 2 != 0]

@@ -111,15 +111,94 @@ class TestValidation:
         # nan slipped past every `<= 0` check: a traceback from `zero --g0 nan`,
         # a misleading numeric failure from `scan --e-min nan`, numbers from
         # `w0 --tol nan`
-        rc = main([command, f"{flag}={value}", "--steps", "2", "--n-max", "0"])
-        assert rc == 2
+        reads = cli._READS[command]
+        argv = ([command, f"{flag}={value}"] + ["--steps", "2"] * ("steps" in reads)
+                + ["--n-max", "0"] * ("n_max" in reads))
         key = flag[2:].replace("e-", "eps_")
+        if key not in reads:    # zero builds no grid: its flag is unknown
+            with pytest.raises(SystemExit, match="^2$"):
+                main(argv)
+            return
+        assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {key} must be finite, got {float(value)}\n"
 
     @pytest.mark.parametrize("key", ["g0", "eps_min", "eps_max", "tol"])
     def test_non_finite_config_value_rejected(self, key):
         with pytest.raises(UsageError, match=f"{key} must be finite"):
             replace(ScanConfig(), **{key: math.nan}).validate()
+
+
+# two valid values of each setting; every command that reads it writes
+# something different for the two
+_TWO_VALUES = {
+    "g0": ("0.55", "0.7"), "eps_min": ("0.5", "0.55"), "eps_max": ("0.7", "0.8"),
+    "tol": ("1e-4", "1e-10"), "steps": ("2", "3"), "n_max": ("0", "1"),
+    "method": ("perturbative", "floquet"), "order": ("first", "renormalized"),
+    "output_format": ("csv", "json"), "output_path": ("a.out", "b.out")}
+
+
+class TestFlags:
+    """A command accepts a flag only for a setting it reads (``cli._READS``)."""
+
+    BASE = {"g0": "0.55", "eps_min": "0.5", "eps_max": "0.7", "steps": "2", "n_max": "1"}
+
+    def argv(self, command, key, value):
+        """``command`` with the base value of each setting it reads, then
+        ``key``'s flag, which overrides its base value."""
+        reads = cli._READS[command]
+        base = [arg for k, v in self.BASE.items() if k in reads
+                for arg in (cli._SETTINGS[k][0], v)]
+        return [command] + base + [cli._SETTINGS[key][0], value]
+
+    @pytest.mark.parametrize("command,key", [
+        (command, key) for command, keys in cli._READS.items()
+        for key in keys if key != "workers"])    # scan accepts --workers, which changes nothing
+    def test_every_flag_changes_something(self, tmp_path, monkeypatch, capsys,
+                                          command, key):
+        seen = []
+        for i, value in enumerate(_TWO_VALUES[key]):
+            cwd = tmp_path / str(i)
+            cwd.mkdir()
+            monkeypatch.chdir(cwd)
+            rc = main(self.argv(command, key, value))
+            written = {p.name: p.read_bytes() for p in cwd.iterdir()}
+            seen.append((rc, capsys.readouterr().out, written))
+        assert seen[0] != seen[1]
+
+    @pytest.mark.parametrize("command", sorted(cli._READS))
+    def test_unread_flags_are_usage_errors(self, command, capsys):
+        unread = [key for key in cli._SETTINGS if key not in cli._READS[command]]
+        assert len(unread) == {"scan": 0, "zero": 8, "compare": 2, "w0": 4}[command]
+        for key in unread:
+            flag, _, choices = cli._SETTINGS[key]
+            with pytest.raises(SystemExit, match="^2$"):
+                main([command, flag, choices[0] if choices else "1"])
+            assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        # zero once exited 0, printed its report and wrote no file; the
+        # others computed what they would without the flag
+        ["zero", "--g0", "0.3", "--method", "floquet", "--output", "z.json",
+         "--format", "json"],
+        ["w0", "--order", "first"], ["compare", "--method", "floquet"]])
+    def test_ignored_flags_are_refused(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit, match="^2$"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_config_keys_are_shared(self, config_file, capsys):
+        # a file may set what another command reads; a command ignores those
+        # keys, but the file is still validated as a whole
+        argv = ["w0", "--g0", "0.3", "--e-min", "0.5", "--e-max", "0.7", "--steps", "2"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        path = config_file("method = floquet\norder = first\nn_max = 9\nworkers = 2\n")
+        assert main(argv + ["--config", path]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(["zero", "--config", config_file("eps_min = 4\n")]) == 2
+        assert capsys.readouterr().err == "error: need eps_min < eps_max, got [4.0, 3.0]\n"
 
 
 class TestScan:
@@ -197,7 +276,7 @@ class TestScan:
         def forbidden(*args):
             raise AssertionError("no computing before the output check")
 
-        for name in ("_perturbative_point", "transmission_grid", "w0_weight"):
+        for name in ("_perturbative_point", "transmission_grid"):
             monkeypatch.setattr(cli, name, forbidden)
         target = tmp_path / "out"
         target.mkdir()
@@ -211,8 +290,9 @@ class TestScan:
     @pytest.mark.parametrize("g0", ["1e9", "1e20", "1e200"])
     def test_huge_coupling_is_named(self, capsys, command, g0):
         # once an OverflowError traceback from renorm._nearest_odd or alpha_shift
+        scan = ["--n-max", "0", "--method", "perturbative"] if command == "scan" else []
         rc = main([command, "--g0", g0, "--e-min", "0.5", "--e-max", "0.6",
-                   "--steps", "2", "--n-max", "0", "--method", "perturbative"])
+                   "--steps", "2"] + scan)
         assert rc == 1
         assert capsys.readouterr().err == (
             "error: numeric failure at eps_i = 0.5: g0 must be small enough that "
@@ -481,12 +561,13 @@ class TestBlocks:
 
     # crosses three thresholds, so a block of 3 splits a group of equal
     # truncation into a lone energy (1.45) and the rest
-    GRID = ["--g0", "0.3", "--e-min", "0.45", "--e-max", "3.45", "--n-max", "1"]
+    GRID = ["--g0", "0.3", "--e-min", "0.45", "--e-max", "3.45"]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command", [
-        ["scan", "--method", "floquet"], ["scan", "--method", "perturbative"],
-        ["scan", "--method", "both"], ["compare"], ["w0"]])
+        ["scan", "--method", "floquet", "--n-max", "1"],
+        ["scan", "--method", "perturbative", "--n-max", "1"],
+        ["scan", "--method", "both", "--n-max", "1"], ["compare", "--n-max", "1"], ["w0"]])
     @pytest.mark.parametrize("block,steps", [(2, 6), (2, 7), (3, 7), (3, 8)])
     def test_blocks_match_one_block(self, monkeypatch, capsys, tmp_path,
                                     command, fmt, block, steps):

@@ -52,6 +52,19 @@ class TestSolve:
         with pytest.raises(DomainError):
             solve(0.5, -0.1)
 
+    @pytest.mark.parametrize("fn", [solve, lambda eps, g0: transmission_grid([0.5, eps], g0)],
+                             ids=["solve", "transmission_grid"])
+    @pytest.mark.parametrize("eps_i,g0,name", [
+        (0.5, math.nan, "g0"), (0.5, math.inf, "g0"),
+        (math.nan, 0.1, "eps_i"), (math.inf, 0.1, "eps_i")])
+    def test_non_finite_inputs_named(self, fn, eps_i, g0, name):
+        # a nan or inf g0 once raised "singular sideband system", an inf or
+        # nan energy a numpy RuntimeWarning and "Maximum allowed size exceeded"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{name} must be .* finite, got {eps_i if name == 'eps_i' else g0}$"):
+                fn(eps_i, g0)
+
 
 def _dense_solve(eps_i, g0, N):
     """The sideband system as a dense matrix, solved by LU with pivoting."""

@@ -39,6 +39,15 @@ class TestGammaLoop:
         with pytest.raises(DomainError):
             gamma_loop(0.0, 1.0, 0, 0.3)
 
+    @pytest.mark.parametrize("g0", [-0.3, math.nan, math.inf])
+    def test_rejects_bad_coupling(self, g0):
+        # a negative g0 once gave a loop (Re -0.0010720787 against -0.0010720913
+        # at +0.3), nan and inf "cannot convert float NaN to integer"
+        with pytest.raises(DomainError,
+                           match=f"^g0 must be non-negative and finite, got {g0}$"):
+            gamma_loop(1.0, 1.0, 0, g0)
+        assert gamma_loop(1.0, 1.0, 0, 0.0).value == 0.0
+
     def test_diagnostics_record_channels(self):
         loop = gamma_loop(1.0, 1.0, 0, 0.3)
         assert 0 not in loop.diagnostics["channels"]
@@ -519,3 +528,10 @@ class TestPoleCorrections:
             alpha_shift(1, 0.9, 0.0)
         with pytest.raises(DomainError):
             beta_width(1, 0.9, -0.1)
+
+    @pytest.mark.parametrize("g0", [math.nan, math.inf])
+    @pytest.mark.parametrize("fn", [alpha_shift, beta_width])
+    def test_non_finite_coupling_named(self, fn, g0):
+        # once "ValueError: cannot convert float NaN to integer"
+        with pytest.raises(DomainError, match=f"^g0 must be positive and finite, got {g0}$"):
+            fn(1, 0.9, g0)

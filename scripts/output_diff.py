@@ -12,11 +12,13 @@ The list: both benchmark workloads' commands at seeds 1 and 2 (read from
 and 0.7; a perturbative ``scan`` at g0 0.7 over 0.1-3.0; ``compare`` at
 g0 0.3; ``scan`` (both methods, g0 0.7) and ``compare`` (g0 0.3) at
 ``--order first``; ``zero`` at g0 0.55 and 0.7, and at g0 0.55 with
-``--method floquet`` and ``--method perturbative``; and, at energies
-where each quadrature round splits into many node blocks, ``w0`` at g0
-0.7 over 75-76 and a perturbative ``scan`` at g0 0.7 over 20-40.  Each
-grid command runs as CSV on standard output and again as a JSON
-``--output`` file.
+``--method floquet`` and ``--method perturbative``; at energies where
+each quadrature round splits into many node blocks, ``w0`` at g0 0.7
+over 75-76 and a perturbative ``scan`` at g0 0.7 over 20-40; and, where
+quadrature refines over many rounds or fails, the perturbative ``zero``
+at g0 0.475 and at g0 0.45 (which finds no zero and exits 1) and ``w0``
+at g0 0.7 within 1e-3 of the eps = 2 threshold.  Each grid command runs
+as CSV on standard output and again as a JSON ``--output`` file.
 
 Usage:
     python scripts/output_diff.py OLD_ROOT NEW_ROOT
@@ -64,9 +66,13 @@ def commands() -> List[Tuple[str, ...]]:
     grid.append(("w0", "--g0", "0.7", "--e-min", "75", "--e-max", "76", "--steps", "2"))
     grid.append(("scan", "--g0", "0.7", "--e-min", "20", "--e-max", "40",
                  "--steps", "5", "--n-max", "2", "--method", "perturbative"))
+    grid.append(("w0", "--g0", "0.7", "--e-min", "1.999", "--e-max", "2.001",
+                 "--steps", "6"))
     other += [("zero", "--g0", "0.55"), ("zero", "--g0", "0.7"),
               ("zero", "--g0", "0.55", "--method", "floquet"),
-              ("zero", "--g0", "0.55", "--method", "perturbative")]
+              ("zero", "--g0", "0.55", "--method", "perturbative"),
+              ("zero", "--g0", "0.475", "--method", "perturbative"),
+              ("zero", "--g0", "0.45", "--method", "perturbative")]
     as_json = [argv + ("--format", "json", "--output", OUTPUT) for argv in grid]
     return list(dict.fromkeys(grid + as_json + other))    # the workloads repeat commands
 

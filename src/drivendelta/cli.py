@@ -422,6 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
             if key in _READS[name]:
                 sp.add_argument(flag, dest=key, type=kind, choices=choices)
         sp.add_argument("--config", dest="config_path")
+        sp.set_defaults(command_parser=sp)
     return parser
 
 
@@ -438,7 +439,9 @@ _COMMANDS = {"scan": cmd_scan, "zero": cmd_zero, "compare": cmd_compare,
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
+    if unread:      # with the command's usage line, not the program's
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         config = _merge(args)
         return _COMMANDS[args.command](config)

@@ -5,6 +5,11 @@ symmetric folding about each pole (over an interval, or over the
 half-line with a tangent tail transform), and bracketed golden-section
 minimization.
 
+The three integrators call one engine (:func:`_integrate`): an integral
+is a table of segments, the fold and rest of each pole piece, plain
+intervals and the tail.  Round 1 evaluates all of them in one array pass;
+most finish there, and only the few still open get Python of their own.
+
 All kernels are deterministic: identical inputs produce bit-identical
 results.  Integrands are expected to accept numpy arrays of evaluation
 points and return arrays (real or complex); each call gets at least two
@@ -49,6 +54,7 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])  # 15 ascending nodes
 _W15 = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _W7 = np.zeros(15)
 _W7[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])
+_WEIGHTS = np.array([_W15, _W7])
 
 _BLOCK = 512    # nodes per integrand call: bounds a round's node x channel tables
 
@@ -62,126 +68,147 @@ class QuadratureResult:
     evaluations: int
 
 
-class _Segment:
-    """One interval of a lockstep refinement, with its own tolerance and panels.
+def _gk15(f, lo, hi, poles, tails):
+    """Gauss-Kronrod 15(7) on the panels [lo, hi], one array pass for all.
 
-    A ``fold`` segment integrates f(fold + t) + f(fold - t) over t >= 0, in
-    which the 1/t parts of a simple pole at ``fold`` cancel; a ``tail``
-    segment integrates f(tan u) (1 + tan**2 u) over u.  ``intervals`` holds
-    (lo, hi, value, error) per panel, at most ``max_intervals`` of them.
+    The first ``len(poles)`` panels integrate f(p + d) + f(p - d) at
+    d = (p + u) - p, p their pole, so that each node pair lies exactly
+    symmetric about p and its 1/d parts cancel exactly; the last ``tails``
+    panels integrate f(tan u) (1 + tan**2 u), and the others f.  The
+    nodes, mirrors included, go to ``f`` in consecutive blocks of
+    ``_BLOCK``, the last taking a leftover node, since numpy adds the rows
+    of a 1-column (terms, nodes) table pairwise, of a wider one in
+    sequence.  Returns the panel values and error estimates."""
+    folds = len(poles)
+    mids, halves = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x = mids[:, None] + halves[:, None] * _NODES
+    tail = slice(len(x) - tails, None)
+    if tails:
+        x[tail] = np.tan(x[tail])
+    p = poles[:, None]
+    x[:folds] += p
+    nodes = np.concatenate([x.ravel(), (p - (x[:folds] - p)).ravel()])
+    edges = [*range(0, nodes.size - 1, _BLOCK), nodes.size]
+    y = np.concatenate([f(nodes[i:j]) for i, j in zip(edges, edges[1:])])
+    g = y[:x.size].reshape(x.shape)
+    if folds:
+        g[:folds] += y[x.size:].reshape(folds, -1)
+    if tails:
+        g[tail] *= 1.0 + x[tail] * x[tail]
+    # an infinite node value ends its segment (_integrate): no inf * 0 warning
+    with np.errstate(invalid="ignore"):
+        v = halves[:, None] * np.add.reduce(g[:, None] * _WEIGHTS, axis=2)
+        return v[:, 0], np.abs(v[:, 0] - v[:, 1])
+
+
+def _refine(f, lo, hi, tol, poles, tails, max_intervals):
+    """Adaptive bisection of the segments [lo, hi] in lockstep.
+
+    The first ``len(poles)`` segments fold about their pole and the last
+    ``tails`` are tan-mapped (:func:`_gk15`).  Each segment refines as it
+    would alone: it splits its panel with the largest error estimate, the
+    first made among equal ones, until its summed estimate drops below its
+    ``tol`` or ``max_intervals`` panels are spent.  Round 1 is one pass
+    over all segments; per later round, the new panels of the segments
+    still open go to ``f`` together.  Returns each segment's value and
+    error estimate, :func:`math.fsum` over its panels, and panel count.
     """
-
-    def __init__(self, a, b, tol, fold=None, tail=False, max_intervals=2000):
-        if not a < b:
-            raise DomainError(f"need a < b, got [{a}, {b}]")
-        if not tol > 0:
-            raise DomainError(f"tol must be positive, got {tol}")
-        self.a, self.b, self.tol = a, b, tol
-        self.fold, self.tail = fold, tail
-        self.max_intervals = max_intervals
-        self.intervals = []
-        self.evals = 0
-
-    def unfinished(self) -> bool:
-        """Finite error estimate above tolerance, with budget left."""
-        if len(self.intervals) >= self.max_intervals:
-            return False
-        return self.tol < math.fsum(iv[3] for iv in self.intervals) < math.inf
-
-    def sums(self) -> tuple:
-        """(value, error estimate, evaluations) summed over the panels.
-
-        The value is real when its imaginary part is zero.  A non-finite
-        panel, or a budget spent above tolerance, raises
-        :class:`ToleranceError` naming the segment.
-        """
-        ivs = self.intervals
-        err = math.fsum(iv[3] for iv in ivs)
-        if not math.isfinite(err):
-            raise ToleranceError(f"non-finite quadrature value on {self.where()}",
-                                 error_estimate=err)
+    n, folds = len(lo), len(poles)
+    v, errors = _gk15(f, lo, hi, poles, tails)
+    values = v + 0.0                # the fsum of one panel: -0.0 becomes 0.0
+    count = np.ones(n, dtype=int)
+    segs = np.flatnonzero((tol < errors) & (errors < math.inf)).tolist() \
+        if max_intervals > 1 else []
+    live = {s: [(lo[s].item(), hi[s].item(), v[s].item(), errors[s].item())]
+            for s in segs}
+    while segs:
+        ends = []
+        for s in segs:
+            ivs = live[s]
+            wa, wb, _, _ = ivs.pop(max(range(len(ivs)), key=lambda j: ivs[j][3]))
+            mid = 0.5 * (wa + wb)
+            ends += [(wa, mid), (mid, wb)]
+        pick = [s for s in segs for _ in "ab"]
+        a, b = np.array(ends).T
+        v, e = _gk15(f, a, b, poles[[s for s in pick if s < folds]],
+                     2 * sum(s >= n - tails for s in segs))
+        for s, ab, vi, ei in zip(pick, ends, v.tolist(), e.tolist()):
+            live[s].append((*ab, vi, ei))
+        segs = [s for s in segs if len(live[s]) < max_intervals
+                and tol[s] < math.fsum(iv[3] for iv in live[s]) < math.inf]
+    for s, ivs in live.items():
+        count[s], errors[s] = len(ivs), math.fsum(iv[3] for iv in ivs)
         value = complex(math.fsum(iv[2].real for iv in ivs),
                         math.fsum(complex(iv[2]).imag for iv in ivs))
-        if abs(value.imag) == 0.0:
-            value = value.real
-        if err > self.tol and len(ivs) >= self.max_intervals:
+        if value.imag and not np.iscomplexobj(values):
+            values = values.astype(complex)
+        values[s] = value if value.imag else value.real
+    return values, errors, count
+
+
+def _integrate(f, a, p, b, plain, tails, tol, max_intervals=2000) -> QuadratureResult:
+    """Principal values over the pieces (a, p, b), then the ``plain`` rows.
+
+    Each piece folds [p - h, p + h], h = min(p - a, b - p), onto t in
+    [0, h], where f(p + t) + f(p - t) is regular at a simple pole, and
+    integrates the rest of an asymmetric piece as a plain segment; the two
+    keep tol / 2 each, and a rest that rounds to empty is dropped.  The
+    ``plain`` (lo, hi) rows keep ``tol``; the last ``tails`` of them are
+    tan-mapped.  All of them refine together (:func:`_refine`).  The value
+    adds fold and rest per piece, then the pieces left to right, then the
+    plain rows, as does the error estimate; a non-finite estimate, or a
+    budget spent above tolerance, raises :class:`ToleranceError` for the
+    first such segment in that order.
+    """
+    if not tol > 0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    m, left, right = len(p), p - a, b - p
+    h, up = np.minimum(left, right), right > left
+    rest_lo, rest_hi = np.where(up, p + h, a), np.where(up, b, p - h)
+    rest = np.flatnonzero(rest_lo < rest_hi)
+    r = m + len(rest)
+    lo = np.concatenate([np.zeros(m), rest_lo[rest], [row[0] for row in plain]])
+    hi = np.concatenate([h, rest_hi[rest], [row[1] for row in plain]])
+    tols = np.repeat([0.5 * tol, tol], [r, len(plain)])
+
+    def first(rows):
+        """The first of ``rows`` in the order fold, rest per piece, then plain."""
+        rank = np.concatenate([2 * np.arange(m), 2 * rest + 1, 2 * m + np.arange(len(plain))])
+        return int(np.flatnonzero(rows)[np.argmin(rank[rows])])
+
+    if not (lo < hi).all():
+        s = first(~(lo < hi))
+        raise DomainError(f"need a < b, got [{lo[s].item()}, {hi[s].item()}]")
+    values, errors, count = _refine(f, lo, hi, tols, p, tails, max_intervals)
+    if np.iscomplexobj(values) and not values.imag.any():
+        values = values.real
+
+    def total(col):
+        pieces = col[:m].copy()
+        pieces[rest] += col[m:r]
+        return sum(pieces.tolist() + col[r:].tolist())
+
+    error_estimate = total(errors)
+    if not math.isfinite(error_estimate) or count.max() >= max_intervals:   # else none failed
+        failed = ~np.isfinite(errors) | ((errors > tols) & (count >= max_intervals))
+        if failed.any():
+            s = first(failed)
+            err, value = errors[s].item(), values[s].item()
+            where = ("the tail" if s >= len(lo) - tails else f"the fold about pole "
+                     f"{p[s].item()!r}" if s < m else
+                     f"the interval [{lo[s].item()!r}, {hi[s].item()!r}]")
+            if not math.isfinite(err):
+                raise ToleranceError(f"non-finite quadrature value on {where}",
+                                     error_estimate=err)
             raise ToleranceError(
                 f"interval budget exhausted at error estimate {err:.3e} "
-                f"(tol {self.tol:.3e}) on {self.where()}", value=value, error_estimate=err,
-            )
-        return value, err, self.evals
-
-    def where(self) -> str:
-        """The segment as failure messages name it."""
-        return ("the tail" if self.tail else f"the interval [{self.a!r}, {self.b!r}]"
-                if self.fold is None else f"the fold about pole {self.fold!r}")
-
-
-def _gk15(f, jobs):
-    """Gauss-Kronrod 15(7) on the (lo, hi) panels of every (segment, panels) job.
-
-    Every panel's node map is one array operation over the round: a tail
-    panel integrates f(tan u) (1 + tan**2 u), a fold panel f(p + d) +
-    f(p - d) at d = (p + u) - p, so that each node pair lies exactly
-    symmetric about the pole p and its 1/d parts cancel exactly.  The
-    round's nodes, mirrors included, go to ``f`` in consecutive blocks of
-    ``_BLOCK``, the last block taking a leftover node: each call gets 2 to
-    ``_BLOCK + 1`` nodes.  A 1-node call would change the bits of an
-    integrand that sums a (terms, nodes) table over its rows: numpy adds
-    the rows of a 1-column table pairwise, of a wider one in sequence.
-    Returns the panel values and error estimates, in job order."""
-    rows = [(lo, hi, seg.fold is not None, seg.fold or 0.0, seg.tail)
-            for seg, panels in jobs for lo, hi in panels]
-    a, b, fold, centre, tail = (np.array(col) for col in zip(*rows))
-    mids, halves = 0.5 * (a + b), 0.5 * (b - a)
-    u = mids[:, None] + halves[:, None] * _NODES
-    x = centre[:, None] + u         # u itself off the fold rows
-    x[tail] = np.tan(u[tail])
-    p = centre[fold, None]
-    mirror = p - (x[fold] - p)
-    nodes = np.concatenate([x.ravel(), mirror.ravel()])
-    y = np.concatenate([f(block) for block in
-                        np.split(nodes, range(_BLOCK, nodes.size - 1, _BLOCK))])
-    g = y[:x.size].reshape(u.shape)
-    g[fold] += y[x.size:].reshape(mirror.shape)
-    g[tail] *= 1.0 + x[tail] * x[tail]
-    # an infinite node value ends its segment (_Segment.sums): no inf * 0 warning
-    with np.errstate(invalid="ignore"):
-        v15 = halves * np.sum(g * _W15, axis=1)
-        v7 = halves * np.sum(g * _W7, axis=1)
-        return v15, np.abs(v15 - v7)
-
-
-def _refine(f, segments):
-    """Adaptive bisection of every segment in lockstep.
-
-    Each segment refines exactly as it would alone: it splits its interval
-    with the largest error estimate until its summed estimate drops below
-    its tolerance or its interval budget is spent.  Per round, the panels
-    of all unfinished segments go to ``f`` together, in node blocks
-    (:func:`_gk15`).  A finished segment never reopens, so each round
-    checks only the segments it refined.
-    """
-    jobs = [(seg, [(seg.a, seg.b)]) for seg in segments]
-    while jobs:
-        values, errors = _gk15(f, jobs)
-        values, errors = values.tolist(), errors.tolist()
-        i = 0
-        for seg, panels in jobs:
-            for lo, hi in panels:
-                seg.intervals.append((lo, hi, values[i], errors[i]))
-                i += 1
-            seg.evals += (15 if seg.fold is None else 30) * len(panels)
-        refined = []
-        for seg, _ in jobs:
-            if seg.unfinished():
-                ivs = seg.intervals
-                # split the worst interval; index-of-max is deterministic
-                worst = max(range(len(ivs)), key=lambda j: ivs[j][3])
-                wa, wb, _, _ = ivs.pop(worst)
-                mid = 0.5 * (wa + wb)
-                refined.append((seg, [(wa, mid), (mid, wb)]))
-        jobs = refined
+                f"(tol {tols[s]:.3e}) on {where}",
+                value=value if value.imag else value.real,
+                error_estimate=err)
+    # c panels left took 2c - 1 evaluated, at 15 nodes each, 30 on a fold
+    return QuadratureResult(value=total(values), error_estimate=error_estimate,
+                            evaluations=15 * int(2 * count.sum() - len(lo)
+                                                 + 2 * count[:m].sum() - m))
 
 
 def adaptive_quad(
@@ -197,32 +224,7 @@ def adaptive_quad(
     estimate drops below ``tol`` or the interval budget runs out; the latter
     raises :class:`ToleranceError` carrying the best value reached.
     """
-    seg = _Segment(a, b, tol, max_intervals=max_intervals)
-    _refine(f, [seg])
-    return QuadratureResult(*seg.sums())
-
-
-def _lockstep(f, pieces, plain, tol):
-    """Principal values over (a, pole, b) ``pieces`` and plain segments together.
-
-    Each piece folds [pole - h, pole + h], h = min(pole - a, b - pole),
-    onto t in [0, h], where f(pole + t) + f(pole - t) is regular at a
-    simple pole, and integrates the rest of an asymmetric piece as a plain
-    segment; the two keep tol / 2 each, and a rest that rounds to empty is
-    skipped.  The ``plain`` segments keep their own tolerances.  All of
-    them refine in lockstep (:func:`_refine`).  Returns the (value, error
-    estimate, evaluations) sums of the pieces, then of the plain segments;
-    errors surface in that order.
-    """
-    parts = []
-    for a, p, b in pieces:
-        h = min(p - a, b - p)
-        lo, hi = (p + h, b) if b - p > p - a else (a, p - h)
-        parts.append([_Segment(0.0, h, 0.5 * tol, fold=p)]
-                     + ([_Segment(lo, hi, 0.5 * tol)] if lo < hi else []))
-    _refine(f, [seg for part in parts for seg in part] + plain)
-    out = [tuple(map(sum, zip(*(seg.sums() for seg in part)))) for part in parts]
-    return out + [seg.sums() for seg in plain]
+    return _integrate(f, *np.zeros((3, 0)), [(a, b)], 0, tol, max_intervals)
 
 
 def pv_integral(
@@ -236,12 +238,11 @@ def pv_integral(
 
     Folds the interval about the pole, so that the integrand
     f(pole + t) + f(pole - t) is regular, and integrates it and the rest
-    of the interval adaptively (:func:`_lockstep`).
+    of the interval adaptively (:func:`_integrate`).
     """
     if not a < pole < b:
         raise DomainError(f"pole {pole} not inside ({a}, {b})")
-    [res] = _lockstep(f, [(a, pole, b)], [], tol)
-    return QuadratureResult(*res)
+    return _integrate(f, *np.array([[a], [pole], [b]], float), [], 0, tol)
 
 
 def pv_halfline(
@@ -253,23 +254,22 @@ def pv_halfline(
     """Principal value of ``f`` over [0, inf) with simple poles in (0, split).
 
     [0, split] is cut at the midpoints between consecutive poles, and each
-    piece is a :func:`pv_integral` around its pole (a plain integral when
+    piece is a principal value around its pole (a plain integral when
     there are no poles); the tail from ``split`` is mapped by x = tan(u)
     onto a finite interval.  Pieces and tail keep their own tolerances
     (``tol`` each) and refinements, but all their panels go to ``f``
-    together, each refinement round in blocks of at most ``_BLOCK + 1``
-    nodes.  The value is the sum of the pieces and the tail, in that order.
+    together (:func:`_integrate`), each refinement round in blocks of at
+    most ``_BLOCK + 1`` nodes.  The value is the sum of the pieces and the
+    tail, in that order.
     """
     poles = sorted(poles)
     if not (0.0 < min(poles, default=split) and max(poles, default=0.0) < split):
         raise DomainError(f"poles {poles} must lie inside (0, {split})")
-    cuts = [0.0] + [0.5 * (p1 + p2) for p1, p2 in zip(poles, poles[1:])] + [split]
-    pieces = [(a, p, b) for (a, b), p in zip(zip(cuts, cuts[1:]), poles)]
-    plain = [] if poles else [_Segment(0.0, split, tol)]
-    plain.append(_Segment(math.atan(split), 0.5 * math.pi, tol, tail=True))
-    values, errors, evaluations = zip(*_lockstep(f, pieces, plain, tol))
-    return QuadratureResult(value=sum(values), error_estimate=sum(errors),
-                            evaluations=sum(evaluations))
+    p = np.array(poles, float)
+    cuts = np.concatenate([[0.0], 0.5 * (p[:-1] + p[1:]), [split]])
+    plain = [] if poles else [(0.0, split)]
+    plain.append((math.atan(split), 0.5 * math.pi))
+    return _integrate(f, cuts[:len(p)], p, cuts[1:len(p) + 1], plain, 1, tol)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

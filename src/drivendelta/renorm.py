@@ -95,16 +95,16 @@ def _loop_products(k_f: float, k_i: float, n: int, ls, k, g0: float):
 def _q_powers(q, rows: int, step=None):
     """Rows q * step**j, j = 0..rows-1, as one running product.
 
-    ``step`` defaults to ``q``, so the rows are q**1 .. q**rows.  Row by
-    row, this is several times faster than ``np.cumprod`` along the rows.
+    ``step`` defaults to ``q``, so the rows are q**1 .. q**rows.  One
+    in-place ``np.multiply.accumulate`` down the rows makes each row the
+    previous row times ``step``, the products of a loop over the rows
+    without a Python step per row.
     """
     q = np.asarray(q, dtype=float)
-    step = q if step is None else step
     table = np.empty((rows,) + q.shape)
     table[0] = q
-    for j in range(1, rows):
-        np.multiply(table[j - 1:j], step, out=table[j:j + 1])
-    return table
+    table[1:] = q if step is None else step
+    return np.multiply.accumulate(table, axis=0, out=table)
 
 
 def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
@@ -170,6 +170,14 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
     return integrand
 
 
+def _positive_finite(**args) -> None:
+    """Raise :class:`DomainError` naming the first argument that is not
+    positive and finite."""
+    for name, value in args.items():
+        if not (math.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be positive and finite, got {value}")
+
+
 def _decay_count(q: float) -> int:
     """Sideband orders until q**m falls below 1e-18, kept within 10 .. 32."""
     if q >= 1.0:
@@ -194,8 +202,7 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
     poles at k_i (and k_f for n != 0) all treated symmetrically.  The
     l-truncation is adaptive with a diagnostics flag on cap hit.
     """
-    if k_f <= 0 or k_i <= 0:
-        raise DomainError(f"wavenumbers must be positive, got ({k_f}, {k_i})")
+    _positive_finite(k_f=k_f, k_i=k_i)
     if not (math.isfinite(g0) and g0 >= 0):
         raise DomainError(f"g0 must be non-negative and finite, got {g0}")
     diag: Dict = {}
@@ -205,26 +212,21 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
     L = _loop_l_max(k_i, n, g0)
     diag["l_max"] = L
     diag["truncation_capped"] = L >= _SERIES_CAP // 2
-    ls = [l for l in range(-L, L + 1) if l != 0 and l != n]
-    diag["channels"] = ls
+    ls = np.arange(-L, L + 1)
+    ls = ls[(ls != 0) & (ls != n)]
+    diag["channels"] = ls.tolist()
 
     # finite residue sum over open intermediate channels, each at its own k_l
-    l_open = np.array([l for l in ls if k_i * k_i + 2 * l > 0])
-    k_open = np.sqrt(k_i * k_i + 2 * l_open)
+    kl2 = k_i * k_i + 2 * ls
+    is_open = kl2 > 0
+    k_open = np.sqrt(kl2[is_open])
     im_total = -math.pi * float(np.sum(
-        _loop_products(k_f, k_i, n, l_open, k_open, g0) / k_open))
+        _loop_products(k_f, k_i, n, ls[is_open], k_open, g0) / k_open))
 
-    pole_set = {k_i}
-    if n != 0:
-        pole_set.add(k_f)
-    for l in ls:
-        kl2 = k_i * k_i + 2 * l
-        # channels within 1e-6 of threshold get no fold of their own: their
-        # principal-value weight scales like k_l ln k_l, and the panels
-        # from k = 0 take them
-        if kl2 > 1e-12:
-            pole_set.add(math.sqrt(kl2))
-    poles = sorted(pole_set)
+    # channels within 1e-6 of threshold get no fold of their own: their
+    # principal-value weight scales like k_l ln k_l, and the panels from
+    # k = 0 take them
+    poles = sorted({k_i, k_f if n else k_i, *np.sqrt(kl2[kl2 > 1e-12]).tolist()})
     split = max(4.0 * k_i, 4.0 * k_f, 4.0 * g0, 8.0, 1.5 * poles[-1])
     res = pv_halfline(_loop_integrand(k_f, k_i, n, ls, g0), poles, split, tol)
     diag["error_estimate"] = res.error_estimate
@@ -372,10 +374,7 @@ def gamma_elastic_closed(k_i: float, g0: float,
     channels with ``include_closed`` and the open ones only without it.
     """
     from numpy.polynomial import polynomial as npoly  # kept out of every command's start-up
-    if k_i <= 0:
-        raise DomainError(f"k_i must be positive, got {k_i}")
-    if g0 <= 0:
-        raise DomainError(f"g0 must be positive, got {g0}")
+    _positive_finite(k_i=k_i, g0=g0)
     lam_i = _inverse_q(k_i / g0).real
     L = _loop_l_max(k_i, 0, g0)
     inner = [(lam_i, 2), (-1.0 / lam_i, 2), (-lam_i, 4), (1.0 / lam_i, 4)]
@@ -431,10 +430,11 @@ def _bound_series(k_f: float, k_i: float, n: int, g0: float, pole: float,
     """
     if n % 2 != 0:
         return 0.0 + 0.0j
-    q_f, q_i = _q_base(k_f, g0), _q_base(k_i, g0)
+    b_in = b_kernel(k_i, _q_base(k_i, g0) ** np.abs(_ODD_N0), g0)
+    b_out = b_in if (n, k_f) == (0, k_i) else \
+        b_kernel(k_f, _q_base(k_f, g0) ** np.abs(n + _ODD_N0), g0)
     # B_{b k_i}(-n0) = conj(B_{k_i b}(n0))
-    num = b_kernel(k_f, q_f ** np.abs(n + _ODD_N0), g0) \
-        * np.conj(b_kernel(k_i, q_i ** np.abs(_ODD_N0), g0))
+    num = b_out * np.conj(b_in)
     denom = pole - _ODD_N0 + 1j * width
     if resonant is not None:
         n0, weight = resonant
@@ -493,8 +493,7 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     :class:`RegimeError` before integrating; so does a failed quadrature
     with a channel within ``_THRESHOLD_GAP`` of its threshold.
     """
-    if not (math.isfinite(g0) and g0 > 0):
-        raise DomainError(f"g0 must be positive and finite, got {g0}")
+    _positive_finite(g0=g0, eps_i=eps_i)
     k_i = math.sqrt(2.0 * eps_i)
     ms = np.arange(1, _bound_channels(k_i, g0) + 1, 2)
     integrand = _shift_integrand(n0, eps_i, g0, ms)
@@ -503,9 +502,12 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     kl2 = 2.0 * above
     gap = np.abs(above)
     nearest = int(np.argmin(gap))
-    where = f"channel m = {ls[nearest] + n0} (n0 = {n0}) at eps_i = {eps_i!r}"
+
+    def where():
+        return f"channel m = {ls[nearest] + n0} (n0 = {n0}) at eps_i = {eps_i!r}"
+
     if gap[nearest] == 0.0:
-        raise RegimeError(f"alpha_shift: {where} sits at its threshold "
+        raise RegimeError(f"alpha_shift: {where()} sits at its threshold "
                           "eps_i + m - n0 = 0")
     poles = np.sqrt(kl2[kl2 > 0]).tolist()
     split = max(4.0 * k_i, 4.0 * g0, 8.0, 1.5 * max(poles, default=0.0))
@@ -514,7 +516,7 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
             value = pv_halfline(integrand, poles, split, tol).value
     except ToleranceError as exc:
         if gap[nearest] < _THRESHOLD_GAP:
-            raise RegimeError(f"alpha_shift: {where} is {gap[nearest]:.3g} from its "
+            raise RegimeError(f"alpha_shift: {where()} is {gap[nearest]:.3g} from its "
                               f"threshold eps_i + m - n0 = 0: {exc}") from exc
         raise
     return 2.0 * float(value)
@@ -527,8 +529,7 @@ def beta_width(n0: int, eps_i: float, g0: float) -> float:
     sum over open l of (2 pi / k_l) |B_{k_l b}(n0 + l)|**2 with
     k_l = sqrt(2 (eps_i + l)).
     """
-    if not (math.isfinite(g0) and g0 > 0):
-        raise DomainError(f"g0 must be positive and finite, got {g0}")
+    _positive_finite(g0=g0, eps_i=eps_i)
     M = _bound_channels(math.sqrt(2.0 * eps_i), g0)
     ms = np.arange(-M, M + 1)
     ms = ms[ms % 2 != 0]

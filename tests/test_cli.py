@@ -175,6 +175,16 @@ class TestFlags:
                 main([command, flag, choices[0] if choices else "1"])
             assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
 
+    def test_unread_flag_shows_the_command_usage(self, capsys):
+        # the error once came with the program's usage line,
+        # "usage: drivendelta [-h] {scan,zero,compare,w0} ..."
+        with pytest.raises(SystemExit, match="^2$"):
+            main(["zero", "--g0", "0.3", "--output", "z.json"])
+        err = capsys.readouterr().err
+        assert err.startswith("usage: drivendelta zero [-h] ")
+        assert err.endswith("drivendelta zero: error: unrecognized arguments: "
+                            "--output z.json\n")
+
     @pytest.mark.parametrize("argv", [
         # zero once exited 0, printed its report and wrote no file; the
         # others computed what they would without the flag

@@ -240,3 +240,17 @@ class TestObservables:
             zero_locate_exact(0.0)
         with pytest.raises(DomainError):
             zero_locate_exact(1.5)
+
+
+class TestReciprocity:
+    """Time reversal of the exact sideband fluxes: T_{0->n}(eps) = T_{0->-n}(eps + n)."""
+
+    @pytest.mark.parametrize("g0", [0.1, 0.3, 0.7])
+    def test_sideband_fluxes_are_reciprocal(self, g0):
+        eps = np.array([0.3, 0.7, 1.3, 2.2])
+        grid = transmission_grid(np.concatenate([eps, eps + 1.0, eps + 2.0]), g0, n_max=2)
+        for n in (1, 2):
+            forward = grid.T_n[2 + n, :4]
+            backward = grid.T_n[2 - n, 4 * n:4 * n + 4]
+            assert np.all(forward > 0.0)
+            assert np.all(np.abs(forward - backward) <= 1e-13 * forward)

@@ -171,20 +171,20 @@ class TestHalfLine:
 
 
 def _gk15_per_job(f, jobs):
-    """The Gauss-Kronrod round one job at a time: each segment maps its own
-    nodes, a fold job calling f once on its nodes and once on their
-    mirrors, any other job once."""
+    """The Gauss-Kronrod round one job at a time: each (kind, pole, panels)
+    job maps its own nodes, a fold job calling f once on its nodes and once
+    on their mirrors, any other job once."""
     values = []
-    for seg, panels in jobs:
+    for kind, pole, panels in jobs:
         a, b = np.array(panels).T
         mids, halves = 0.5 * (a + b), 0.5 * (b - a)
         u = mids[:, None] + halves[:, None] * quadrature._NODES
-        if seg.tail:
+        if kind == "tail":
             x = np.tan(u)
             g = np.asarray(f(x.ravel())).reshape(u.shape) * (1.0 + x * x)
-        elif seg.fold is not None:
-            up = seg.fold + u
-            down = seg.fold - (up - seg.fold)
+        elif kind == "fold":
+            up = pole + u
+            down = pole - (up - pole)
             g = np.asarray(f(up.ravel())).reshape(u.shape) \
                 + np.asarray(f(down.ravel())).reshape(u.shape)
         else:
@@ -193,6 +193,16 @@ def _gk15_per_job(f, jobs):
         values.append(halves * np.sum(g * quadrature._W7, axis=1))
     v15, v7 = np.concatenate(values[::2]), np.concatenate(values[1::2])
     return v15, np.abs(v15 - v7)
+
+
+def _gk15_round(f, jobs):
+    """One :func:`quadrature._gk15` pass over the panels of ``jobs``, which
+    list the fold jobs first and the tail jobs last."""
+    panels = [panel for _, _, job in jobs for panel in job]
+    a, b = np.array(panels).T
+    poles = [pole for kind, pole, job in jobs if kind == "fold" for _ in job]
+    tails = sum(len(job) for kind, _, job in jobs if kind == "tail")
+    return quadrature._gk15(f, a, b, np.array(poles, float), tails)
 
 
 class TestRoundArrays:
@@ -204,15 +214,11 @@ class TestRoundArrays:
             return residue / (x - 1.0) + np.cos(x) / (1.0 + x * x)
 
         near = (2.0 ** -40, 2.0 ** -39)     # nodes a few thousand ulps off the pole
-        fold = quadrature._Segment(0.0, 0.6, 1e-8, fold=1.0)
-        plain = quadrature._Segment(1.6, 6.0, 1e-8)
-        other = quadrature._Segment(0.0, 0.4, 1e-8, fold=2.3)
-        tail = quadrature._Segment(math.atan(6.0), 0.5 * math.pi, 1e-8, tail=True)
-        jobs = [(fold, [(0.0, 0.3), (0.3, 0.6 - 1e-3), near]),
-                (plain, [(1.6, 3.0), (3.0, 6.0)]),
-                (other, [(0.0, 0.4)]),
-                (tail, [(math.atan(6.0), 0.5 * math.pi)])]
-        values, errors = quadrature._gk15(f, jobs)
+        jobs = [("fold", 1.0, [(0.0, 0.3), (0.3, 0.6 - 1e-3), near]),
+                ("fold", 2.3, [(0.0, 0.4)]),
+                ("plain", None, [(1.6, 3.0), (3.0, 6.0)]),
+                ("tail", None, [(math.atan(6.0), 0.5 * math.pi)])]
+        values, errors = _gk15_round(f, jobs)
         ref_values, ref_errors = _gk15_per_job(f, jobs)
         assert np.array_equal(values, ref_values)
         assert np.array_equal(errors, ref_errors)
@@ -221,29 +227,94 @@ class TestRoundArrays:
     def test_fold_cancels_pole_exactly(self):
         # each node pair is exactly symmetric about the pole, so a pure
         # pole folds to zero, also on a panel a few hundred ulps wide next to it
-        fold = quadrature._Segment(0.0, 0.5, 1e-8, fold=0.7)
-        panels = [(0.0, 0.25), (0.25, 0.5), (2.0 ** -44, 2.0 ** -43)]
-        values, errors = quadrature._gk15(lambda x: 3.0 / (x - 0.7), [(fold, panels)])
+        jobs = [("fold", 0.7, [(0.0, 0.25), (0.25, 0.5), (2.0 ** -44, 2.0 ** -43)])]
+        values, errors = _gk15_round(lambda x: 3.0 / (x - 0.7), jobs)
         assert np.all(values == 0.0) and np.all(errors == 0.0)
 
     def test_refine_checks_only_refined_segments(self, monkeypatch):
-        checks = []
-        unfinished = quadrature._Segment.unfinished
+        rounds = []
+        gk15 = quadrature._gk15
 
-        def counting(seg):
-            checks.append(seg)
-            return unfinished(seg)
+        def counting(f, lo, hi, poles, tails):
+            rounds.append(len(lo))
+            return gk15(f, lo, hi, poles, tails)
 
-        monkeypatch.setattr(quadrature._Segment, "unfinished", counting)
-        easy = quadrature._Segment(0.0, 1.0, 1e-8)
-        hard = quadrature._Segment(0.0, 1.0, 1e-12)
-        quadrature._refine(lambda x: 1.0 / (1e-3 + x * x), [easy, hard])
+        monkeypatch.setattr(quadrature, "_gk15", counting)
+        # an easy and a hard segment over the same interval
+        _, _, count = quadrature._refine(
+            lambda x: 1.0 / (1e-3 + x * x), np.zeros(2), np.ones(2),
+            np.array([1e-8, 1e-12]), np.zeros(0), 0, 2000)
+        easy, hard = count.tolist()
         # a segment takes part in one round, then one per split, and each
-        # of those rounds leaves it one interval more
-        assert checks.count(easy) == len(easy.intervals)
-        assert checks.count(hard) == len(hard.intervals)
-        # once finished, the easy segment is not checked again
-        assert checks.count(easy) < checks.count(hard)
+        # of those rounds leaves it one panel more; once finished, the easy
+        # segment is not checked or refined again
+        assert rounds == [2] + [4] * (easy - 1) + [2] * (hard - easy)
+        assert easy < hard
+
+
+def _pole_at_quarter(x):
+    """1 / (x - 1/4): a panel bisected onto the pole puts a node on it."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / (x - 0.25)
+
+
+def _bisect_reference(f, a, b, tol, max_intervals):
+    """adaptive_quad one panel at a time: GK15 on each new panel; split the
+    panel with the largest estimate, the first made among equal ones, while
+    the fsum of the estimates is finite, above ``tol`` and within budget.
+    Returns (value, error estimate, evaluations) summed by math.fsum."""
+    def gk15(lo, hi):
+        half = 0.5 * (hi - lo)
+        g = np.asarray(f(0.5 * (lo + hi) + half * quadrature._NODES))[None]
+        with np.errstate(invalid="ignore"):
+            v15, v7 = (half * np.sum(g * w, axis=1)
+                       for w in (quadrature._W15, quadrature._W7))
+            # numpy's complex abs of an array, which a scalar's abs can miss by an ulp
+            return complex(v15[0]), np.abs(v15 - v7)[0].item()
+
+    panels = [(a, b, *gk15(a, b))]
+    while (len(panels) < max_intervals
+           and tol < math.fsum(p[3] for p in panels) < math.inf):
+        lo, hi, _, _ = panels.pop(max(range(len(panels)), key=lambda j: panels[j][3]))
+        mid = 0.5 * (lo + hi)
+        panels += [(lo, mid, *gk15(lo, mid)), (mid, hi, *gk15(mid, hi))]
+    value = complex(math.fsum(p[2].real for p in panels),
+                    math.fsum(p[2].imag for p in panels))
+    return (value if value.imag else value.real,
+            math.fsum(p[3] for p in panels), 15 * (2 * len(panels) - 1))
+
+
+class TestEngineReference:
+    """The array engine against sequential bisection, bit for bit."""
+
+    @pytest.mark.parametrize("f,a,b,tol,max_intervals,rounds", [
+        (np.cos, 0.0, 1.0, 1e-8, 2000, "one"),
+        (lambda x: 1.0 / (1e-4 + x * x), -1.0, 1.0, 1e-9, 2000, "many"),
+        (lambda x: np.exp(3j * x) / (1e-3 + x * x), -1.0, 2.0, 1e-9, 2000, "complex"),
+        (lambda x: np.abs(x) ** -0.5 * (x != 0), 1e-30, 1.0, 1e-14, 8, "exhausted"),
+        (_pole_at_quarter, 0.0, 1.0, 1e-8, 2000, "non-finite"),
+    ])
+    def test_bit_equal_to_sequential_bisection(self, f, a, b, tol, max_intervals, rounds):
+        value, err, evals = _bisect_reference(f, a, b, tol, max_intervals)
+        if rounds == "one":
+            assert evals == 15
+        if rounds in ("many", "complex"):
+            assert evals > 15 * 20 and err <= tol
+        if rounds == "complex":
+            assert isinstance(value, complex)
+        if err <= tol:      # else a non-finite estimate or a spent budget
+            res = adaptive_quad(f, a, b, tol=tol, max_intervals=max_intervals)
+            assert (res.value, res.error_estimate, res.evaluations) == (value, err, evals)
+            assert type(res.value) is type(value)
+            return
+        with pytest.raises(ToleranceError) as exc:
+            adaptive_quad(f, a, b, tol=tol, max_intervals=max_intervals)
+        if rounds == "exhausted":
+            assert "budget exhausted" in str(exc.value) and evals == 15 * 15
+            assert (exc.value.value, exc.value.error_estimate) == (value, err)
+        else:
+            assert rounds == "non-finite" and "non-finite" in str(exc.value)
+            assert not math.isfinite(exc.value.error_estimate) and evals > 15
 
 
 class TestFourierCoefficient:

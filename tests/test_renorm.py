@@ -121,6 +121,18 @@ class TestLockstepLoop:
         assert loop.im == -math.pi * float(np.sum(np.diagonal(table) / k_open))
 
 
+    @pytest.mark.parametrize("g0,eps_i,n", LOOP_POINTS)
+    def test_poles_are_transition_and_channel_momenta(self, g0, eps_i, n):
+        k_i = math.sqrt(2.0 * eps_i)
+        k_f = math.sqrt(k_i * k_i + 2 * n)
+        diag = gamma_loop.__wrapped__(k_f, k_i, n, g0).diagnostics
+        # a channel within 1e-6 of its threshold gets no pole of its own
+        expected = {k_i} | ({k_f} if n else set()) | {
+            math.sqrt(k_i * k_i + 2 * l) for l in diag["channels"] if k_i * k_i + 2 * l > 1e-12}
+        assert diag["poles"] == sorted(expected)
+        assert all(type(p) is float for p in diag["poles"])
+
+
 class TestNodeBlocks:
     """Rounds split into node blocks give the bits of one call per round."""
 
@@ -301,6 +313,15 @@ class TestReducedKernels:
         values = renorm._loop_integrand(k_f, k_i, n, ls, g0)(nodes)
         assert np.all(np.abs(values - terms.sum(axis=0))
                       <= 1e-12 * np.abs(terms).sum(axis=0))
+
+    @pytest.mark.parametrize("step", [None, 0.3])
+    @pytest.mark.parametrize("q", [0.7, np.linspace(0.01, 0.99, 9)])
+    def test_q_powers_is_the_row_by_row_product(self, q, step):
+        # the table a loop over the rows makes, bit for bit
+        rows = [np.asarray(q, dtype=float)]
+        for _ in range(24):
+            rows.append(rows[-1] * (q if step is None else step))
+        assert np.array_equal(renorm._q_powers(q, 25, step), np.array(rows))
 
     def test_elastic_loop_needs_paired_channels(self):
         with pytest.raises(DomainError):
@@ -535,3 +556,22 @@ class TestPoleCorrections:
         # once "ValueError: cannot convert float NaN to integer"
         with pytest.raises(DomainError, match=f"^g0 must be positive and finite, got {g0}$"):
             fn(1, 0.9, g0)
+
+    @pytest.mark.parametrize("fn,args,name,value", [
+        # once a ToleranceError on "the fold about pole 1.0" or "ValueError:
+        # cannot convert float NaN to integer"
+        (gamma_loop.__wrapped__, (math.nan, 1.0, 0, 0.3), "k_f", math.nan),
+        (gamma_loop.__wrapped__, (1.0, math.inf, 0, 0.3), "k_i", math.inf),
+        (alpha_shift.__wrapped__, (1, math.nan, 0.3), "eps_i", math.nan),
+        (alpha_shift.__wrapped__, (1, math.inf, 0.3), "eps_i", math.inf),
+        (beta_width.__wrapped__, (1, math.nan, 0.3), "eps_i", math.nan),
+        (gamma_elastic_closed, (1.0, math.nan), "g0", math.nan),
+        (gamma_elastic_closed, (math.inf, 0.3), "k_i", math.inf),
+    ])
+    def test_non_finite_argument_named(self, monkeypatch, fn, args, name, value):
+        def no_quadrature(*_):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(renorm, "pv_halfline", no_quadrature)
+        with pytest.raises(DomainError, match=f"^{name} must be positive and finite, got {value}$"):
+            fn(*args)

@@ -17,8 +17,10 @@ each quadrature round splits into many node blocks, ``w0`` at g0 0.7
 over 75-76 and a perturbative ``scan`` at g0 0.7 over 20-40; and, where
 quadrature refines over many rounds or fails, the perturbative ``zero``
 at g0 0.475 and at g0 0.45 (which finds no zero and exits 1) and ``w0``
-at g0 0.7 within 1e-3 of the eps = 2 threshold.  Each grid command runs
-as CSV on standard output and again as a JSON ``--output`` file.
+at g0 0.7 within 1e-3 of the eps = 2 threshold; and the perturbative
+``zero`` at g0 0.96, where the analytic zero lies below the threshold,
+so the locator searches its 9-point window about it.  Each grid command
+runs as CSV on standard output and again as a JSON ``--output`` file.
 
 Usage:
     python scripts/output_diff.py OLD_ROOT NEW_ROOT
@@ -72,7 +74,8 @@ def commands() -> List[Tuple[str, ...]]:
               ("zero", "--g0", "0.55", "--method", "floquet"),
               ("zero", "--g0", "0.55", "--method", "perturbative"),
               ("zero", "--g0", "0.475", "--method", "perturbative"),
-              ("zero", "--g0", "0.45", "--method", "perturbative")]
+              ("zero", "--g0", "0.45", "--method", "perturbative"),
+              ("zero", "--g0", "0.96", "--method", "perturbative")]
     as_json = [argv + ("--format", "json", "--output", OUTPUT) for argv in grid]
     return list(dict.fromkeys(grid + as_json + other))    # the workloads repeat commands
 

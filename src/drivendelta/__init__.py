@@ -15,7 +15,7 @@ from .errors import (DomainError, DrivenDeltaError, RegimeError,
 from .floquet import (FloquetGrid, FloquetSolution, solve,
                       total_transmission_exact, transmission_grid,
                       zero_locate_exact)
-from .model import Channel, q_factor, sideband_channel
+from .model import q_factor
 from .quadrature import (QuadratureResult, adaptive_quad, bracket_min,
                          pv_halfline, pv_integral)
 from .renorm import (LoopValue, RenormFactors, alpha_shift, b_renorm,
@@ -29,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "Channel", "sideband_channel", "q_factor",
+    "q_factor",
     # quadrature
     "QuadratureResult", "adaptive_quad", "pv_integral", "pv_halfline",
     "bracket_min",

@@ -18,8 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError
-from .model import _q_base, q_factor
+from .errors import DomainError, ToleranceError, check_domain
+from .model import _q_base
 from .quadrature import QuadratureResult
 
 __all__ = [
@@ -45,8 +45,7 @@ def phi_cc(k: float, kp: float, tau, g0: float):
     The diagonal k == kp is excluded: the renormalized convention removes
     the delta contribution there, so callers never need it on-shell.
     """
-    if k <= 0 or kp <= 0:
-        raise DomainError(f"wavenumbers must be positive, got ({k}, {kp})")
+    check_domain(k=k, kp=kp, g0=g0, non_negative=("g0",))
     if k == kp:
         raise DomainError("diagonal element excluded by renormalization")
     tau = np.asarray(tau, dtype=float)
@@ -70,8 +69,7 @@ def phi_cb_mean(k: float, tau, g0: float):
     Smooth over the whole period; this is the form whose Fourier transform
     has the closed coefficients of :func:`b_coefficient`.
     """
-    if k <= 0:
-        raise DomainError(f"k must be positive, got {k}")
+    check_domain(k=k, g0=g0, non_negative=("g0",))
     tau = np.asarray(tau, dtype=float)
     g = _g(tau, g0)
     gdot = _gdot(tau, g0)
@@ -117,8 +115,7 @@ def a_coefficient(k_f: float, k_i: float, n: int, g0: float) -> complex:
     evaluation with k_f**2 == k_i**2 and n != 0 hits the removed pole and
     is rejected.  The checked edge of :func:`a_kernel`.
     """
-    if k_f <= 0 or k_i <= 0:
-        raise DomainError(f"wavenumbers must be positive, got ({k_f}, {k_i})")
+    check_domain(k_f=k_f, k_i=k_i, g0=g0, non_negative=("g0",))
     if n == 0:
         return 0.0 + 0.0j
     if k_f == k_i:
@@ -133,11 +130,10 @@ def b_coefficient(k: float, n: int, g0: float) -> complex:
     Vanishes for all even n.  The b <- c coefficient is
     ``b_coefficient(k, -n, g0).conjugate()``.
     """
-    if k <= 0:
-        raise DomainError(f"k must be positive, got {k}")
+    check_domain(k=k, g0=g0, non_negative=("g0",))
     if n % 2 == 0:
         return 0.0 + 0.0j
-    return b_kernel(k, q_factor(k, abs(n), g0), g0)
+    return b_kernel(k, _q_base(k, g0) ** abs(n), g0)
 
 
 def b_kernel(k, pow_k, g0: float):
@@ -160,6 +156,8 @@ def fourier_oracle(integrand: Callable, n: int, tol: float = 1e-12) -> Quadratur
     raises :class:`ToleranceError` if it has not settled to ``tol`` at
     2**16 panels.
     """
+    check_domain(tol=tol)
+
     def approx(m):
         tau = np.arange(m) * (2.0 * math.pi / m)
         vals = np.asarray(integrand(tau)) * np.exp(1j * n * tau)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one argument check
+(:func:`check_domain`) that every public function runs on its momenta,
+energies, couplings and tolerances before any arithmetic."""
+
+import math
 
 
 class DrivenDeltaError(Exception):
@@ -34,3 +38,19 @@ class ZeroNotFoundError(DrivenDeltaError, RuntimeError):
     def __init__(self, message, scan_trace=None):
         super().__init__(message)
         self.scan_trace = scan_trace
+
+
+def check_domain(*, non_negative=(), **args) -> None:
+    """Raise :class:`DomainError` naming the first of ``args`` that is not
+    positive and finite (non-negative and finite for the names in
+    ``non_negative``); an array is named by its first bad element."""
+    for name, value in args.items():
+        zero_ok = name in non_negative
+        if getattr(value, "ndim", 0):
+            bad = ~((value >= 0 if zero_ok else value > 0) & (abs(value) < math.inf))
+            if not bad.any():
+                continue
+            value = value[bad][0]
+        if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+            rule = "non-negative" if zero_ok else "positive"
+            raise DomainError(f"{name} must be {rule} and finite, got {value}")

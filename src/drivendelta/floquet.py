@@ -20,9 +20,10 @@ the perturbative one-transition amplitude as g0 -> 0.
 
 The system is tridiagonal in the sideband index.  It is solved by Thomas
 elimination from both ends of the index range, vectorized over an array
-of energies: energies with the same number of open channels share the
-default truncation N = 2 * (open channels) + 20.  The truncated system
-conserves flux exactly at every N, so its unitarity defect measures
+of energies: energies with the same floor(eps_i) share the truncation
+N = 2 (floor(eps_i) + 1) + 20, which at an integer eps_i counts the
+threshold channel as open (N is 26 at eps_i = 2, 24 just below).  The
+truncated system conserves flux exactly at every N, so its unitarity defect measures
 rounding only, and a defect above 1e-10 raises; convergence in N rests on
 that fixed margin of closed channels (checked against doubled N in the
 tests).  ``solve`` is the one-energy case of that sweep and
@@ -41,7 +42,7 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError, ZeroNotFoundError
+from .errors import DomainError, ToleranceError, ZeroNotFoundError, check_domain
 
 __all__ = [
     "FloquetSolution",
@@ -161,10 +162,9 @@ def _converged(eps: np.ndarray, g0: float) -> Iterator[tuple]:
 
     Each block is (index into ``eps``, N, t, transmitted flux per channel,
     total transmitted flux, unitarity defect).  ``N`` is
-    2 * (open channels) + 20, shared by the energies with as many open
-    channels.  The truncated system
-    conserves flux at every N, so the defect measures rounding only, and
-    convergence in N rests on that fixed margin of 20 closed channels.  A
+    2 (floor(eps_i) + 1) + 20, shared by the energies with the same
+    floor(eps_i).  The truncated system conserves flux at every N, so the
+    defect measures rounding only, and convergence in N rests on that fixed margin of 20 closed channels.  A
     defect above 1e-10, or a singular system, raises
     :class:`ToleranceError` naming the energy: the first faulty one of its
     block for a defect, the first one in ``eps`` for a singular system.
@@ -208,14 +208,11 @@ def _converged(eps: np.ndarray, g0: float) -> Iterator[tuple]:
 def solve(eps_i: float, g0: float) -> FloquetSolution:
     """Solve the truncated sideband system at incoming energy ``eps_i``.
 
-    ``N`` is 2 * (open channels) + 20; a unitarity defect above
+    ``N`` is 2 (floor(eps_i) + 1) + 20; a unitarity defect above
     1e-10 or a singular system raises :class:`ToleranceError`
     (:func:`_converged`).
     """
-    if not (math.isfinite(eps_i) and eps_i > 0):
-        raise DomainError(f"eps_i must be positive and finite, got {eps_i}")
-    if not (math.isfinite(g0) and g0 >= 0):
-        raise DomainError(f"g0 must be non-negative and finite, got {g0}")
+    check_domain(eps_i=eps_i, g0=g0, non_negative=("g0",))
     (_, N, t, _, _, defect), = _converged(np.array([float(eps_i)]), g0)
     t_vec = t[:, 0]
     r_vec = t_vec.copy()
@@ -240,11 +237,7 @@ def transmission_grid(eps_i, g0: float, n_max: int = 0) -> FloquetGrid:
     eps = np.atleast_1d(np.asarray(eps_i, dtype=float))
     if eps.ndim != 1:
         raise DomainError(f"eps_i must be a 1-D array, got shape {eps.shape}")
-    bad = np.flatnonzero(~((eps > 0) & np.isfinite(eps)))
-    if bad.size:
-        raise DomainError(f"eps_i must be positive and finite, got {eps[bad[0]]}")
-    if not (math.isfinite(g0) and g0 >= 0):
-        raise DomainError(f"g0 must be non-negative and finite, got {g0}")
+    check_domain(eps_i=eps, g0=g0, non_negative=("g0",))
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     out = {name: np.empty(eps.size) for name in ("t0_sq", "r0_sq", "T_total")}

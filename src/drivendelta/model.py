@@ -8,50 +8,15 @@ supports a single bound state at energy -g**2 / 2.
 
 Every input and output of the package is in these units; converting
 physical driving parameters is left to the caller (g0 = g_phys
-sqrt(m omega / hbar) / (hbar omega)).
+sqrt(m omega / hbar) / (hbar omega)).  Sideband n is open from incoming
+wavenumber k_i when k_i**2 + 2 n > 0; callers test that where they need it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Literal, Optional
-
 import numpy as np
 
-from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class Channel:
-    """One Floquet sideband of the scattering problem.
-
-    An open channel propagates with wavenumber ``k = sqrt(k_i**2 + 2 n)``;
-    a closed channel is evanescent with decay constant ``kappa``.
-    """
-
-    n: int
-    status: Literal["open", "closed"]
-    k: Optional[float] = None
-    kappa: Optional[float] = None
-
-    @property
-    def is_open(self) -> bool:
-        return self.status == "open"
-
-
-def sideband_channel(k_i: float, n: int) -> Channel:
-    """Classify the sideband ``n`` reached from incoming wavenumber ``k_i``.
-
-    The degenerate threshold k_i**2 + 2 n == 0 is reported closed with
-    kappa = 0; its flux weight vanishes either way.
-    """
-    if k_i <= 0:
-        raise DomainError(f"k_i must be positive, got {k_i}")
-    ksq = k_i * k_i + 2 * n
-    if ksq > 0:
-        return Channel(n=n, status="open", k=math.sqrt(ksq))
-    return Channel(n=n, status="closed", kappa=math.sqrt(-ksq))
+from .errors import DomainError, check_domain
 
 
 def q_factor(k, n: int, g0: float):
@@ -59,15 +24,16 @@ def q_factor(k, n: int, g0: float):
 
     Lies in (0, 1] for k > 0 and is strictly decreasing in n when g0 > 0.
     The g0 = 0 limit is taken continuously: 1 for n = 0, else 0.  Accepts
-    array ``k`` for vectorized evaluation.
+    a real array ``k`` for vectorized evaluation; complex ``k`` is refused.
     """
     if n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n}")
     k = np.asarray(k)
-    if np.any(np.real(k) <= 0) and not np.iscomplexobj(k):
-        raise DomainError("k must be positive")
+    if np.iscomplexobj(k):
+        raise DomainError(f"k must be real, got dtype {k.dtype}")
+    check_domain(k=k, g0=g0, non_negative=("g0",))
     if n == 0:
-        out = np.ones_like(k, dtype=complex if np.iscomplexobj(k) else float)
+        out = np.ones_like(k, dtype=float)
         return out[()] if out.ndim == 0 else out
     out = _q_base(k, g0) ** n
     return out[()] if out.ndim == 0 else out

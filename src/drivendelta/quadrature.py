@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, check_domain
 
 __all__ = [
     "QuadratureResult",
@@ -160,8 +160,6 @@ def _integrate(f, a, p, b, plain, tails, tol, max_intervals=2000) -> QuadratureR
     budget spent above tolerance, raises :class:`ToleranceError` for the
     first such segment in that order.
     """
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
     m, left, right = len(p), p - a, b - p
     h, up = np.minimum(left, right), right > left
     rest_lo, rest_hi = np.where(up, p + h, a), np.where(up, b, p - h)
@@ -224,6 +222,7 @@ def adaptive_quad(
     estimate drops below ``tol`` or the interval budget runs out; the latter
     raises :class:`ToleranceError` carrying the best value reached.
     """
+    check_domain(tol=tol)
     return _integrate(f, *np.zeros((3, 0)), [(a, b)], 0, tol, max_intervals)
 
 
@@ -242,6 +241,7 @@ def pv_integral(
     """
     if not a < pole < b:
         raise DomainError(f"pole {pole} not inside ({a}, {b})")
+    check_domain(tol=tol)
     return _integrate(f, *np.array([[a], [pole], [b]], float), [], 0, tol)
 
 
@@ -265,6 +265,7 @@ def pv_halfline(
     poles = sorted(poles)
     if not (0.0 < min(poles, default=split) and max(poles, default=0.0) < split):
         raise DomainError(f"poles {poles} must lie inside (0, {split})")
+    check_domain(tol=tol)
     p = np.array(poles, float)
     cuts = np.concatenate([[0.0], 0.5 * (p[:-1] + p[1:]), [split]])
     plain = [] if poles else [(0.0, split)]
@@ -289,8 +290,9 @@ def bracket_min(
     warnings list (with their locations) and the search proceeds from the
     deepest scanned point.
     """
-    if not a < b:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
+    if not -math.inf < a < b < math.inf:
+        raise DomainError(f"need finite a < b, got [{a}, {b}]")
+    check_domain(tol=tol)
     xs = np.linspace(a, b, scan_points)
     ys = np.array([f(x) for x in xs])
     interior = np.where((ys[1:-1] < ys[:-2]) & (ys[1:-1] <= ys[2:]))[0] + 1

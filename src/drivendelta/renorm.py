@@ -26,8 +26,8 @@ from typing import Dict, List
 import numpy as np
 
 from .amplitudes import a_coefficient, a_kernel, a_signs, b_coefficient, b_kernel
-from .errors import DomainError, RegimeError, ToleranceError
-from .model import _q_base, q_factor
+from .errors import DomainError, RegimeError, ToleranceError, check_domain
+from .model import _q_base
 from .quadrature import pv_halfline
 
 __all__ = [
@@ -170,14 +170,6 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
     return integrand
 
 
-def _positive_finite(**args) -> None:
-    """Raise :class:`DomainError` naming the first argument that is not
-    positive and finite."""
-    for name, value in args.items():
-        if not (math.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be positive and finite, got {value}")
-
-
 def _decay_count(q: float) -> int:
     """Sideband orders until q**m falls below 1e-18, kept within 10 .. 32."""
     if q >= 1.0:
@@ -188,7 +180,7 @@ def _decay_count(q: float) -> int:
 
 def _loop_l_max(k_i: float, n: int, g0: float) -> int:
     """Channel cutoff |l| <= L of the loop sums (quadrature and closed form)."""
-    q_i = float(q_factor(k_i, 1, g0))
+    q_i = float(_q_base(k_i, g0))
     return max(_decay_count(q_i), abs(n) + 2, int(math.floor(0.5 * k_i * k_i)) + 2)
 
 
@@ -202,9 +194,7 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
     poles at k_i (and k_f for n != 0) all treated symmetrically.  The
     l-truncation is adaptive with a diagnostics flag on cap hit.
     """
-    _positive_finite(k_f=k_f, k_i=k_i)
-    if not (math.isfinite(g0) and g0 >= 0):
-        raise DomainError(f"g0 must be non-negative and finite, got {g0}")
+    check_domain(k_f=k_f, k_i=k_i, g0=g0, tol=tol, non_negative=("g0",))
     diag: Dict = {}
     if g0 == 0:
         return LoopValue(re=0.0, im=0.0, n=n, diagnostics={"channels": []})
@@ -374,7 +364,7 @@ def gamma_elastic_closed(k_i: float, g0: float,
     channels with ``include_closed`` and the open ones only without it.
     """
     from numpy.polynomial import polynomial as npoly  # kept out of every command's start-up
-    _positive_finite(k_i=k_i, g0=g0)
+    check_domain(k_i=k_i, g0=g0)
     lam_i = _inverse_q(k_i / g0).real
     L = _loop_l_max(k_i, 0, g0)
     inner = [(lam_i, 2), (-1.0 / lam_i, 2), (-lam_i, 4), (1.0 / lam_i, 4)]
@@ -477,7 +467,7 @@ def _shift_integrand(n0: int, eps_i: float, g0: float, ms):
 
 def _bound_channels(k_i: float, g0: float) -> int:
     """Channel cutoff |m| <= M of the shift and width sums over B_{k b}(m)."""
-    return _decay_count(float(q_factor(max(k_i, 1.0), 1, g0)))
+    return _decay_count(float(_q_base(max(k_i, 1.0), g0)))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -493,7 +483,7 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     :class:`RegimeError` before integrating; so does a failed quadrature
     with a channel within ``_THRESHOLD_GAP`` of its threshold.
     """
-    _positive_finite(g0=g0, eps_i=eps_i)
+    check_domain(g0=g0, eps_i=eps_i, tol=tol)
     k_i = math.sqrt(2.0 * eps_i)
     ms = np.arange(1, _bound_channels(k_i, g0) + 1, 2)
     integrand = _shift_integrand(n0, eps_i, g0, ms)
@@ -529,7 +519,7 @@ def beta_width(n0: int, eps_i: float, g0: float) -> float:
     sum over open l of (2 pi / k_l) |B_{k_l b}(n0 + l)|**2 with
     k_l = sqrt(2 (eps_i + l)).
     """
-    _positive_finite(g0=g0, eps_i=eps_i)
+    check_domain(g0=g0, eps_i=eps_i)
     M = _bound_channels(math.sqrt(2.0 * eps_i), g0)
     ms = np.arange(-M, M + 1)
     ms = ms[ms % 2 != 0]
@@ -540,16 +530,28 @@ def beta_width(n0: int, eps_i: float, g0: float) -> float:
     return float(np.sum((2.0 * math.pi / kl) * np.abs(b) ** 2))
 
 
-def renorm_factors(n: int, n0: int, k_f: float, k_i: float, eps_i: float,
-                   g0: float, tol: float = 1e-8) -> RenormFactors:
+def _momenta(n: int, eps_i: float):
+    """(k_f, k_i) = (sqrt(k_i**2 + 2 n), sqrt(2 eps_i)); a closed ``n`` raises."""
+    k_i = math.sqrt(2.0 * eps_i)
+    ksq = k_i * k_i + 2 * n
+    if not ksq > 0:
+        raise DomainError(f"sideband n = {n} is closed at eps_i = {eps_i}")
+    return math.sqrt(ksq), k_i
+
+
+def renorm_factors(n: int, n0: int, eps_i: float, g0: float,
+                   tol: float = 1e-8) -> RenormFactors:
     """Corrected pole parameters for the n0-term of the c/b/c amplitude.
 
     eps_R = eps_i + g0**2/8 + alpha(n0); eta_R = beta(n0) (1 + gamma_n);
     gamma_n folds the loop amplitude into the width, and Z normalizes the
     residue with the full complex loop values (the elastic limit reduces
-    to the familiar 1 - (2 pi i / k_i)[4 Gamma(0) - sum ...] form).
-    ``tol`` is the quadrature tolerance of the shift and the loops.
+    to the familiar 1 - (2 pi i / k_i)[4 Gamma(0) - sum ...] form), at
+    the wavenumbers of :func:`_momenta`.  ``tol`` is the quadrature
+    tolerance of the shift and the loops.
     """
+    check_domain(g0=g0, eps_i=eps_i, tol=tol)
+    k_f, k_i = _momenta(n, eps_i)
     alpha = alpha_shift(n0, eps_i, g0, tol)
     beta = beta_width(n0, eps_i, g0)
     eps_R = eps_i + g0 * g0 / 8.0 + alpha
@@ -584,8 +586,7 @@ def _nearest_odd(x: float) -> int:
     return int(lo if abs(x - lo) <= abs(x - hi) else hi)
 
 
-def b_renorm(k_f: float, k_i: float, n: int, eps_i: float, g0: float,
-             tol: float = 1e-8) -> complex:
+def b_renorm(n: int, eps_i: float, g0: float, tol: float = 1e-8) -> complex:
     """Renormalized c/b/c amplitude, finite for all real incoming energies.
 
     Only the dominant term n0 (the odd integer nearest the effective
@@ -595,10 +596,11 @@ def b_renorm(k_f: float, k_i: float, n: int, eps_i: float, g0: float,
     corrections are suppressed by the pole distance.  ``tol`` is the
     quadrature tolerance of :func:`renorm_factors`.
     """
+    check_domain(g0=g0, eps_i=eps_i, tol=tol, non_negative=("g0",))
     if g0 == 0 or n % 2 != 0:
         return 0.0 + 0.0j     # odd n: the series vanishes (see _bound_series)
     eps_t = eps_i + g0 * g0 / 8.0
     n0_star = _nearest_odd(eps_t)
-    fac = renorm_factors(n, n0_star, k_f, k_i, eps_i, g0, tol)
+    fac = renorm_factors(n, n0_star, eps_i, g0, tol)
     weight = fac.Z / (fac.eps_R - n0_star + 1j * fac.eta_R)
-    return _bound_series(k_f, k_i, n, g0, eps_t, resonant=(n0_star, weight))
+    return _bound_series(*_momenta(n, eps_i), n, g0, eps_t, resonant=(n0_star, weight))

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .amplitudes import a_coefficient, b_coefficient, b_kernel
-from .errors import DomainError, RegimeError, ZeroNotFoundError
-from .model import _q_base, sideband_channel
+from .errors import DomainError, RegimeError, ZeroNotFoundError, check_domain
+from .model import _q_base
 from .quadrature import bracket_min
 from .renorm import (LoopValue, _bound_series, _nearest_odd, alpha_shift,
                      b_renorm, gamma_loop, renorm_factors)
@@ -73,12 +73,6 @@ class SMatrixDecomposition:
     loop: LoopValue = _NO_LOOP      # its elastic loop Gamma(0); 0 without one
 
 
-def _open_sidebands(eps_i: float, n_max: int) -> List[int]:
-    """Open sideband indices within |n| <= n_max (plus the elastic 0)."""
-    return [n for n in range(-n_max, n_max + 1)
-            if sideband_channel(math.sqrt(2.0 * eps_i), n).is_open]
-
-
 def _b_pole_sq(k: float, g0: float) -> float:
     """|B_{k b}(+-1)|**2, equal for both signs."""
     return abs(b_kernel(k, _q_base(k, g0), g0)) ** 2
@@ -116,7 +110,7 @@ def _b_elastic(k_i: float, eps_i: float, g0: float, tol: float,
         return _b_far_elastic(k_i, eps_i, g0)
     diagnostics.update(regime="near",      # eps_t + alpha: renorm_factors' eps_R
                        pole_distance=abs(eps_t + alpha_shift(n0, eps_i, g0, tol) - n0))
-    b_near = b_renorm(k_i, k_i, 0, eps_i, g0, tol)
+    b_near = b_renorm(0, eps_i, g0, tol)
     try:
         diagnostics["branch_mismatch"] = abs(b_near - _b_far_elastic(k_i, eps_i, g0))
     except RegimeError:
@@ -126,10 +120,7 @@ def _b_elastic(k_i: float, eps_i: float, g0: float, tol: float,
 
 def _check_point(eps_i: float, g0: float) -> None:
     """Reject an energy or coupling that no amplitude is defined at."""
-    if not (math.isfinite(eps_i) and eps_i > 0):
-        raise DomainError(f"eps_i must be positive and finite, got {eps_i}")
-    if not (math.isfinite(g0) and g0 >= 0):
-        raise DomainError(f"g0 must be non-negative and finite, got {g0}")
+    check_domain(eps_i=eps_i, g0=g0, non_negative=("g0",))
     if g0 > 0 and eps_i + g0 * g0 / 8.0 >= 2.0 ** 53:    # its nearest odd pole unresolved
         raise DomainError(f"g0 must be small enough that eps_i + g0**2/8 < 2**53, "
                           f"got {g0} at eps_i = {eps_i}")
@@ -149,6 +140,7 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     if order not in _ORDERS:
         raise DomainError(f"order must be one of {_ORDERS}, got {order!r}")
+    check_domain(tol=tol)
     k_i = math.sqrt(2.0 * eps_i)
     terms: List[DiagramTerm] = []
     T: Dict[int, complex] = {}
@@ -159,7 +151,9 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
         loop = gamma_loop(k_i, k_i, 0, g0, tol)
         weight = abs(2.0 * math.pi * b_zero.real) / abs(k_i + 4.0 * math.pi * loop.im)
 
-    for n in _open_sidebands(eps_i, n_max):
+    for n in range(-n_max, n_max + 1):
+        if k_i * k_i + 2 * n <= 0:
+            continue    # closed
         k_f = math.sqrt(k_i * k_i + 2 * n)
         sub: List[DiagramTerm] = []
         if n == 0:
@@ -176,7 +170,7 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
                 # closed-channel term i g0**2 / (4 k_0 kappa) below threshold
                 b_val = b_zero
             elif diagnostics["regime"] == "near":
-                b_val = b_renorm(k_f, k_i, n, eps_i, g0, tol)
+                b_val = b_renorm(n, eps_i, g0, tol)
             else:
                 # far from the pole: real denominators, no Z, valid when
                 # the pole distance dominates the width
@@ -222,12 +216,13 @@ def find_transmission_zero(g0: float, tol: float = 1e-8) -> Tuple[float, Dict]:
     """
     if not 0 < g0 <= 1:
         raise DomainError(f"need 0 < g0 <= 1, got {g0}")
+    check_domain(tol=tol)
     eps_c = 1.0 - g0 * g0 / 8.0
     for _ in range(4):
         nxt = 1.0 - g0 * g0 / 8.0 - alpha_shift(1, eps_c, g0, tol)
         eps_c = 0.5 * (eps_c + min(max(nxt, 0.5), 1.0 - 1e-9))
     k_c = math.sqrt(2.0 * eps_c)
-    fac = renorm_factors(0, 1, k_c, k_c, eps_c, g0, tol)
+    fac = renorm_factors(0, 1, eps_c, g0, tol)
     loop0 = gamma_loop(k_c, k_c, 0, g0, tol)
     eps_tc = eps_c + g0 * g0 / 8.0
     rest = _bound_series(k_c, k_c, 0, g0, eps_tc, resonant=(1, 0.0))
@@ -275,8 +270,8 @@ def near_zero_amplitudes(eps_i: float, g0: float, tol: float = 1e-8) -> Dict:
     ``tol`` is the quadrature tolerance of the loops and the shift.
     """
     _check_point(eps_i, g0)
+    fac = renorm_factors(0, 1, eps_i, g0, tol)      # checks tol before any quadrature
     k_i = math.sqrt(2.0 * eps_i)
-    fac = renorm_factors(0, 1, k_i, k_i, eps_i, g0, tol)
     if abs(fac.eps_R - 1.0) > _REGIME_FACTOR * fac.eta_R:
         raise RegimeError(
             f"|eps_R - 1| = {abs(fac.eps_R - 1.0):.3e} exceeds "
@@ -285,14 +280,12 @@ def near_zero_amplitudes(eps_i: float, g0: float, tol: float = 1e-8) -> Dict:
     bracket = 1.0 + (2.0 * math.pi / k_i) * elastic.loop.im
     b1 = b_coefficient(k_i, 1, g0)
     out: Dict = {"T": {}, "R": {}, "flux": {}}
-    for n in range(1, 7):
-        ch = sideband_channel(k_i, n)
-        if not ch.is_open:
-            continue
-        num = b_coefficient(ch.k, n + 1, g0)
-        t_n = -(k_i / ch.k) * (num / b1) * bracket
+    for n in range(1, 7):     # every n >= 1 is open
+        k_n = math.sqrt(k_i * k_i + 2 * n)
+        num = b_coefficient(k_n, n + 1, g0)
+        t_n = -(k_i / k_n) * (num / b1) * bracket
         out["T"][n] = t_n
         out["R"][n] = t_n
-        out["flux"][n] = (ch.k / k_i) * abs(t_n) ** 2
+        out["flux"][n] = (k_n / k_i) * abs(t_n) ** 2
     out["R0_sq"] = abs(elastic.R[0]) ** 2
     return out

@@ -360,11 +360,11 @@ class TestOneEvaluationPerRow:
 
             monkeypatch.setattr(module, name, counting)
         cli._perturbative_point(0.95, ScanConfig(g0=0.1, n_max=2))
-        assert [args[2] for args in calls["b_renorm"]].count(0) == 1
+        assert [args[0] for args in calls["b_renorm"]].count(0) == 1
         assert len(calls["renorm_factors"]) <= 2
         del calls["b_renorm"][:]
         w0_weight(0.95, 0.1)
-        assert [args[2] for args in calls["b_renorm"]] == [0]
+        assert [args[0] for args in calls["b_renorm"]] == [0]
 
     def test_first_order_row_has_no_bound_route_or_loop(self, tmp_path):
         # the row once carried the renormalized w0 and Gamma(0)

@@ -1,31 +1,12 @@
 """Unit tests for the dimensionless model layer."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivendelta.errors import DomainError
-from drivendelta.model import q_factor, sideband_channel
-
-
-class TestChannels:
-    def test_open_channel_momentum(self):
-        ch = sideband_channel(2.0, 1)
-        assert ch.is_open
-        assert ch.k == pytest.approx(math.sqrt(6.0))
-
-    def test_closed_channel_decay(self):
-        ch = sideband_channel(1.0, -2)
-        assert not ch.is_open
-        assert ch.kappa == pytest.approx(math.sqrt(3.0))
-
-    def test_threshold_reported_closed(self):
-        ch = sideband_channel(2.0, -2)
-        assert not ch.is_open
-        assert ch.kappa == pytest.approx(0.0)
+from drivendelta.model import q_factor
 
 
 class TestQFactor:
@@ -53,3 +34,9 @@ class TestQFactor:
     def test_rejects_negative_order(self):
         with pytest.raises(DomainError):
             q_factor(1.0, -1, 0.3)
+
+    @pytest.mark.parametrize("k", [1.0 + 0.5j, np.array([1.0, 2.0 + 0j])])
+    def test_rejects_complex_momentum(self, k):
+        # a complex k once skipped the positivity check
+        with pytest.raises(DomainError, match="^k must be real, got dtype complex128$"):
+            q_factor(k, 1, 0.3)

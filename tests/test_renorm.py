@@ -452,7 +452,7 @@ class TestBoundRoute:
         k_f = math.sqrt(k_i * k_i + 2.0)
         eps_t = 0.8 + 0.3 * 0.3 / 8.0
         assert renorm._bound_series(k_f, k_i, 1, 0.3, eps_t, width=1e-6) == 0.0
-        assert b_renorm(k_f, k_i, 1, 0.8, 0.3) == 0.0
+        assert b_renorm(1, 0.8, 0.3) == 0.0
 
     @pytest.mark.parametrize("n", [-3, -1, 1, 3])
     def test_odd_sideband_computes_no_factors(self, n, monkeypatch):
@@ -461,8 +461,7 @@ class TestBoundRoute:
             raise AssertionError("renorm_factors called for an odd sideband")
 
         monkeypatch.setattr(renorm, "renorm_factors", forbidden)
-        k_i = math.sqrt(2.0 * 3.5)
-        assert b_renorm(math.sqrt(k_i * k_i + 2 * n), k_i, n, 3.5, 0.3) == 0.0
+        assert b_renorm(n, 3.5, 0.3) == 0.0
 
     def test_renormalized_structure(self):
         # the dominant layer carries Z and the corrected denominator; all
@@ -470,24 +469,30 @@ class TestBoundRoute:
         eps_i, g0 = 0.75, 0.1
         k = math.sqrt(2.0 * eps_i)
         eps_t = eps_i + g0 * g0 / 8.0
-        fac = renorm_factors(0, 1, k, k, eps_i, g0)
+        fac = renorm_factors(0, 1, eps_i, g0)
         num = b_coefficient(k, 1, g0) * b_coefficient(k, 1, g0).conjugate()
         others = sum(
             b_coefficient(k, n0, g0) * b_coefficient(k, n0, g0).conjugate()
             / (eps_t - n0)
             for n0 in range(-41, 42, 2) if n0 != 1)
         expected = others + fac.Z * num / (fac.eps_R - 1.0 + 1j * fac.eta_R)
-        assert b_renorm(k, k, 0, eps_i, g0) == pytest.approx(expected, rel=1e-10)
+        assert b_renorm(0, eps_i, g0) == pytest.approx(expected, rel=1e-10)
 
     def test_renormalized_finite_on_bare_pole(self):
         eps_i = 1.0 - 0.1 * 0.1 / 8.0  # effective energy exactly on n0 = 1
-        k = math.sqrt(2.0 * eps_i)
-        val = b_renorm(k, k, 0, eps_i, 0.1)
+        val = b_renorm(0, eps_i, 0.1)
         assert abs(val) < 1e6
         assert val.imag != 0.0
 
     def test_static_limit_vanishes(self):
-        assert b_renorm(1.0, 1.0, 0, 0.5, 0.0) == 0.0
+        assert b_renorm(0, 0.5, 0.0) == 0.0
+
+    @pytest.mark.parametrize("fn, args", [(b_renorm, (-2, 0.5, 0.3)),
+                                          (renorm_factors, (-2, 1, 1.0, 0.3))])
+    def test_closed_sideband_rejected(self, fn, args):
+        # k_f = sqrt(2 eps_i + 2 n) is built inside: a closed n has none
+        with pytest.raises(DomainError, match=r"^sideband n = -2 is closed at eps_i = "):
+            fn(*args)
 
     @pytest.mark.parametrize("n", [0, 2])
     def test_series_sums_every_odd_n0(self, n):
@@ -503,14 +508,14 @@ class TestBoundRoute:
         eps_i = 0.9348
         k_i = math.sqrt(2.0 * eps_i)
         k_f = math.sqrt(k_i * k_i + 2 * n)
-        fac = renorm_factors(n, 1, k_f, k_i, eps_i, g0)
+        fac = renorm_factors(n, 1, eps_i, g0)
 
         def renormalized(eps_t, n0):
             if n0 == 1:
                 return (fac.eps_R - 1.0 + 1j * fac.eta_R) / fac.Z
             return eps_t - n0
 
-        assert b_renorm(k_f, k_i, n, eps_i, g0) == pytest.approx(
+        assert b_renorm(n, eps_i, g0) == pytest.approx(
             full_sum(k_f, k_i, eps_i, renormalized), rel=1e-13)
         eps_i = 0.93
         k_i = math.sqrt(2.0 * eps_i)
@@ -530,8 +535,7 @@ class TestPoleCorrections:
 
     def test_factors_consistent(self):
         eps_i = 0.95
-        k = math.sqrt(2.0 * eps_i)
-        fac = renorm_factors(0, 1, k, k, eps_i, 0.1)
+        fac = renorm_factors(0, 1, eps_i, 0.1)
         assert fac.eps_R == pytest.approx(
             eps_i + 0.1 * 0.1 / 8.0 + fac.alpha, abs=1e-15)
         assert fac.eta_R == pytest.approx(
@@ -540,8 +544,7 @@ class TestPoleCorrections:
 
     def test_residue_normalization_near_unity_small_coupling(self):
         eps_i = 0.95
-        k = math.sqrt(2.0 * eps_i)
-        fac = renorm_factors(0, 1, k, k, eps_i, 0.05)
+        fac = renorm_factors(0, 1, eps_i, 0.05)
         assert abs(fac.Z - 1.0) < 0.05
 
     def test_rejects_static_coupling(self):

@@ -39,6 +39,16 @@ def _gdot(tau, g0):
     return g0 * np.cos(tau)
 
 
+def _phase(tau) -> np.ndarray:
+    """``tau`` as a float array; a non-finite phase raises :class:`DomainError`
+    naming it (an array by its first bad element).  Any sign is valid."""
+    tau = np.asarray(tau, dtype=float)
+    bad = tau[~np.isfinite(tau)]
+    if bad.size:
+        raise DomainError(f"tau must be finite, got {bad[0]}")
+    return tau
+
+
 def phi_cc(k: float, kp: float, tau, g0: float):
     """Instantaneous c/c transition element from momentum ``kp`` to ``k``.
 
@@ -48,7 +58,7 @@ def phi_cc(k: float, kp: float, tau, g0: float):
     check_domain(k=k, kp=kp, g0=g0, non_negative=("g0",))
     if k == kp:
         raise DomainError("diagonal element excluded by renormalization")
-    tau = np.asarray(tau, dtype=float)
+    tau = _phase(tau)
     g = _g(tau, g0)
     gdot = _gdot(tau, g0)
     theta_k = np.arctan2(g, k)
@@ -70,7 +80,7 @@ def phi_cb_mean(k: float, tau, g0: float):
     has the closed coefficients of :func:`b_coefficient`.
     """
     check_domain(k=k, g0=g0, non_negative=("g0",))
-    tau = np.asarray(tau, dtype=float)
+    tau = _phase(tau)
     g = _g(tau, g0)
     gdot = _gdot(tau, g0)
     theta_k = np.arctan2(g, k)

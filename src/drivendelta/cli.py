@@ -8,8 +8,8 @@ Commands:
 
 Configuration comes from defaults, then an optional ``key = value`` file
 (``--config``), then command-line flags, in increasing precedence.  One
-table, :data:`_SETTINGS`, gives each setting its flag, type and allowed
-values; a command accepts a flag only for the settings it reads
+table, :data:`_SETTINGS`, gives each setting its flag, type, allowed
+values and range; a command accepts a flag only for the settings it reads
 (:data:`_READS`), while a config file may set every key, so that one file
 serves several commands, and each command ignores the keys it does not
 read.  The grid commands work through the energy grid in blocks of 256
@@ -48,19 +48,21 @@ __all__ = ["ScanConfig", "parse_config", "cmd_scan", "cmd_zero",
 
 _METHODS = ("perturbative", "floquet", "both")
 _FORMATS = ("csv", "json")
-# setting -> (flag, type, allowed values); the "unknown key" error lists them in this order
+# setting -> (flag, type, allowed values, least value, whether the least is
+# allowed); a least value that names a setting is a relation, above it.  The
+# "unknown key" error lists them, and validate checks their bounds, in this order
 _SETTINGS = {
-    "g0": ("--g0", float, None),
-    "eps_min": ("--e-min", float, None),
-    "eps_max": ("--e-max", float, None),
-    "tol": ("--tol", float, None),
-    "steps": ("--steps", int, None),
-    "n_max": ("--n-max", int, None),
-    "workers": ("--workers", int, None),
-    "method": ("--method", str, _METHODS),
-    "order": ("--order", str, _ORDERS),
-    "output_format": ("--format", str, _FORMATS),
-    "output_path": ("--output", str, None),
+    "g0": ("--g0", float, None, 0, True),
+    "eps_min": ("--e-min", float, None, 0, False),
+    "eps_max": ("--e-max", float, None, "eps_min", False),
+    "tol": ("--tol", float, None, 0, False),
+    "steps": ("--steps", int, None, 2, True),
+    "n_max": ("--n-max", int, None, 0, True),
+    "workers": ("--workers", int, None, 1, True),
+    "method": ("--method", str, _METHODS, None, True),
+    "order": ("--order", str, _ORDERS, None, True),
+    "output_format": ("--format", str, _FORMATS, None, True),
+    "output_path": ("--output", str, None, None, True),
 }
 _GRID = ("g0", "eps_min", "eps_max", "steps", "tol", "output_format", "output_path")
 # the settings each command reads: its flags besides --config.  scan's
@@ -94,27 +96,22 @@ class ScanConfig:
     workers: int = 1
 
     def validate(self) -> "ScanConfig":
-        for key, (_, kind, choices) in _SETTINGS.items():
+        for key, (_, kind, choices, _, _) in _SETTINGS.items():
             value = getattr(self, key)
             if kind is float and not math.isfinite(value):
                 raise UsageError(f"{key} must be finite, got {value}")
             if choices is not None and value not in choices:
                 raise UsageError(f"{key} must be one of {choices}, got {value!r}")
-        if self.g0 < 0:
-            raise UsageError(f"g0 must be >= 0, got {self.g0}")
-        if self.eps_min <= 0:
-            raise UsageError(f"eps_min must be positive, got {self.eps_min}")
-        if self.eps_min >= self.eps_max:
-            raise UsageError(
-                f"need eps_min < eps_max, got [{self.eps_min}, {self.eps_max}]")
-        if self.steps < 2:
-            raise UsageError(f"steps must be >= 2, got {self.steps}")
-        if self.n_max < 0:
-            raise UsageError(f"n_max must be >= 0, got {self.n_max}")
-        if self.tol <= 0:
-            raise UsageError(f"tol must be positive, got {self.tol}")
-        if self.workers < 1:
-            raise UsageError(f"workers must be >= 1, got {self.workers}")
+        for key, (*_, least, least_ok) in _SETTINGS.items():
+            value = getattr(self, key)
+            if least in _SETTINGS:
+                if value <= getattr(self, least):
+                    raise UsageError(
+                        f"need {least} < {key}, got [{getattr(self, least)}, {value}]")
+            elif least is not None and (value < least or value == least and not least_ok):
+                # every excluded least is 0
+                raise UsageError(f"{key} must be >= {least}, got {value}" if least_ok
+                                 else f"{key} must be positive, got {value}")
         return self
 
 
@@ -418,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("w0", "bound-route weight curve"),
     ):
         sp = sub.add_parser(name, help=help_text)
-        for key, (flag, kind, choices) in _SETTINGS.items():
+        for key, (flag, kind, choices, _, _) in _SETTINGS.items():
             if key in _READS[name]:
                 sp.add_argument(flag, dest=key, type=kind, choices=choices)
         sp.add_argument("--config", dest="config_path")

@@ -119,13 +119,16 @@ def _refine(f, lo, hi, tol, poles, tails, max_intervals):
     count = np.ones(n, dtype=int)
     segs = np.flatnonzero((tol < errors) & (errors < math.inf)).tolist() \
         if max_intervals > 1 else []
-    live = {s: [(lo[s].item(), hi[s].item(), v[s].item(), errors[s].item())]
+    # per open segment, its panels (a, b, value) and, in step, their estimates
+    live = {s: ([(lo[s].item(), hi[s].item(), v[s].item())], [errors[s].item()])
             for s in segs}
     while segs:
         ends = []
         for s in segs:
-            ivs = live[s]
-            wa, wb, _, _ = ivs.pop(max(range(len(ivs)), key=lambda j: ivs[j][3]))
+            ivs, es = live[s]
+            worst = es.index(max(es))
+            del es[worst]
+            wa, wb, _ = ivs.pop(worst)
             mid = 0.5 * (wa + wb)
             ends += [(wa, mid), (mid, wb)]
         pick = [s for s in segs for _ in "ab"]
@@ -133,11 +136,12 @@ def _refine(f, lo, hi, tol, poles, tails, max_intervals):
         v, e = _gk15(f, a, b, poles[[s for s in pick if s < folds]],
                      2 * sum(s >= n - tails for s in segs))
         for s, ab, vi, ei in zip(pick, ends, v.tolist(), e.tolist()):
-            live[s].append((*ab, vi, ei))
-        segs = [s for s in segs if len(live[s]) < max_intervals
-                and tol[s] < math.fsum(iv[3] for iv in live[s]) < math.inf]
-    for s, ivs in live.items():
-        count[s], errors[s] = len(ivs), math.fsum(iv[3] for iv in ivs)
+            live[s][0].append((*ab, vi))
+            live[s][1].append(ei)
+        segs = [s for s in segs if len(live[s][1]) < max_intervals
+                and tol[s] < math.fsum(live[s][1]) < math.inf]
+    for s, (ivs, es) in live.items():
+        count[s], errors[s] = len(es), math.fsum(es)
         value = complex(math.fsum(iv[2].real for iv in ivs),
                         math.fsum(complex(iv[2]).imag for iv in ivs))
         if value.imag and not np.iscomplexobj(values):

@@ -121,11 +121,6 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
     ls = np.asarray(ls)
     q_i = _q_base(k_i, g0)
 
-    def prefactor(k):
-        # -(1/pi**2) k_f k / ((k_f**2 - k**2)(k_f + k)) k k_i / ((k**2 - k_i**2)(k + k_i))
-        return (-1.0 / math.pi ** 2) * (k_f * k / (k_f * k_f - k * k)) / (k_f + k) \
-            * (k * k_i / (k * k - k_i * k_i)) / (k + k_i)
-
     if n == 0:
         L = len(ls) // 2
         if sorted(ls.tolist()) != [l for l in range(-L, L + 1) if l != 0]:
@@ -144,7 +139,10 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
             # (e - l)(e + l), not e**2 - l**2, each factor one subtraction
             # (eps_i -+ l) - k**2/2: it keeps its digits next to a pole or threshold
             num /= (e_minus - half) * (e_plus - half)
-            return prefactor(k) * 2.0 * (eps_i - half) * num.sum(axis=0)
+            # k_f = k_i: the first transition factor is exactly -a, over the same sum s
+            a, s = k * k_i / (k * k - k_i * k_i), k + k_i
+            return (-1.0 / math.pi ** 2) * (-a) / s * a / s \
+                * 2.0 * (eps_i - half) * num.sum(axis=0)
 
         return integrand
 
@@ -165,7 +163,10 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
         k = np.asarray(k, dtype=float)
         table = _q_powers(_q_base(k, g0), top)
         products = (table[rows_out] - f_term) * (i_term - i_par * table[rows_in])
-        return prefactor(k) * (products / (e_col - 0.5 * k * k)).sum(axis=0)
+        # -(1/pi**2) k_f k / ((k_f**2 - k**2)(k_f + k)) k k_i / ((k**2 - k_i**2)(k + k_i))
+        prefactor = (-1.0 / math.pi ** 2) * (k_f * k / (k_f * k_f - k * k)) / (k_f + k) \
+            * (k * k_i / (k * k - k_i * k_i)) / (k + k_i)
+        return prefactor * (products / (e_col - 0.5 * k * k)).sum(axis=0)
 
     return integrand
 
@@ -218,7 +219,9 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
     # k = 0 take them
     poles = sorted({k_i, k_f if n else k_i, *np.sqrt(kl2[kl2 > 1e-12]).tolist()})
     split = max(4.0 * k_i, 4.0 * k_f, 4.0 * g0, 8.0, 1.5 * poles[-1])
-    res = pv_halfline(_loop_integrand(k_f, k_i, n, ls, g0), poles, split, tol)
+    # a node on a channel pole ends its segment by name (quadrature._integrate)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = pv_halfline(_loop_integrand(k_f, k_i, n, ls, g0), poles, split, tol)
     diag["error_estimate"] = res.error_estimate
     diag["evaluations"] = res.evaluations
     diag["poles"] = poles

@@ -276,7 +276,7 @@ def near_zero_amplitudes(eps_i: float, g0: float, tol: float = 1e-8) -> Dict:
         raise RegimeError(
             f"|eps_R - 1| = {abs(fac.eps_R - 1.0):.3e} exceeds "
             f"{_REGIME_FACTOR} * eta_R = {_REGIME_FACTOR * fac.eta_R:.3e}")
-    elastic = assemble(eps_i, g0, order="renormalized", n_max=2, tol=tol)
+    elastic = assemble(eps_i, g0, order="renormalized", n_max=0, tol=tol)
     bracket = 1.0 + (2.0 * math.pi / k_i) * elastic.loop.im
     b1 = b_coefficient(k_i, 1, g0)
     out: Dict = {"T": {}, "R": {}, "flux": {}}

@@ -74,6 +74,27 @@ class TestParseConfig:
             parse_config(str(path))
 
 
+# one row per rule of cli._SETTINGS: the setting, a value that breaks that
+# rule alone against the defaults, and the error it gives
+_RULES = [
+    ("g0", "inf", "g0 must be finite, got inf"),
+    ("eps_min", "nan", "eps_min must be finite, got nan"),
+    ("eps_max", "-inf", "eps_max must be finite, got -inf"),
+    ("tol", "nan", "tol must be finite, got nan"),
+    ("method", "exact",
+     "method must be one of ('perturbative', 'floquet', 'both'), got 'exact'"),
+    ("order", "second", "order must be one of ('first', 'renormalized'), got 'second'"),
+    ("output_format", "xml", "output_format must be one of ('csv', 'json'), got 'xml'"),
+    ("g0", "-0.5", "g0 must be >= 0, got -0.5"),
+    ("eps_min", "0", "eps_min must be positive, got 0.0"),
+    ("eps_max", "0.2", "need eps_min < eps_max, got [0.2, 0.2]"),
+    ("tol", "0", "tol must be positive, got 0.0"),
+    ("steps", "1", "steps must be >= 2, got 1"),
+    ("n_max", "-1", "n_max must be >= 0, got -1"),
+    ("workers", "0", "workers must be >= 1, got 0"),
+]
+
+
 class TestValidation:
     def test_bad_grid_rejected(self):
         with pytest.raises(UsageError):
@@ -127,6 +148,44 @@ class TestValidation:
         with pytest.raises(UsageError, match=f"{key} must be finite"):
             replace(ScanConfig(), **{key: math.nan}).validate()
 
+    @pytest.mark.parametrize("key,value,message", _RULES)
+    def test_every_rule(self, config_file, capsys, key, value, message):
+        # the range rules were once seven hand-written branches, four of
+        # them run by no test
+        flag, kind, choices, _, _ = cli._SETTINGS[key]
+        with pytest.raises(UsageError) as exc:
+            replace(ScanConfig(), **{key: kind(value)}).validate()
+        assert str(exc.value) == message
+        path = config_file(f"{key} = {value}\n")
+        for command in [c for c, reads in cli._READS.items() if key in reads]:
+            assert main([command, "--config", path]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            argv = [command, f"{flag}={value}"]
+            if choices is None:
+                assert main(argv) == 2
+                assert capsys.readouterr().err == f"error: {message}\n"
+                continue
+            with pytest.raises(SystemExit, match="^2$"):    # argparse checks choices
+                main(argv)
+            assert (f"drivendelta {command}: error: argument {flag}: invalid choice: "
+                    f"{value!r}") in capsys.readouterr().err
+
+    def test_every_rule_has_a_row(self):
+        bounded = {key for key, row in cli._SETTINGS.items()
+                   if row[2] is not None or row[3] is not None}
+        finite = {key for key, row in cli._SETTINGS.items() if row[1] is float}
+        assert bounded == {key for key, _, m in _RULES if "finite" not in m}
+        assert finite == {key for key, _, m in _RULES if "finite" in m}
+
+    def test_config_line_without_equals(self, config_file, capsys):
+        path = config_file("g0 = 0.3\nsteps 5\n")
+        message = f"{path}:2: expected 'key = value', got 'steps 5'"
+        with pytest.raises(UsageError) as exc:
+            parse_config(path)
+        assert str(exc.value) == message
+        assert main(["w0", "--config", path]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 # two valid values of each setting; every command that reads it writes
 # something different for the two
@@ -170,7 +229,7 @@ class TestFlags:
         unread = [key for key in cli._SETTINGS if key not in cli._READS[command]]
         assert len(unread) == {"scan": 0, "zero": 8, "compare": 2, "w0": 4}[command]
         for key in unread:
-            flag, _, choices = cli._SETTINGS[key]
+            flag, _, choices, _, _ = cli._SETTINGS[key]
             with pytest.raises(SystemExit, match="^2$"):
                 main([command, flag, choices[0] if choices else "1"])
             assert f"unrecognized arguments: {flag} " in capsys.readouterr().err

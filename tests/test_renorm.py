@@ -67,6 +67,15 @@ class TestGammaLoop:
         closed = gamma_elastic_closed(k, g0, include_closed=True)
         assert loop.re == pytest.approx(closed.re, rel=1e-9)
 
+    def test_unreachable_tolerance_is_named(self):
+        # once a RuntimeWarning, "divide by zero", from a node on a channel
+        # pole, after rounds that each walked every panel of the fold
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ToleranceError, match=r"interval budget exhausted .* "
+                                                     r"on the fold about pole 1\.0$"):
+                gamma_loop(1.0, 1.0, 0, 0.3, 1e-20)
+
     def test_evaluations_count_batched_integrand_nodes(self, monkeypatch):
         calls = []
         make = renorm._loop_integrand

@@ -7,7 +7,7 @@ import pytest
 
 from drivendelta import amplitudes, renorm, smatrix
 from drivendelta.errors import DomainError, RegimeError
-from drivendelta.floquet import solve
+from drivendelta.floquet import solve, zero_locate_exact
 from drivendelta.smatrix import (DiagramTerm, assemble, find_transmission_zero,
                                  near_zero_amplitudes, w0)
 
@@ -185,6 +185,40 @@ class TestLocatorCost:
         find_transmission_zero(0.55)
         assert len(calls) <= 5
         assert renorm.gamma_loop.cache_info().misses == 51
+
+
+def test_locator_searches_the_window_below_threshold():
+    # at g0 = 0.96 the analytic zero lies below the one-quantum threshold,
+    # so the search runs over eps_z +- 3 eta_R, not the sub-threshold window
+    eps, diag = find_transmission_zero(0.96)
+    eps_z, eta = diag["analytic_zero"], max(diag["eta_R"], 1e-9)
+    assert eps_z < 1.0 - 1e-12
+    lo, hi = diag["bracket"]
+    assert (lo, hi) == (eps_z - 3.0 * eta, min(eps_z + 3.0 * eta, 1.0 - 1e-12))
+    assert lo <= eps <= hi
+    assert diag["min_value"] < 0.5
+    assert eps == pytest.approx(zero_locate_exact(0.96), abs=2e-2)
+
+
+@pytest.mark.parametrize("g0", [0.3, 0.7])
+def test_near_zero_assembles_the_elastic_channel_only(monkeypatch, g0):
+    # R(0) and the elastic loop do not depend on n_max; the point was once
+    # assembled with n_max = 2, each sideband with its loop and B^R
+    eps = zero_locate_exact(g0)
+    expected = abs(assemble(eps, g0, n_max=2).R[0]) ** 2
+    for cached in (renorm.gamma_loop, renorm.alpha_shift, renorm.beta_width):
+        cached.cache_clear()
+    sidebands = []
+    original = renorm.gamma_loop
+
+    def counting(k_f, k_i, n, *args):
+        sidebands.extend([n] * (n != 0))
+        return original(k_f, k_i, n, *args)
+
+    for module in (renorm, smatrix):
+        monkeypatch.setattr(module, "gamma_loop", counting)
+    assert near_zero_amplitudes(eps, g0)["R0_sq"] == expected
+    assert sidebands == []
 
 
 def test_point_memory_does_not_grow_like_channels_squared():

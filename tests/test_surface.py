@@ -181,6 +181,31 @@ def test_bad_argument_named(monkeypatch, fn, args, name, value):
             fn(*args)
 
 
+# a phase may take any sign, but must be finite: each row once returned
+# nan+nanj with a numpy RuntimeWarning
+PHASE_ROWS = [
+    (phi_cc, (1.0, 2.0, nan, 0.3), nan),
+    (phi_cc, (1.0, 2.0, np.array([-0.5, -inf, nan]), 0.3), -inf),
+    (phi_cb_mean, (1.0, inf, 0.3), inf),
+    (phi_cb_mean, (1.0, np.array([[2.0, 1.0], [nan, 0.0]]), 0.3), nan),
+]
+
+
+@pytest.mark.parametrize("fn, args, value", PHASE_ROWS,
+                         ids=[f"{fn.__name__}-{value}" for fn, _, value in PHASE_ROWS])
+def test_non_finite_phase_named(fn, args, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"^tau must be finite, got {value}$"):
+            fn(*args)
+
+
+def test_negative_phase_is_valid():
+    two_pi = 2.0 * math.pi
+    assert phi_cc(1.0, 2.0, -0.5, 0.3) == pytest.approx(phi_cc(1.0, 2.0, two_pi - 0.5, 0.3))
+    assert phi_cb_mean(1.0, -0.5, 0.3) == pytest.approx(phi_cb_mean(1.0, two_pi - 0.5, 0.3))
+
+
 def test_every_public_callable_has_a_row_or_a_reason():
     public = {name for name in drivendelta.__all__ if callable(getattr(drivendelta, name))}
     rows = {fn.__name__ for fn, *_ in DOMAIN_ROWS}

@@ -9,10 +9,12 @@ any command differs.
 The list: both benchmark workloads' commands at seeds 1 and 2 (read from
 ``perfbench/workloads.py`` next to this script); ``w0`` grids over
 0.1-3.0 and 1e-9 either side of both near/far switch edges at g0 0, 0.1
-and 0.7; a perturbative ``scan`` at g0 0.7 over 0.1-3.0; ``compare`` at
-g0 0.3; ``scan`` (both methods, g0 0.7) and ``compare`` (g0 0.3) at
-``--order first``; ``zero`` at g0 0.55 and 0.7, and at g0 0.55 with
-``--method floquet`` and ``--method perturbative``; at energies where
+and 0.7; perturbative ``scan --n-max 2`` grids over the same switch
+windows at g0 0.1 and 0.7, where the sidebands' bound route switches
+with the elastic one; a perturbative ``scan`` at g0 0.7 over 0.1-3.0;
+``compare`` at g0 0.3; ``scan`` (both methods, g0 0.7) and ``compare``
+(g0 0.3) at ``--order first``; ``zero`` at g0 0.55 and 0.7, and at g0
+0.55 with ``--method floquet`` and ``--method perturbative``; at energies where
 each quadrature round splits into many node blocks, ``w0`` at g0 0.7
 over 75-76 and a perturbative ``scan`` at g0 0.7 over 20-40; and, where
 quadrature refines over many rounds or fails, the perturbative ``zero``
@@ -55,8 +57,12 @@ def commands() -> List[Tuple[str, ...]]:
                      "--steps", "30"))
         for edge in (1.0 - _NEAR_DISTANCE, 1.0 + _NEAR_DISTANCE):
             eps = edge - g0 * g0 / 8.0
-            grid.append(("w0", "--g0", repr(g0), "--e-min", repr(eps - 1e-9),
-                         "--e-max", repr(eps + 1e-9), "--steps", "3"))
+            window = ("--g0", repr(g0), "--e-min", repr(eps - 1e-9),
+                      "--e-max", repr(eps + 1e-9), "--steps", "3")
+            grid.append(("w0",) + window)
+            if g0 > 0:      # the sidebands' bound route takes the same switch
+                grid.append(("scan",) + window + ("--n-max", "2", "--method",
+                                                  "perturbative"))
     grid.append(("scan", "--g0", "0.7", "--e-min", "0.1", "--e-max", "3.0",
                  "--steps", "30", "--n-max", "2", "--method", "perturbative"))
     grid.append(("compare", "--g0", "0.3", "--e-min", "0.2", "--e-max", "3.0",

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import sys
@@ -40,8 +39,7 @@ from . import __version__
 from .errors import DrivenDeltaError, ToleranceError
 from .floquet import solve as floquet_solve
 from .floquet import transmission_grid, zero_locate_exact
-from .renorm import alpha_shift
-from .smatrix import _ORDERS, assemble, find_transmission_zero
+from .smatrix import _ORDERS, _pole_estimate, assemble, find_transmission_zero
 
 __all__ = ["ScanConfig", "parse_config", "cmd_scan", "cmd_zero",
            "cmd_compare", "cmd_w0", "main"]
@@ -171,12 +169,9 @@ class PointFailure(DrivenDeltaError, RuntimeError):
 def _perturbative_point(eps_i: float, config: ScanConfig) -> tuple:
     """T_elastic, R_elastic, T_total_pert, w0, im_gamma, re_gamma and the
     sideband fluxes T_n at one energy, all from one :func:`assemble`."""
-    k_i = math.sqrt(2.0 * eps_i)
     dec = assemble(eps_i, config.g0, order=config.order,
                    n_max=config.n_max, tol=config.tol)
-    fluxes = tuple(math.sqrt(k_i * k_i + 2 * n) / k_i * abs(dec.T[n]) ** 2
-                   if n in dec.T else 0.0
-                   for n in range(-config.n_max, config.n_max + 1))
+    fluxes = tuple(dec.flux.get(n, 0.0) for n in range(-config.n_max, config.n_max + 1))
     return (abs(dec.T[0]) ** 2, abs(dec.R[0]) ** 2, dec.T_total, dec.w0,
             dec.loop.im, dec.loop.re) + fluxes
 
@@ -290,6 +285,7 @@ def _write_grid(command: str, config: ScanConfig, columns: Sequence[str],
                 out.write(header + _csv_lines(columns, block))
                 header = ""
             return
+        import json     # kept out of every command's start-up
         rows = []
         for block in blocks:
             rows.extend(_json_rows(columns, block))
@@ -324,9 +320,7 @@ def cmd_zero(config: ScanConfig) -> int:
         print("no zero: free transmission")
         return 0
     lines = [f"g0 = {_fmt(g0)}"]
-    prediction = 1.0 - g0 * g0 / 8.0 - alpha_shift(1, 1.0 - g0 * g0 / 8.0, g0,
-                                                   config.tol)
-    lines.append(f"pole-position prediction = {_fmt(prediction)}")
+    lines.append(f"pole-position prediction = {_fmt(_pole_estimate(g0, config.tol))}")
     eps_p = eps_f = None
     if config.method in ("perturbative", "both"):
         eps_p, diag = find_transmission_zero(g0, config.tol)

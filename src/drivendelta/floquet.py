@@ -62,20 +62,23 @@ _CHUNK = 1 << 16       # sideband x energy entries per sweep: bounds memory at a
 class FloquetSolution:
     """Sideband coefficients of one exact solve.
 
-    ``t`` and ``r`` map the sideband index n to the transmission and
-    reflection coefficients; closed channels hold evanescent amplitudes
-    that are excluded from the flux sum.  ``unitarity_defect`` is
-    |sum of transmitted and reflected flux - 1|.  The truncated system
-    conserves flux at every N, so it reports rounding (about 1e-16), not
-    the truncation error.
+    ``t`` maps the sideband index n to the transmission coefficient and
+    ``r`` to the reflection coefficient r_n = t_n - delta_{n0}; closed
+    channels hold evanescent amplitudes that are excluded from the flux
+    sum.  ``unitarity_defect`` is |sum of transmitted and reflected flux
+    - 1|.  The truncated system conserves flux at every N, so it reports
+    rounding (about 1e-16), not the truncation error.
     """
 
     eps_i: float
     g0: float
     N: int
     t: Dict[int, complex] = field(repr=False)
-    r: Dict[int, complex] = field(repr=False)
     unitarity_defect: float = 0.0
+
+    @property
+    def r(self) -> Dict[int, complex]:
+        return {n: (t - 1.0 if n == 0 else t) for n, t in self.t.items()}
 
     def k_channel(self, n: int) -> complex:
         """Channel wavenumber: real if open, i*kappa if closed."""
@@ -214,14 +217,9 @@ def solve(eps_i: float, g0: float) -> FloquetSolution:
     """
     check_domain(eps_i=eps_i, g0=g0, non_negative=("g0",))
     (_, N, t, _, _, defect), = _converged(np.array([float(eps_i)]), g0)
-    t_vec = t[:, 0]
-    r_vec = t_vec.copy()
-    r_vec[N] -= 1.0
-    ns = range(-N, N + 1)
     return FloquetSolution(
         eps_i=eps_i, g0=g0, N=N,
-        t={n: complex(t_vec[i]) for i, n in enumerate(ns)},
-        r={n: complex(r_vec[i]) for i, n in enumerate(ns)},
+        t={n: complex(t[n + N, 0]) for n in range(-N, N + 1)},
         unitarity_defect=float(defect[0]),
     )
 

@@ -21,7 +21,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -44,6 +44,11 @@ __all__ = [
 _SERIES_CAP = 64       # hard cap on series terms
 _THRESHOLD_GAP = 1e-3  # a failed shift integral within this of a channel threshold is blamed on it
 _ODD_N0 = np.arange(1 - _SERIES_CAP, _SERIES_CAP, 2)   # bound-route n0 range
+# entries kept by each cache below: every key holds its energy, and an
+# entry is reused only at its own energy, within a few calls of its last
+# use (each sideband's renorm_factors reuses the elastic loop, the shift
+# and the width), so a grid's earlier energies need no entry
+_PER_ENERGY = 64
 
 
 @dataclass(frozen=True)
@@ -185,7 +190,7 @@ def _loop_l_max(k_i: float, n: int, g0: float) -> int:
     return max(_decay_count(q_i), abs(n) + 2, int(math.floor(0.5 * k_i * k_i)) + 2)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=_PER_ENERGY)
 def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> LoopValue:
     """Second-order continuum loop amplitude Gamma_{k_f k_i}(n).
 
@@ -473,7 +478,7 @@ def _bound_channels(k_i: float, g0: float) -> int:
     return _decay_count(float(_q_base(max(k_i, 1.0), g0)))
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=_PER_ENERGY)
 def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     """Real pole-position shift from four bound-state transitions.
 
@@ -515,7 +520,7 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     return 2.0 * float(value)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.lru_cache(maxsize=_PER_ENERGY)
 def beta_width(n0: int, eps_i: float, g0: float) -> float:
     """Width seed: open-channel flux of the bound-state route, >= 0.
 
@@ -557,7 +562,7 @@ def renorm_factors(n: int, n0: int, eps_i: float, g0: float,
     k_f, k_i = _momenta(n, eps_i)
     alpha = alpha_shift(n0, eps_i, g0, tol)
     beta = beta_width(n0, eps_i, g0)
-    eps_R = eps_i + g0 * g0 / 8.0 + alpha
+    eps_R = _resonance(eps_i, g0)[0] + alpha
 
     loop0 = gamma_loop(k_i, k_i, 0, g0, tol)
     ratio = 0.0 + 0.0j
@@ -582,11 +587,14 @@ def renorm_factors(n: int, n0: int, eps_i: float, g0: float,
                          eta_R=eta_R, eps_R=eps_R, Z=Z, n0=n0)
 
 
-def _nearest_odd(x: float) -> int:
-    """Odd integer closest to x (ties resolved downward)."""
-    lo = 2 * math.floor((x - 1.0) / 2.0) + 1
+def _resonance(eps_i: float, g0: float) -> Tuple[float, int]:
+    """Effective energy eps_t = eps_i + g0**2/8 and its nearest odd
+    resonance n0 (ties resolved downward): the one c/b/c term that can
+    reach its pole."""
+    eps_t = eps_i + g0 * g0 / 8.0
+    lo = 2 * math.floor((eps_t - 1.0) / 2.0) + 1
     hi = lo + 2
-    return int(lo if abs(x - lo) <= abs(x - hi) else hi)
+    return eps_t, int(lo if abs(eps_t - lo) <= abs(eps_t - hi) else hi)
 
 
 def b_renorm(n: int, eps_i: float, g0: float, tol: float = 1e-8) -> complex:
@@ -602,8 +610,7 @@ def b_renorm(n: int, eps_i: float, g0: float, tol: float = 1e-8) -> complex:
     check_domain(g0=g0, eps_i=eps_i, tol=tol, non_negative=("g0",))
     if g0 == 0 or n % 2 != 0:
         return 0.0 + 0.0j     # odd n: the series vanishes (see _bound_series)
-    eps_t = eps_i + g0 * g0 / 8.0
-    n0_star = _nearest_odd(eps_t)
+    eps_t, n0_star = _resonance(eps_i, g0)
     fac = renorm_factors(n, n0_star, eps_i, g0, tol)
     weight = fac.Z / (fac.eps_R - n0_star + 1j * fac.eta_R)
     return _bound_series(*_momenta(n, eps_i), n, g0, eps_t, resonant=(n0_star, weight))

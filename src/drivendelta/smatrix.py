@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .amplitudes import a_coefficient, b_coefficient, b_kernel
 from .errors import DomainError, RegimeError, ZeroNotFoundError, check_domain
 from .model import _q_base
 from .quadrature import bracket_min
-from .renorm import (LoopValue, _bound_series, _nearest_odd, alpha_shift,
+from .renorm import (LoopValue, _bound_series, _resonance, alpha_shift,
                      b_renorm, gamma_loop, renorm_factors)
 
 __all__ = [
@@ -60,17 +60,31 @@ class DiagramTerm:
 
 @dataclass(frozen=True)
 class SMatrixDecomposition:
-    """Amplitudes of one energy point with their diagram decomposition."""
+    """Amplitudes of one energy point with their diagram decomposition.
+
+    ``T`` and ``flux`` map each open sideband n to its amplitude and its
+    transmitted flux (:func:`_channel_flux`); ``T_total`` sums the fluxes.
+    """
 
     eps_i: float
     g0: float
     terms: List[DiagramTerm] = field(repr=False)
     T: Dict[int, complex] = field(repr=False)
-    R: Dict[int, complex] = field(repr=False)
+    flux: Dict[int, float] = field(repr=False)
     T_total: float = 0.0
     diagnostics: Dict = field(default_factory=dict, repr=False)
     w0: float = 0.0                 # :func:`w0` of this expansion; 0 without a bound route
     loop: LoopValue = _NO_LOOP      # its elastic loop Gamma(0); 0 without one
+
+    @property
+    def R(self) -> Dict[int, complex]:
+        """Reflection amplitudes R(n) = T(n) - delta_{n0}."""
+        return {n: (t - 1.0 if n == 0 else t) for n, t in self.T.items()}
+
+
+def _channel_flux(k_f: float, k_i: float, amp: complex) -> float:
+    """Flux (k_f / k_i) |amp|**2 carried by an open channel of wavenumber k_f."""
+    return k_f / k_i * abs(amp) ** 2
 
 
 def _b_pole_sq(k: float, g0: float) -> float:
@@ -93,21 +107,22 @@ def _b_far_elastic(k_i: float, eps_i: float, g0: float) -> complex:
 
 
 def _b_elastic(k_i: float, eps_i: float, g0: float, tol: float,
-               diagnostics: Dict) -> complex:
-    """The elastic bound route B(0) in the regime its pole distance picks.
+               diagnostics: Dict) -> Tuple[complex, bool]:
+    """The elastic bound route B(0) in the regime its pole distance picks,
+    and whether that regime is the near one.
 
     Within _NEAR_DISTANCE of the nearest odd pole n0 in bare effective
-    energy: the renormalized B^R(0).  Beyond it: :func:`_b_far_elastic`,
-    without the shift/width integrals, which can hit channel thresholds
-    at generic energies but never inside the near window.  ``diagnostics``
-    gets ``regime``, ``pole_distance`` (|eps_R - n0| near, bare far) and,
-    near, the ``branch_mismatch`` against the far form.
+    energy (:func:`renorm._resonance`): the renormalized B^R(0).  Beyond
+    it: :func:`_b_far_elastic`, without the shift/width integrals, which
+    can hit channel thresholds at generic energies but never inside the
+    near window.  ``diagnostics`` gets ``regime``, ``pole_distance``
+    (|eps_R - n0| near, bare far) and, near, the ``branch_mismatch``
+    against the far form.
     """
-    eps_t = eps_i + g0 * g0 / 8.0
-    n0 = _nearest_odd(eps_t)
+    eps_t, n0 = _resonance(eps_i, g0)
     if abs(eps_t - n0) >= _NEAR_DISTANCE:
         diagnostics.update(regime="far", pole_distance=abs(eps_t - n0))
-        return _b_far_elastic(k_i, eps_i, g0)
+        return _b_far_elastic(k_i, eps_i, g0), False
     diagnostics.update(regime="near",      # eps_t + alpha: renorm_factors' eps_R
                        pole_distance=abs(eps_t + alpha_shift(n0, eps_i, g0, tol) - n0))
     b_near = b_renorm(0, eps_i, g0, tol)
@@ -115,7 +130,7 @@ def _b_elastic(k_i: float, eps_i: float, g0: float, tol: float,
         diagnostics["branch_mismatch"] = abs(b_near - _b_far_elastic(k_i, eps_i, g0))
     except RegimeError:
         pass  # the far form is on its bare pole here
-    return b_near
+    return b_near, True
 
 
 def _check_point(eps_i: float, g0: float) -> None:
@@ -144,10 +159,11 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
     k_i = math.sqrt(2.0 * eps_i)
     terms: List[DiagramTerm] = []
     T: Dict[int, complex] = {}
+    flux: Dict[int, float] = {}
     diagnostics: Dict = {"order": order}
     b_zero, weight, loop = None, 0.0, _NO_LOOP
     if order == "renormalized" and g0 > 0:
-        b_zero = _b_elastic(k_i, eps_i, g0, tol, diagnostics)
+        b_zero, near = _b_elastic(k_i, eps_i, g0, tol, diagnostics)
         loop = gamma_loop(k_i, k_i, 0, g0, tol)
         weight = abs(2.0 * math.pi * b_zero.real) / abs(k_i + 4.0 * math.pi * loop.im)
 
@@ -169,12 +185,12 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
                 # g0**2 (the bound route is g0**3) and carries the exact
                 # closed-channel term i g0**2 / (4 k_0 kappa) below threshold
                 b_val = b_zero
-            elif diagnostics["regime"] == "near":
+            elif near:
                 b_val = b_renorm(n, eps_i, g0, tol)
             else:
                 # far from the pole: real denominators, no Z, valid when
                 # the pole distance dominates the width
-                b_val = _bound_series(k_f, k_i, n, g0, eps_i + g0 * g0 / 8.0)
+                b_val = _bound_series(k_f, k_i, n, g0, _resonance(eps_i, g0)[0])
             sub.append(DiagramTerm(label=(2, 0, 2),
                                    value=-(2j * math.pi / k_f) * b_val, sideband=n))
             loop_n = loop if n == 0 else gamma_loop(k_f, k_i, n, g0, tol)
@@ -183,12 +199,10 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
                                    sideband=n))
         terms.extend(sub)
         T[n] = sum(t.value for t in sub)
+        flux[n] = _channel_flux(k_f, k_i, T[n])
 
-    R = {n: (T[n] - 1.0 if n == 0 else T[n]) for n in T}
-    T_total = abs(T[0]) ** 2 + sum(
-        math.sqrt(k_i * k_i + 2 * n) / k_i * abs(T[n]) ** 2
-        for n in T if n != 0)
-    return SMatrixDecomposition(eps_i=eps_i, g0=g0, terms=terms, T=T, R=R,
+    T_total = flux[0] + sum(f for n, f in flux.items() if n != 0)
+    return SMatrixDecomposition(eps_i=eps_i, g0=g0, terms=terms, T=T, flux=flux,
                                 T_total=float(T_total), diagnostics=diagnostics,
                                 w0=weight, loop=loop)
 
@@ -200,6 +214,13 @@ def w0(eps_i: float, g0: float, tol: float = 1e-8) -> float:
     elastic quantities of :func:`assemble`, at quadrature tolerance ``tol``.
     """
     return assemble(eps_i, g0, n_max=0, tol=tol).w0
+
+
+def _pole_estimate(g0: float, tol: float, eps: Optional[float] = None) -> float:
+    """Pole position 1 - g0**2/8 - alpha(1, eps) of the n0 = 1 resonance,
+    with the shift taken at ``eps``: by default at the bare pole 1 - g0**2/8."""
+    bare = 1.0 - g0 * g0 / 8.0
+    return bare - alpha_shift(1, bare if eps is None else eps, g0, tol)
 
 
 def find_transmission_zero(g0: float, tol: float = 1e-8) -> Tuple[float, Dict]:
@@ -217,19 +238,19 @@ def find_transmission_zero(g0: float, tol: float = 1e-8) -> Tuple[float, Dict]:
     if not 0 < g0 <= 1:
         raise DomainError(f"need 0 < g0 <= 1, got {g0}")
     check_domain(tol=tol)
-    eps_c = 1.0 - g0 * g0 / 8.0
+    bare = 1.0 - g0 * g0 / 8.0
+    eps_c = bare
     for _ in range(4):
-        nxt = 1.0 - g0 * g0 / 8.0 - alpha_shift(1, eps_c, g0, tol)
+        nxt = _pole_estimate(g0, tol, eps_c)
         eps_c = 0.5 * (eps_c + min(max(nxt, 0.5), 1.0 - 1e-9))
     k_c = math.sqrt(2.0 * eps_c)
     fac = renorm_factors(0, 1, eps_c, g0, tol)
     loop0 = gamma_loop(k_c, k_c, 0, g0, tol)
-    eps_tc = eps_c + g0 * g0 / 8.0
-    rest = _bound_series(k_c, k_c, 0, g0, eps_tc, resonant=(1, 0.0))
+    rest = _bound_series(k_c, k_c, 0, g0, _resonance(eps_c, g0)[0], resonant=(1, 0.0))
     background = 1.0 - (2j * math.pi / k_c) * rest \
         - (4j * math.pi / k_c) * loop0.value
     resonant_denom = (2j * math.pi / k_c) * fac.Z * _b_pole_sq(k_c, g0) / background
-    eps_z = 1.0 - g0 * g0 / 8.0 - fac.alpha + resonant_denom.real
+    eps_z = bare - fac.alpha + resonant_denom.real
 
     def objective(eps):
         return abs(assemble(eps, g0, order="renormalized", n_max=0,
@@ -286,6 +307,6 @@ def near_zero_amplitudes(eps_i: float, g0: float, tol: float = 1e-8) -> Dict:
         t_n = -(k_i / k_n) * (num / b1) * bracket
         out["T"][n] = t_n
         out["R"][n] = t_n
-        out["flux"][n] = (k_n / k_i) * abs(t_n) ** 2
+        out["flux"][n] = _channel_flux(k_n, k_i, t_n)
     out["R0_sq"] = abs(elastic.R[0]) ** 2
     return out

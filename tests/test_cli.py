@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import functools
 import json
 import math
 import os
@@ -467,7 +468,7 @@ class TestZero:
         def forbidden(*args):
             raise AssertionError("no computing before the range check")
 
-        monkeypatch.setattr(cli, "alpha_shift", forbidden)
+        monkeypatch.setattr(cli, "_pole_estimate", forbidden)
         rc = main(["zero", "--g0", g0])
         captured = capsys.readouterr()
         if g0 == "0":
@@ -659,6 +660,24 @@ class TestBlocks:
         assert peaks[40000] < 4 * 2 ** 20
         assert peaks[40000] < 1.5 * peaks[4000]
 
+    def test_perturbative_memory_does_not_grow_with_the_grid(self, monkeypatch, tmp_path):
+        # every energy leaves a loop value in the gamma_loop cache, which
+        # must keep only the entries one energy reuses; blocks of 50 make
+        # both grids whole blocks, so their block memory is the same
+        monkeypatch.setattr(cli, "_BLOCK", 50)
+        peaks = {}
+        for steps in (200, 1000):
+            argv = ["scan", "--g0", "0.1", "--e-min", "0.2", "--e-max", "0.5",
+                    "--n-max", "0", "--method", "perturbative",
+                    "--steps", str(steps), "--output", str(tmp_path / "scan.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[1000] < 1.2 * peaks[200]
+
     ARGV = ["--g0", "0", "--e-min", "0.5", "--e-max", "1.0", "--steps", "6",
             "--n-max", "0"]   # eps = 1.0, singular when undriven, is in the second block
     ERROR = ("error: numeric failure at eps_i = 1.0: "
@@ -724,6 +743,30 @@ class TestDeterminism:
         assert serial.read_bytes() == parallel.read_bytes()
 
 
+class TestCaches:
+    def test_per_energy_caches_lose_no_hit(self, monkeypatch):
+        # up to 41 open sidebands per energy, near and far from the pole:
+        # the caches sized for one energy hit and miss as one of 4096 does
+        argv = ["scan", "--g0", "0.3", "--e-min", "0.95", "--e-max", "20.99",
+                "--steps", "5", "--n-max", "20", "--method", "perturbative"]
+        counts = {}
+        for size in (renorm._PER_ENERGY, 4096):
+            with monkeypatch.context() as patch:
+                caches = []
+                for name in ("gamma_loop", "alpha_shift", "beta_width"):
+                    original = getattr(renorm, name)
+                    fresh = functools.lru_cache(maxsize=size)(original.__wrapped__)
+                    for module in (renorm, smatrix):
+                        if getattr(module, name, None) is original:
+                            patch.setattr(module, name, fresh)
+                    caches.append(fresh)
+                assert main(argv) == 0
+                counts[size] = [cache.cache_info()[:2] for cache in caches]
+        assert counts[renorm._PER_ENERGY] == counts[4096]
+        assert all(hits > 0 for hits, _ in counts[4096])
+        assert renorm.gamma_loop.cache_info().maxsize == renorm._PER_ENERGY < 4096
+
+
 class TestImport:
     def test_cli_import_does_not_load_scipy(self):
         # nor a thread pool: grid points run serially whatever --workers says
@@ -734,6 +777,7 @@ class TestImport:
                 "assert drivendelta.cli.__file__.startswith(sys.argv[1]), drivendelta.cli.__file__; "
                 "assert 'scipy' not in sys.modules; "
                 "assert 'numpy.polynomial' not in sys.modules; "
+                "assert 'json' not in sys.modules; "
                 "assert 'concurrent.futures' not in sys.modules")
         result = subprocess.run([sys.executable, "-c", code, src], env=env,
                                 capture_output=True, text=True, timeout=60)

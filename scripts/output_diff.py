@@ -4,7 +4,10 @@ Runs every command of the list once in each checkout, in a fresh
 interpreter with ``PYTHONPATH=<root>/src`` and a fresh working directory,
 and compares standard output, standard error, the exit code and the
 ``--output`` file.  Prints ``SAME`` or ``DIFF`` per command and exits 1 if
-any command differs.
+any command differs.  With ``--rtol R``, a command whose outputs differ
+only in numbers, each within relative ``R`` (:func:`numbers_close`), prints
+``CLOSE`` with its worst relative difference instead, and does not count
+as differing.
 
 The list: both benchmark workloads' commands at seeds 1 and 2 (read from
 ``perfbench/workloads.py`` next to this script); ``w0`` grids over
@@ -25,11 +28,12 @@ so the locator searches its 9-point window about it.  Each grid command
 runs as CSV on standard output and again as a JSON ``--output`` file.
 
 Usage:
-    python scripts/output_diff.py OLD_ROOT NEW_ROOT
+    python scripts/output_diff.py OLD_ROOT NEW_ROOT [--rtol R]
 """
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -42,6 +46,9 @@ from perfbench import workloads  # noqa: E402
 OUTPUT = "out.json"     # relative, so the JSON config echo is the same in both checkouts
 _RUN = "import sys; from drivendelta.cli import main; sys.exit(main(sys.argv[1:]))"
 _NEAR_DISTANCE = 0.45   # smatrix's near/far switch, in bare pole distance
+# a decimal number, with optional sign, fraction and exponent; the text
+# around the numbers is compared as it stands
+_NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def commands() -> List[Tuple[str, ...]]:
@@ -98,19 +105,52 @@ def run(root: Path, argv: Sequence[str]) -> Tuple[int, bytes, bytes, Optional[by
     return proc.returncode, proc.stdout, proc.stderr, written
 
 
-def compare(old: Path, new: Path, cmds: Sequence[Sequence[str]]) -> int:
-    """Print SAME or DIFF per command; 1 if any differs, else 0."""
+def numbers_close(old: bytes, new: bytes, rtol: float) -> Optional[float]:
+    """Worst relative difference between the numbers of two outputs, or
+    None unless the outputs have the same text between their numbers and
+    every pair of numbers agrees within relative ``rtol``.
+
+    A pair of equal strings differs by 0; any other pair by
+    |a - b| / max(|a|, |b|).
+    """
+    if _NUMBER.split(old) != _NUMBER.split(new):
+        return None
+    worst = 0.0
+    for a, b in zip(_NUMBER.findall(old), _NUMBER.findall(new)):
+        if a == b:
+            continue
+        x, y = float(a), float(b)
+        scale = max(abs(x), abs(y))
+        diff = abs(x - y) / scale if scale else 0.0
+        if not diff <= rtol:
+            return None
+        worst = max(worst, diff)
+    return worst
+
+
+def compare(old: Path, new: Path, cmds: Sequence[Sequence[str]],
+            rtol: Optional[float] = None) -> int:
+    """Print SAME, CLOSE (only with ``rtol``) or DIFF per command; 1 if
+    any command prints DIFF, else 0."""
     parts = ("exit code", "stdout", "stderr", "output file")
     status = 0
     for argv in cmds:
-        differs = [part for part, a, b in zip(parts, run(old, argv), run(new, argv))
-                   if a != b]
+        pairs = [(part, a, b) for part, a, b in zip(parts, run(old, argv), run(new, argv))
+                 if a != b]
+        # an exit code or a missing output file differs in more than numbers
+        close = [numbers_close(a, b, rtol)
+                 if rtol is not None and isinstance(a, bytes) and isinstance(b, bytes)
+                 else None for _, a, b in pairs]
         line = " ".join(argv)
-        if differs:
-            status = 1
-            print(f"DIFF  {line}  ({', '.join(differs)})", flush=True)
-        else:
+        differs = ", ".join(part for part, _, _ in pairs)
+        if not pairs:
             print(f"SAME  {line}", flush=True)
+        elif None not in close:
+            print(f"CLOSE {line}  ({differs}; worst relative difference "
+                  f"{max(close):.2g})", flush=True)
+        else:
+            status = 1
+            print(f"DIFF  {line}  ({differs})", flush=True)
     return status
 
 
@@ -118,11 +158,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_root", type=Path)
     parser.add_argument("new_root", type=Path)
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="print CLOSE, not DIFF, where only numbers differ, "
+                             "each within this relative difference")
     args = parser.parse_args(argv)
     for root in (args.old_root, args.new_root):
         if not (root / "src" / "drivendelta" / "cli.py").is_file():
             parser.error(f"no src/drivendelta/cli.py under {root}")
-    return compare(args.old_root.resolve(), args.new_root.resolve(), commands())
+    return compare(args.old_root.resolve(), args.new_root.resolve(), commands(),
+                   args.rtol)
 
 
 if __name__ == "__main__":

@@ -350,14 +350,19 @@ def cmd_compare(config: ScanConfig) -> int:
     """
     config = replace(config, method="both").validate()
     window = 5.0 * config.g0 * config.g0
-    included: List[float] = []    # abs_diff outside the window, in grid order
+    # count, sum and max of abs_diff outside the window, in grid order
+    count, total, largest = 0, 0.0, float("nan")
 
     def blocks() -> Iterator[_Block]:
+        nonlocal count, total, largest
         for scan in _scan_blocks(config):
             diff = [abs(p - f) for p, f in
                     zip(scan["T_total_pert"], scan["T_total_floquet"])]
-            included.extend(d for eps, d in zip(scan["eps_i"], diff)
-                            if abs(eps - 1.0) >= window)
+            for eps, d in zip(scan["eps_i"], diff):
+                if abs(eps - 1.0) >= window:
+                    largest = d if count == 0 else max(largest, d)
+                    count += 1
+                    total += d
             yield {"eps_i": scan["eps_i"], "T_total_pert": scan["T_total_pert"],
                    "T_total_floquet": scan["T_total_floquet"], "abs_diff": diff}
 
@@ -365,10 +370,9 @@ def cmd_compare(config: ScanConfig) -> int:
         return {
             "rows": config.steps,
             "excluded_window": f"|eps_i - 1| < {_fmt(window)}",
-            "excluded_points": config.steps - len(included),
-            "max_abs_diff": max(included) if included else float("nan"),
-            "mean_abs_diff": (sum(included) / len(included)) if included
-            else float("nan"),
+            "excluded_points": config.steps - count,
+            "max_abs_diff": largest,
+            "mean_abs_diff": total / count if count else float("nan"),
         }
 
     _write_grid("compare", config,

@@ -9,10 +9,13 @@ by summing virtual multi-photon exchange processes: the pole position
 shifts by alpha, acquires the width eta_R = beta * (1 + gamma), and the
 residue is normalized by Z.
 
-The channel sums of the loop, the shift and the width stop at the
-sideband order where q(k_i)**|l| falls below 1e-18 (:func:`_decay_count`,
-capped at 32 and flagged in the loop's diagnostics).  The bound-route
-series sums every odd n0 with |n0| <= 63, a fixed range.
+All four perturbative sums, the loop's channels, the shift's and the
+width's, and the bound-route series over n0, follow one truncation rule:
+each stops at the sideband order where q**m falls below 1e-18
+(:func:`_decay_count`, capped at 32; the loop flags a cap hit in its
+diagnostics).  Each sum also always keeps the terms its value cannot do
+without: the loop its open channels and |l| <= |n| + 2, the bound route
+the odd n0 on either side of its pole and its resonant n0.
 """
 
 from __future__ import annotations
@@ -41,9 +44,8 @@ __all__ = [
     "b_renorm",
 ]
 
-_SERIES_CAP = 64       # hard cap on series terms
+_SERIES_CAP = 32       # cap of _decay_count's order; the loop flags reaching it
 _THRESHOLD_GAP = 1e-3  # a failed shift integral within this of a channel threshold is blamed on it
-_ODD_N0 = np.arange(1 - _SERIES_CAP, _SERIES_CAP, 2)   # bound-route n0 range
 # entries kept by each cache below: every key holds its energy, and an
 # entry is reused only at its own energy, within a few calls of its last
 # use (each sideband's renorm_factors reuses the elastic loop, the shift
@@ -177,11 +179,12 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
 
 
 def _decay_count(q: float) -> int:
-    """Sideband orders until q**m falls below 1e-18, kept within 10 .. 32."""
+    """Sideband orders until q**m falls below 1e-18, kept within 10 .. 32:
+    the truncation rule of every perturbative sum."""
     if q >= 1.0:
-        return _SERIES_CAP // 2
+        return _SERIES_CAP
     need = 10 if q <= 0.0 else int(math.ceil(math.log(1e-18) / math.log(q)))
-    return min(_SERIES_CAP // 2, max(10, need))
+    return min(_SERIES_CAP, max(10, need))
 
 
 def _loop_l_max(k_i: float, n: int, g0: float) -> int:
@@ -207,7 +210,7 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
 
     L = _loop_l_max(k_i, n, g0)
     diag["l_max"] = L
-    diag["truncation_capped"] = L >= _SERIES_CAP // 2
+    diag["truncation_capped"] = L >= _SERIES_CAP
     ls = np.arange(-L, L + 1)
     ls = ls[(ls != 0) & (ls != n)]
     diag["channels"] = ls.tolist()
@@ -417,30 +420,39 @@ def gamma_elastic_closed(k_i: float, g0: float,
 
 def _bound_series(k_f: float, k_i: float, n: int, g0: float, pole: float,
                  width: float = 0.0, resonant=None) -> complex:
-    """The c/b/c series: sum over odd n0, |n0| <= 63, of
+    """The c/b/c series: sum over odd n0 of
     B_{k_f b}(n + n0) B_{b k_i}(-n0) / (pole - n0 + i width).
 
-    The denominator rule is bare real (width 0) or regulated (width > 0);
-    ``resonant`` = (n0*, weight) replaces the n0* term's 1 / denominator
-    by ``weight``: Z / (eps_R - n0* + i eta_R) renormalizes that term and
-    0 drops it.  Only odd n + n0 and odd n0 contribute, so the series
-    vanishes for odd n.  A zero denominator raises :class:`RegimeError`.
+    A term carries q(k_i)**|n0| q(k_f)**|n + n0|, so the series stops at
+    |n0| <= :func:`_decay_count` of the larger q-factor; it always keeps
+    the odd n0 on either side of ``pole`` and the resonant n0, wherever
+    they lie.  The denominator rule is bare real (width 0) or regulated
+    (width > 0); ``resonant`` = (n0*, weight) replaces the n0* term's
+    1 / denominator by ``weight``: Z / (eps_R - n0* + i eta_R)
+    renormalizes that term and 0 drops it.  Only odd n + n0 and odd n0
+    contribute, so the series vanishes for odd n.  A zero denominator
+    raises :class:`RegimeError`.
     """
     if n % 2 != 0:
         return 0.0 + 0.0j
-    b_in = b_kernel(k_i, _q_base(k_i, g0) ** np.abs(_ODD_N0), g0)
-    b_out = b_in if (n, k_f) == (0, k_i) else \
-        b_kernel(k_f, _q_base(k_f, g0) ** np.abs(n + _ODD_N0), g0)
+    q_i, q_f = _q_base(k_i, g0), _q_base(k_f, g0)
+    order = _decay_count(float(max(q_i, q_f)))
+    n0s = set(range(-order, order + 1)) | set(_odd_neighbours(pole))
+    if resonant is not None:
+        n0s.add(resonant[0])
+    n0s = np.array(sorted(m for m in n0s if m % 2 != 0))
+    b_in = b_kernel(k_i, q_i ** np.abs(n0s), g0)
+    b_out = b_in if (n, k_f) == (0, k_i) else b_kernel(k_f, q_f ** np.abs(n + n0s), g0)
     # B_{b k_i}(-n0) = conj(B_{k_i b}(n0))
     num = b_out * np.conj(b_in)
-    denom = pole - _ODD_N0 + 1j * width
+    denom = pole - n0s + 1j * width
     if resonant is not None:
         n0, weight = resonant
-        at = _ODD_N0 == n0
+        at = n0s == n0
         denom[at] = 1.0     # that term is replaced below
     if np.any(denom == 0):
         raise RegimeError(f"bound-route denominator {pole} - n0 vanishes at "
-                          f"n0 = {_ODD_N0[denom == 0][0]}")
+                          f"n0 = {n0s[denom == 0][0]}")
     terms = num / denom
     if resonant is not None:
         terms[at] = num[at] * weight
@@ -592,9 +604,14 @@ def _resonance(eps_i: float, g0: float) -> Tuple[float, int]:
     resonance n0 (ties resolved downward): the one c/b/c term that can
     reach its pole."""
     eps_t = eps_i + g0 * g0 / 8.0
-    lo = 2 * math.floor((eps_t - 1.0) / 2.0) + 1
-    hi = lo + 2
-    return eps_t, int(lo if abs(eps_t - lo) <= abs(eps_t - hi) else hi)
+    lo, hi = _odd_neighbours(eps_t)
+    return eps_t, lo if abs(eps_t - lo) <= abs(eps_t - hi) else hi
+
+
+def _odd_neighbours(x: float) -> Tuple[int, int]:
+    """The odd integers lo <= x < lo + 2 on either side of ``x``."""
+    lo = 2 * math.floor((x - 1.0) / 2.0) + 1
+    return lo, lo + 2
 
 
 def b_renorm(n: int, eps_i: float, g0: float, tol: float = 1e-8) -> complex:

@@ -286,9 +286,10 @@ def near_zero_amplitudes(eps_i: float, g0: float, tol: float = 1e-8) -> Dict:
 
     Valid only where the pole term dominates (|eps_R(1) - 1| small against
     eta_R(1)); outside that window a RegimeError is raised instead of
-    extrapolating.  Returns the limiting inelastic T(n) = R(n) amplitudes,
-    their flux coefficients, and the elastic reflection check value;
-    ``tol`` is the quadrature tolerance of the loops and the shift.
+    extrapolating.  Returns the limiting inelastic amplitudes T(n), n >= 1
+    (there R(n) = T(n)), their flux coefficients, and the elastic
+    reflection check value; ``tol`` is the quadrature tolerance of the
+    loops and the shift.
     """
     _check_point(eps_i, g0)
     fac = renorm_factors(0, 1, eps_i, g0, tol)      # checks tol before any quadrature
@@ -300,13 +301,12 @@ def near_zero_amplitudes(eps_i: float, g0: float, tol: float = 1e-8) -> Dict:
     elastic = assemble(eps_i, g0, order="renormalized", n_max=0, tol=tol)
     bracket = 1.0 + (2.0 * math.pi / k_i) * elastic.loop.im
     b1 = b_coefficient(k_i, 1, g0)
-    out: Dict = {"T": {}, "R": {}, "flux": {}}
+    out: Dict = {"T": {}, "flux": {}}
     for n in range(1, 7):     # every n >= 1 is open
         k_n = math.sqrt(k_i * k_i + 2 * n)
         num = b_coefficient(k_n, n + 1, g0)
         t_n = -(k_i / k_n) * (num / b1) * bracket
         out["T"][n] = t_n
-        out["R"][n] = t_n
         out["flux"][n] = _channel_flux(k_n, k_i, t_n)
     out["R0_sq"] = abs(elastic.R[0]) ** 2
     return out

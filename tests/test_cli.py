@@ -678,6 +678,24 @@ class TestBlocks:
                 tracemalloc.stop()
         assert peaks[1000] < 1.2 * peaks[200]
 
+    def test_compare_summary_memory_does_not_grow_with_the_grid(self, monkeypatch,
+                                                                tmp_path):
+        # the summary keeps running totals, not one abs_diff per row; small
+        # blocks keep the block memory below the growth a per-row list shows
+        monkeypatch.setattr(cli, "_BLOCK", 16)
+        peaks = {}
+        for steps in (1000, 1000, 10000):   # the first run warms up
+            argv = ["compare", "--g0", "0", "--e-min", "0.2", "--e-max", "0.9",
+                    "--n-max", "0", "--steps", str(steps),
+                    "--output", str(tmp_path / "compare.csv")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[10000] < 1.2 * peaks[1000]
+
     ARGV = ["--g0", "0", "--e-min", "0.5", "--e-max", "1.0", "--steps", "6",
             "--n-max", "0"]   # eps = 1.0, singular when undriven, is in the second block
     ERROR = ("error: numeric failure at eps_i = 1.0: "

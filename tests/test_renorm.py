@@ -503,11 +503,12 @@ class TestBoundRoute:
         with pytest.raises(DomainError, match=r"^sideband n = -2 is closed at eps_i = "):
             fn(*args)
 
-    @pytest.mark.parametrize("n", [0, 2])
-    def test_series_sums_every_odd_n0(self, n):
+    @pytest.mark.parametrize("n, g0", [(0, 0.7), (2, 0.7), (0, 0.1), (2, 0.1)],
+                             ids=["0", "2", "0-g0_0.1", "2-g0_0.1"])
+    def test_series_sums_every_odd_n0(self, n, g0):
         # every even n0 term vanishes, so a layer-by-layer cutoff on a
-        # zero layer once stopped both series at |n0| = 3
-        g0 = 0.7
+        # zero layer once stopped both series at |n0| = 3; at g0 = 0.1 the
+        # decay cutoff is shortest (|n0| <= 13), against |n0| <= 63 here
 
         def full_sum(k_f, k_i, eps_i, denom):
             eps_t = eps_i + g0 * g0 / 8.0
@@ -532,6 +533,25 @@ class TestBoundRoute:
         assert renorm._bound_series(k_f, k_i, n, g0, eps_i + g0 * g0 / 8.0,
                                     width=1e-8) == pytest.approx(
             full_sum(k_f, k_i, eps_i, lambda eps_t, n0: eps_t - n0 + 1e-8j), rel=1e-13)
+
+    def test_resonant_term_beyond_the_decay_order(self):
+        # q(k) -> 1 at small k / g0, so the n0 = 65 term still shows
+        # (q**130 ~ 0.3) beyond the cutoff order 32; its weight must count
+        k, g0, weight = 0.01, 1.0, 0.5 - 2.0j
+        pole = 0.5 * k * k + g0 * g0 / 8.0
+        with_weight = renorm._bound_series(k, k, 0, g0, pole, resonant=(65, weight))
+        dropped = renorm._bound_series(k, k, 0, g0, pole, resonant=(65, 0.0))
+        b = b_coefficient(k, 65, g0)
+        assert abs(b) ** 2 > 0.01
+        assert with_weight - dropped == pytest.approx(b * b.conjugate() * weight,
+                                                      rel=1e-12)
+
+    def test_pole_neighbours_beyond_the_decay_order(self):
+        # a pole on an odd n0 far above the cutoff order still vanishes
+        # that term's denominator, whatever the term's size
+        k = math.sqrt(2.0 * 75.0)
+        with pytest.raises(RegimeError, match=r"vanishes at n0 = 75$"):
+            renorm._bound_series(k, k, 0, 0.7, 75.0)
 
 
 class TestPoleCorrections:

@@ -51,3 +51,24 @@ def test_output_diff_same_checkout(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines == ["SAME  " + " ".join(argv) for argv in picked]
     assert module.run(root, picked[1])[3].startswith(b"{\n")
+
+
+@pytest.mark.parametrize("new, label", [
+    (b"eps_i,T\n0.5,0.12345678901234566\n", "CLOSE"),   # a last-digit change
+    (b"eps_i,T,R\n0.5,0.12345678901234568\n", "DIFF"),  # a layout change
+    (b"eps_i,T\n0.5,0.1234567890124\n", "DIFF"),        # a change above rtol
+], ids=["last-digit", "layout", "above-rtol"])
+def test_output_diff_rtol(new, label, monkeypatch, capsys):
+    module = _load("output_diff")
+    old = b"eps_i,T\n0.5,0.12345678901234568\n"
+    outputs = {"old": (0, old, b"", None), "new": (0, new, b"", None)}
+    monkeypatch.setattr(module, "run", lambda root, argv: outputs[root])
+    close = module.numbers_close(old, new, 1e-13)
+    assert (close is not None) == (label == "CLOSE")
+    assert module.compare("old", "new", [("scan",)], rtol=1e-13) == (label == "DIFF")
+    assert capsys.readouterr().out.split()[0] == label
+    # without rtol every difference is a DIFF
+    assert module.compare("old", "new", [("scan",)]) == 1
+    assert capsys.readouterr().out.split()[0] == "DIFF"
+    if close is not None:
+        assert 0 < close < 1e-15

@@ -12,10 +12,12 @@ residue is normalized by Z.
 All four perturbative sums, the loop's channels, the shift's and the
 width's, and the bound-route series over n0, follow one truncation rule:
 each stops at the sideband order where q**m falls below 1e-18
-(:func:`_decay_count`, capped at 32; the loop flags a cap hit in its
-diagnostics).  Each sum also always keeps the terms its value cannot do
-without: the loop its open channels and |l| <= |n| + 2, the bound route
-the odd n0 on either side of its pole and its resonant n0.
+(:func:`_decay_count`).  The quadrature sums cap that order at 32 (the
+loop flags a cap hit in its diagnostics); the bound route, one array
+entry per term, caps it at 63.  Each sum also always keeps the terms its
+value cannot do without: the loop its open channels and |l| <= |n| + 2,
+the bound route every n0 between -n and 0, the odd n0 on either side of
+its pole and its resonant n0.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
 ]
 
 _SERIES_CAP = 32       # cap of _decay_count's order; the loop flags reaching it
+_BOUND_CAP = 63        # the bound route's cap: its terms cost one array entry each
 _THRESHOLD_GAP = 1e-3  # a failed shift integral within this of a channel threshold is blamed on it
 # entries kept by each cache below: every key holds its energy, and an
 # entry is reused only at its own energy, within a few calls of its last
@@ -178,13 +181,13 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
     return integrand
 
 
-def _decay_count(q: float) -> int:
-    """Sideband orders until q**m falls below 1e-18, kept within 10 .. 32:
+def _decay_count(q: float, cap: int = _SERIES_CAP) -> int:
+    """Sideband orders until q**m falls below 1e-18, kept within 10 .. cap:
     the truncation rule of every perturbative sum."""
     if q >= 1.0:
-        return _SERIES_CAP
+        return cap
     need = 10 if q <= 0.0 else int(math.ceil(math.log(1e-18) / math.log(q)))
-    return min(_SERIES_CAP, max(10, need))
+    return min(cap, max(10, need))
 
 
 def _loop_l_max(k_i: float, n: int, g0: float) -> int:
@@ -423,10 +426,13 @@ def _bound_series(k_f: float, k_i: float, n: int, g0: float, pole: float,
     """The c/b/c series: sum over odd n0 of
     B_{k_f b}(n + n0) B_{b k_i}(-n0) / (pole - n0 + i width).
 
-    A term carries q(k_i)**|n0| q(k_f)**|n + n0|, so the series stops at
-    |n0| <= :func:`_decay_count` of the larger q-factor; it always keeps
-    the odd n0 on either side of ``pole`` and the resonant n0, wherever
-    they lie.  The denominator rule is bare real (width 0) or regulated
+    A term carries q(k_i)**|n0| q(k_f)**|n + n0|.  Between n0 = -n and
+    n0 = 0 the total power |n0| + |n + n0| is |n|, so every term there can
+    be the largest and all are kept; beyond that stretch each step of n0
+    multiplies a term by q(k_i) q(k_f), so the series stops
+    :func:`_decay_count` (capped at ``_BOUND_CAP``) of the larger q-factor
+    past either end.  It always keeps the odd n0 on either side of
+    ``pole`` and the resonant n0, wherever they lie.  The denominator rule is bare real (width 0) or regulated
     (width > 0); ``resonant`` = (n0*, weight) replaces the n0* term's
     1 / denominator by ``weight``: Z / (eps_R - n0* + i eta_R)
     renormalizes that term and 0 drops it.  Only odd n + n0 and odd n0
@@ -436,8 +442,8 @@ def _bound_series(k_f: float, k_i: float, n: int, g0: float, pole: float,
     if n % 2 != 0:
         return 0.0 + 0.0j
     q_i, q_f = _q_base(k_i, g0), _q_base(k_f, g0)
-    order = _decay_count(float(max(q_i, q_f)))
-    n0s = set(range(-order, order + 1)) | set(_odd_neighbours(pole))
+    order = _decay_count(float(max(q_i, q_f)), _BOUND_CAP)
+    n0s = set(range(min(0, -n) - order, max(0, -n) + order + 1)) | set(_odd_neighbours(pole))
     if resonant is not None:
         n0s.add(resonant[0])
     n0s = np.array(sorted(m for m in n0s if m % 2 != 0))

@@ -503,12 +503,14 @@ class TestBoundRoute:
         with pytest.raises(DomainError, match=r"^sideband n = -2 is closed at eps_i = "):
             fn(*args)
 
-    @pytest.mark.parametrize("n, g0", [(0, 0.7), (2, 0.7), (0, 0.1), (2, 0.1)],
-                             ids=["0", "2", "0-g0_0.1", "2-g0_0.1"])
+    @pytest.mark.parametrize("n, g0", [(0, 0.7), (2, 0.7), (0, 0.1), (2, 0.1),
+                                       (16, 0.1)],
+                             ids=["0", "2", "0-g0_0.1", "2-g0_0.1", "16-g0_0.1"])
     def test_series_sums_every_odd_n0(self, n, g0):
         # every even n0 term vanishes, so a layer-by-layer cutoff on a
         # zero layer once stopped both series at |n0| = 3; at g0 = 0.1 the
-        # decay cutoff is shortest (|n0| <= 13), against |n0| <= 63 here
+        # decay cutoff is shortest (13 orders), against |n0| <= 63 here;
+        # at n = 16 the largest term sits at n0 = -15, beyond |n0| <= 13
 
         def full_sum(k_f, k_i, eps_i, denom):
             eps_t = eps_i + g0 * g0 / 8.0
@@ -525,18 +527,32 @@ class TestBoundRoute:
                 return (fac.eps_R - 1.0 + 1j * fac.eta_R) / fac.Z
             return eps_t - n0
 
+        # abs=0: at n = 16 the sums are about 1e-28
         assert b_renorm(n, eps_i, g0) == pytest.approx(
-            full_sum(k_f, k_i, eps_i, renormalized), rel=1e-13)
+            full_sum(k_f, k_i, eps_i, renormalized), rel=1e-13, abs=0)
         eps_i = 0.93
         k_i = math.sqrt(2.0 * eps_i)
         k_f = math.sqrt(k_i * k_i + 2 * n)
         assert renorm._bound_series(k_f, k_i, n, g0, eps_i + g0 * g0 / 8.0,
                                     width=1e-8) == pytest.approx(
-            full_sum(k_f, k_i, eps_i, lambda eps_t, n0: eps_t - n0 + 1e-8j), rel=1e-13)
+            full_sum(k_f, k_i, eps_i, lambda eps_t, n0: eps_t - n0 + 1e-8j),
+            rel=1e-13, abs=0)
+
+    def test_series_near_threshold_reaches_the_bound_cap(self):
+        # q(k_i) = 0.82 at g0 = 0.7, eps_i = 0.01: the decay rule asks for
+        # 209 orders, so the bound route's own cap, not the quadrature
+        # sums' 32, sets where the series stops
+        g0, eps_i = 0.7, 0.01
+        k = math.sqrt(2.0 * eps_i)
+        pole = eps_i + g0 * g0 / 8.0
+        long_sum = sum(abs(b_coefficient(k, n0, g0)) ** 2 / (pole - n0)
+                       for n0 in range(-301, 302, 2))
+        assert renorm._bound_series(k, k, 0, g0, pole) == pytest.approx(long_sum,
+                                                                        rel=1e-13)
 
     def test_resonant_term_beyond_the_decay_order(self):
         # q(k) -> 1 at small k / g0, so the n0 = 65 term still shows
-        # (q**130 ~ 0.3) beyond the cutoff order 32; its weight must count
+        # (q**130 ~ 0.3) beyond the cap order 63; its weight must count
         k, g0, weight = 0.01, 1.0, 0.5 - 2.0j
         pole = 0.5 * k * k + g0 * g0 / 8.0
         with_weight = renorm._bound_series(k, k, 0, g0, pole, resonant=(65, weight))

@@ -432,12 +432,12 @@ def _bound_series(k_f: float, k_i: float, n: int, g0: float, pole: float,
     multiplies a term by q(k_i) q(k_f), so the series stops
     :func:`_decay_count` (capped at ``_BOUND_CAP``) of the larger q-factor
     past either end.  It always keeps the odd n0 on either side of
-    ``pole`` and the resonant n0, wherever they lie.  The denominator rule is bare real (width 0) or regulated
-    (width > 0); ``resonant`` = (n0*, weight) replaces the n0* term's
-    1 / denominator by ``weight``: Z / (eps_R - n0* + i eta_R)
-    renormalizes that term and 0 drops it.  Only odd n + n0 and odd n0
-    contribute, so the series vanishes for odd n.  A zero denominator
-    raises :class:`RegimeError`.
+    ``pole`` and the resonant n0, wherever they lie.  The denominator rule
+    is bare real (width 0) or regulated (width > 0); ``resonant`` =
+    (n0*, weight) replaces the n0* term's 1 / denominator by ``weight``:
+    Z / (eps_R - n0* + i eta_R) renormalizes that term and 0 drops it.
+    Only odd n + n0 and odd n0 contribute, so the series vanishes for odd
+    n.  A zero denominator raises :class:`RegimeError`.
     """
     if n % 2 != 0:
         return 0.0 + 0.0j

@@ -20,14 +20,12 @@ the perturbative one-transition amplitude as g0 -> 0.
 
 The system is tridiagonal in the sideband index.  It is solved by Thomas
 elimination from both ends of the index range, vectorized over an array
-of energies: energies with the same floor(eps_i) share the truncation
-N = 2 (floor(eps_i) + 1) + 20, which at an integer eps_i counts the
-threshold channel as open (N is 26 at eps_i = 2, 24 just below).  The
-truncated system conserves flux exactly at every N, so its unitarity defect measures
-rounding only, and a defect above 1e-10 raises; convergence in N rests on
-that fixed margin of closed channels (checked against doubled N in the
-tests).  ``solve`` is the one-energy case of that sweep and
-``transmission_grid`` its array form.
+of energies; the energies that share a truncation N (:func:`_truncation`)
+share a sweep.  The truncated system conserves flux exactly at every N,
+so its unitarity defect measures rounding only, and a defect above 1e-10
+raises; convergence in N is what :func:`_truncation` is verified for.
+``solve`` is the one-energy case of that sweep and ``transmission_grid``
+its array form.
 
 ``zero_locate_exact`` bisects the sign of the same sweep's pivot P_{-1}:
 below the first threshold t_0 vanishes where it does, that is, where the
@@ -36,7 +34,6 @@ closed ladder n <= -1 holds a bound state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Tuple
 
@@ -55,6 +52,7 @@ __all__ = [
 
 _UNITARITY_TOL = 1e-10
 _MARGIN = 20           # closed channels kept beyond the open ones
+_G0_VERIFIED = 3.5     # largest coupling at which that margin is verified
 _CHUNK = 1 << 16       # sideband x energy entries per sweep: bounds memory at any N
 
 
@@ -80,14 +78,6 @@ class FloquetSolution:
     def r(self) -> Dict[int, complex]:
         return {n: (t - 1.0 if n == 0 else t) for n, t in self.t.items()}
 
-    def k_channel(self, n: int) -> complex:
-        """Channel wavenumber: real if open, i*kappa if closed."""
-        ksq = 2.0 * self.eps_i + 2 * n
-        return math.sqrt(ksq) if ksq >= 0 else 1j * math.sqrt(-ksq)
-
-    def open_channels(self):
-        return [n for n in range(-self.N, self.N + 1) if 2.0 * self.eps_i + 2 * n > 0]
-
 
 @dataclass(frozen=True)
 class FloquetGrid:
@@ -104,6 +94,21 @@ class FloquetGrid:
     T_total: np.ndarray
     T_n: np.ndarray = field(repr=False)
     N: np.ndarray = field(repr=False)
+
+
+def _truncation(eps: np.ndarray, g0: float) -> np.ndarray:
+    """Sideband truncation N of each energy: 2 (floor(eps_i) + 1) + 20.
+
+    At an integer eps_i it counts the threshold channel as open (N is 26 at
+    eps_i = 2, 24 just below).  Over eps_i 0.05-12 every flux agrees with a
+    sweep at N + 200 to 1e-13 up to g0 = 3.5, but only to 1.4e-12 at 3.75
+    and 0.36 at 8, which the unitarity defect cannot see; so a larger g0
+    raises :class:`DomainError`.
+    """
+    if g0 > _G0_VERIFIED:
+        raise DomainError(f"g0 = {g0} is above {_G0_VERIFIED}, the largest coupling "
+                          "at which the sideband truncation is verified")
+    return 2 * (np.floor(eps).astype(int) + 1) + _MARGIN
 
 
 def _pivots(eps: np.ndarray, g0: float, N: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -164,19 +169,17 @@ def _converged(eps: np.ndarray, g0: float) -> Iterator[tuple]:
     """Solve at every energy of ``eps``; yield the solved blocks.
 
     Each block is (index into ``eps``, N, t, transmitted flux per channel,
-    total transmitted flux, unitarity defect).  ``N`` is
-    2 (floor(eps_i) + 1) + 20, shared by the energies with the same
-    floor(eps_i).  The truncated system conserves flux at every N, so the
-    defect measures rounding only, and convergence in N rests on that fixed margin of 20 closed channels.  A
+    total transmitted flux, unitarity defect); its energies share the N of
+    :func:`_truncation`, in ascending N.  The truncated system conserves
+    flux at every N, so the defect measures rounding only.  A
     defect above 1e-10, or a singular system, raises
     :class:`ToleranceError` naming the energy: the first faulty one of its
     block for a defect, the first one in ``eps`` for a singular system.
     """
-    n_open = np.floor(eps).astype(int) + 1
+    sizes = _truncation(eps, g0)
     singular = []
-    for group in sorted(set(n_open.tolist())):    # np.unique would import numpy.ma
-        pending = np.flatnonzero(n_open == group)
-        size = 2 * group + _MARGIN
+    for size in sorted(set(sizes.tolist())):    # np.unique would import numpy.ma
+        pending = np.flatnonzero(sizes == size)
         per_chunk = max(1, _CHUNK // (2 * size + 1))
         for start in range(0, pending.size, per_chunk):
             idx = pending[start:start + per_chunk]
@@ -211,7 +214,7 @@ def _converged(eps: np.ndarray, g0: float) -> Iterator[tuple]:
 def solve(eps_i: float, g0: float) -> FloquetSolution:
     """Solve the truncated sideband system at incoming energy ``eps_i``.
 
-    ``N`` is 2 (floor(eps_i) + 1) + 20; a unitarity defect above
+    ``N`` is :func:`_truncation`'s; a unitarity defect above
     1e-10 or a singular system raises :class:`ToleranceError`
     (:func:`_converged`).
     """
@@ -271,12 +274,12 @@ def zero_locate_exact(g0: float) -> float:
     """
     if not 0 < g0 <= 1:
         raise DomainError(f"need 0 < g0 <= 1, got {g0}")
-    N = 2 + _MARGIN     # one open channel below the threshold
+    lo, hi = max(0.7, 1.0 - 1.5 * g0 * g0), 1.0
+    N = int(_truncation(lo, g0))    # one N for the window, hi = 1 included
 
     def p(eps):
         return float(_pivots(np.array([eps]), g0, N)[1][-1, 0].imag)
 
-    lo, hi = max(0.7, 1.0 - 1.5 * g0 * g0), 1.0
     p_lo, p_hi = p(lo), p(hi)
     if not p_lo > 0 > p_hi:
         raise ZeroNotFoundError(

@@ -46,7 +46,7 @@ __all__ = [
     "b_renorm",
 ]
 
-_SERIES_CAP = 32       # cap of _decay_count's order; the loop flags reaching it
+_SERIES_CAP = 32       # cap of _decay_count's order; the loop flags a rule that wants more
 _BOUND_CAP = 63        # the bound route's cap: its terms cost one array entry each
 _THRESHOLD_GAP = 1e-3  # a failed shift integral within this of a channel threshold is blamed on it
 # entries kept by each cache below: every key holds its energy, and an
@@ -204,7 +204,8 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
     re = principal value over the intermediate momentum of the full
     channel sum, with the propagator poles at open k_l and the transition
     poles at k_i (and k_f for n != 0) all treated symmetrically.  The
-    l-truncation is adaptive with a diagnostics flag on cap hit.
+    diagnostic ``truncation_capped`` is True where the l-truncation's decay
+    rule wants more orders than its cap of 32.
     """
     check_domain(k_f=k_f, k_i=k_i, g0=g0, tol=tol, non_negative=("g0",))
     diag: Dict = {}
@@ -213,7 +214,8 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
 
     L = _loop_l_max(k_i, n, g0)
     diag["l_max"] = L
-    diag["truncation_capped"] = L >= _SERIES_CAP
+    need = _decay_count(float(_q_base(k_i, g0)), _SERIES_CAP + 1)
+    diag["truncation_capped"] = need > _SERIES_CAP
     ls = np.arange(-L, L + 1)
     ls = ls[(ls != 0) & (ls != n)]
     diag["channels"] = ls.tolist()

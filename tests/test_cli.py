@@ -380,6 +380,18 @@ class TestScan:
             "error: numeric failure at eps_i = 1.0: "
             "singular sideband system at eps_i = 1.0\n")
 
+    @pytest.mark.parametrize("argv", [["scan", "--method", "floquet"],
+                                      ["scan", "--method", "both", "--n-max", "0"],
+                                      ["compare"]])
+    def test_coupling_above_the_verified_truncation_fails(self, capsys, argv):
+        # at g0 = 8 the default truncation once wrote T_elastic 0.00697 at
+        # eps_i = 0.5, with exit 0, where N = 60, 120 and 240 all give 0.0537
+        rc = main(argv + ["--g0", "8", "--e-min", "0.5", "--e-max", "0.6", "--steps", "2"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", (
+            "error: g0 = 8.0 is above 3.5, the largest coupling at which the "
+            "sideband truncation is verified\n"))
+
 
     def test_tol_tightens_the_loop(self, tmp_path):
         # the default tol is absolute, and Re Gamma(0) ~ 2.5e-6 at g0 = 0.0125:

@@ -27,8 +27,10 @@ class TestSolve:
     def test_truncation_robustness(self):
         base = solve(0.9, 0.7)
         N = base.N + 10
-        _, t = floquet._sweep(np.array([0.9]), 0.7, N)
-        for n in base.open_channels():
+        k, t = floquet._sweep(np.array([0.9]), 0.7, N)
+        open_channels = [n for n in base.t if k[N + n, 0].real > 0]
+        assert open_channels == list(range(base.N + 1))    # n >= 0 below eps = 1
+        for n in open_channels:
             assert abs(abs(base.t[n]) ** 2 - abs(t[N + n, 0]) ** 2) < 1e-12
 
     def test_continuity_identity(self):
@@ -118,9 +120,9 @@ class TestBatchedSweep:
         assert len(set(grid.N)) >= 4    # several groups of open channels
         for i, e in enumerate(eps):
             sol = solve(float(e), g0)
-            k0 = math.sqrt(2.0 * e)
-            flux = {n: sol.k_channel(n).real / k0 * abs(sol.t[n]) ** 2
-                    for n in sol.open_channels()}
+            k = floquet._pivots(np.array([e]), g0, sol.N)[0][:, 0]
+            flux = {n: k[sol.N + n].real / k[sol.N].real * abs(sol.t[n]) ** 2
+                    for n in sol.t if k[sol.N + n].real > 0}
             assert grid.N[i] == sol.N
             assert grid.t0_sq[i] == pytest.approx(abs(sol.t[0]) ** 2, rel=1e-14, abs=1e-15)
             assert grid.r0_sq[i] == pytest.approx(abs(sol.r[0]) ** 2, rel=1e-14, abs=1e-15)
@@ -158,7 +160,7 @@ class TestBatchedSweep:
         assert transmission_grid(eps[2:], 0.7, 2).N.tolist() == [
             2 * (int(e) + 1) + 20 for e in eps[2:]]
 
-    @pytest.mark.parametrize("g0", [0.1, 0.7, 1.0])
+    @pytest.mark.parametrize("g0", [0.1, 0.7, 1.0, 3.0, floquet._G0_VERIFIED])
     def test_default_truncation_matches_doubled(self, g0):
         # the unitarity defect cannot see truncation, so the default margin
         # N = 2 n_open + 20 is checked against a sweep at twice that N
@@ -213,6 +215,42 @@ class TestBatchedSweep:
             transmission_grid([0.5], -0.1)
         with pytest.raises(DomainError):
             transmission_grid([0.5], 0.1, n_max=-1)
+
+
+class TestVerifiedCoupling:
+    """The fixed margin of closed channels holds up to ``_G0_VERIFIED``, and
+    the solver refuses a larger coupling instead of a silently wrong flux."""
+
+    BOUND = floquet._G0_VERIFIED
+
+    def test_every_flux_matches_a_wider_sweep_at_the_bound(self):
+        # N + 200 closed channels against the default; relative to the unit
+        # incoming flux, they differ by 8.5e-14 at 3.5 and 1.4e-12 at 3.75
+        eps = np.concatenate([np.linspace(0.05, 12.0, 2400),
+                              [m + s * d for m in range(1, 12) for s in (-1, 1)
+                               for d in (1e-10, 1e-6, 1e-2)]])
+        grid = transmission_grid(eps, self.BOUND, n_max=50)
+        for N in set(grid.N.tolist()):
+            idx = np.flatnonzero(grid.N == N)
+            k, t = floquet._sweep(eps[idx], self.BOUND, N + 200)
+            flux = floquet._open_flux(k, t)
+            t0 = t[N + 200]
+            for name, wide in (("t0_sq", np.abs(t0) ** 2),
+                               ("r0_sq", np.abs(t0 - 1.0) ** 2),
+                               ("T_total", flux.sum(axis=0))):
+                assert np.max(np.abs(getattr(grid, name)[idx] - wide)) <= 1e-13, name
+            # T_n is 0 past the default's N, and n_max = 50 covers every N here
+            assert np.max(np.abs(grid.T_n[:, idx] - flux[N + 150:N + 251])) <= 1e-13
+
+    @pytest.mark.parametrize("fn", [solve, lambda eps, g0: transmission_grid([eps], g0)],
+                             ids=["solve", "transmission_grid"])
+    def test_coupling_above_the_bound_raises(self, fn):
+        above = math.nextafter(self.BOUND, math.inf)
+        with pytest.raises(DomainError, match=(
+                rf"^g0 = {above} is above 3\.5, the largest coupling at which "
+                r"the sideband truncation is verified$")):
+            fn(0.5, above)
+        fn(0.5, self.BOUND)
 
 
 class TestObservables:

@@ -54,6 +54,15 @@ class TestGammaLoop:
         assert "error_estimate" in loop.diagnostics
         assert loop.diagnostics["evaluations"] > 0
 
+    @pytest.mark.parametrize("g0,eps_i,l_max,capped", [
+        (0.7, 40.3, 42, False),    # the open channels set L; the decay rule needs 13
+        (0.7, 0.3, 32, True),      # the decay rule needs 44 orders
+        (0.1, 0.3, 16, False)])    # the decay rule needs 16
+    def test_truncation_capped_only_where_the_rule_wants_more(self, g0, eps_i, l_max, capped):
+        k = math.sqrt(2.0 * eps_i)
+        diag = gamma_loop.__wrapped__(k, k, 0, g0).diagnostics
+        assert (diag["l_max"], diag["truncation_capped"]) == (l_max, capped)
+
     @pytest.mark.parametrize("g0", [0.1, 0.7])
     def test_tight_tolerance_next_to_threshold(self, g0):
         # 1e-6 above the one-quantum threshold, at tol = 1e-12, the fold

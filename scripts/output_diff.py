@@ -24,8 +24,11 @@ quadrature refines over many rounds or fails, the perturbative ``zero``
 at g0 0.475 and at g0 0.45 (which finds no zero and exits 1) and ``w0``
 at g0 0.7 within 1e-3 of the eps = 2 threshold; and the perturbative
 ``zero`` at g0 0.96, where the analytic zero lies below the threshold,
-so the locator searches its 9-point window about it.  Each grid command
-runs as CSV on standard output and again as a JSON ``--output`` file.
+so the locator searches its 9-point window about it; and, where the
+sideband channel rule decides which channels are open, ``scan --method
+both --n-max 4`` at g0 0.1 and 0.7 over the exact thresholds eps = 1-5,
+and at g0 0.7 over 1e-9 either side of eps = 4.  Each grid command runs
+as CSV on standard output and again as a JSON ``--output`` file.
 
 Usage:
     python scripts/output_diff.py OLD_ROOT NEW_ROOT [--rtol R]
@@ -83,6 +86,12 @@ def commands() -> List[Tuple[str, ...]]:
                  "--steps", "5", "--n-max", "2", "--method", "perturbative"))
     grid.append(("w0", "--g0", "0.7", "--e-min", "1.999", "--e-max", "2.001",
                  "--steps", "6"))
+    thresholds = ("--n-max", "4", "--method", "both")
+    for g0 in ("0.1", "0.7"):
+        grid.append(("scan", "--g0", g0, "--e-min", "1", "--e-max", "5", "--steps", "5")
+                    + thresholds)
+    grid.append(("scan", "--g0", "0.7", "--e-min", repr(4.0 - 1e-9),
+                 "--e-max", repr(4.0 + 1e-9), "--steps", "3") + thresholds)
     other += [("zero", "--g0", "0.55"), ("zero", "--g0", "0.7"),
               ("zero", "--g0", "0.55", "--method", "floquet"),
               ("zero", "--g0", "0.55", "--method", "perturbative"),

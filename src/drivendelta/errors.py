@@ -4,6 +4,14 @@ energies, couplings and tolerances before any arithmetic."""
 
 import math
 
+__all__ = [
+    "DrivenDeltaError",
+    "DomainError",
+    "ToleranceError",
+    "RegimeError",
+    "ZeroNotFoundError",
+]
+
 
 class DrivenDeltaError(Exception):
     """Base class for all package-specific errors."""

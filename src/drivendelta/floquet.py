@@ -40,6 +40,7 @@ from typing import Dict, Iterator, Tuple
 import numpy as np
 
 from .errors import DomainError, ToleranceError, ZeroNotFoundError, check_domain
+from .model import _sideband_ksq
 
 __all__ = [
     "FloquetSolution",
@@ -119,7 +120,7 @@ def _pivots(eps: np.ndarray, g0: float, N: int) -> Tuple[np.ndarray, np.ndarray]
     the last: P_n = k_n + c / P_{n-1} from below and
     Q_n = k_n + c / Q_{n+1} from above, with c = (g0/2)**2.
     """
-    ksq = 2.0 * eps + 2.0 * np.arange(-N, N + 1)[:, None]
+    ksq = _sideband_ksq(eps, np.arange(-N, N + 1)[:, None])
     root = np.sqrt(np.abs(ksq))
     k = np.where(ksq >= 0, root + 0j, 1j * root)
     c = 0.25 * g0 * g0

@@ -8,8 +8,9 @@ supports a single bound state at energy -g**2 / 2.
 
 Every input and output of the package is in these units; converting
 physical driving parameters is left to the caller (g0 = g_phys
-sqrt(m omega / hbar) / (hbar omega)).  Sideband n is open from incoming
-wavenumber k_i when k_i**2 + 2 n > 0; callers test that where they need it.
+sqrt(m omega / hbar) / (hbar omega)).  Sideband n at incoming energy
+eps_i has k_n**2 = 2 (eps_i + n) (:func:`_sideband_ksq`, the one statement
+of the channel rule that both solvers use).
 """
 
 from __future__ import annotations
@@ -17,6 +18,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError, check_domain
+
+__all__ = ["q_factor"]
+
+
+def _sideband_ksq(eps_i, n):
+    """Squared wavenumber k_n**2 = 2 (eps_i + n) of sideband ``n``.
+
+    A sideband is open, and carries flux, exactly where this value is > 0;
+    at an exact threshold (0) it is closed.  Scalars or broadcasting arrays.
+    """
+    return 2.0 * (eps_i + n)
 
 
 def q_factor(k, n: int, g0: float):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .amplitudes import a_coefficient, a_kernel, a_signs, b_coefficient, b_kernel
 from .errors import DomainError, RegimeError, ToleranceError, check_domain
-from .model import _q_base
+from .model import _q_base, _sideband_ksq
 from .quadrature import pv_halfline
 
 __all__ = [
@@ -221,7 +221,7 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
     diag["channels"] = ls.tolist()
 
     # finite residue sum over open intermediate channels, each at its own k_l
-    kl2 = k_i * k_i + 2 * ls
+    kl2 = _sideband_ksq(0.5 * k_i * k_i, ls)
     is_open = kl2 > 0
     k_open = np.sqrt(kl2[is_open])
     im_total = -math.pi * float(np.sum(
@@ -516,9 +516,8 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     ms = np.arange(1, _bound_channels(k_i, g0) + 1, 2)
     integrand = _shift_integrand(n0, eps_i, g0, ms)
     ls = np.concatenate([-ms[::-1], ms]) - n0
-    above = eps_i + ls          # distance of each channel above its threshold
-    kl2 = 2.0 * above
-    gap = np.abs(above)
+    kl2 = _sideband_ksq(eps_i, ls)
+    gap = 0.5 * np.abs(kl2)     # distance of each channel from its threshold
     nearest = int(np.argmin(gap))
 
     def where():
@@ -551,7 +550,7 @@ def beta_width(n0: int, eps_i: float, g0: float) -> float:
     M = _bound_channels(math.sqrt(2.0 * eps_i), g0)
     ms = np.arange(-M, M + 1)
     ms = ms[ms % 2 != 0]
-    kl2 = 2.0 * (eps_i + (ms - n0))
+    kl2 = _sideband_ksq(eps_i, ms - n0)
     is_open = kl2 > 0
     kl = np.sqrt(kl2[is_open])
     b = b_kernel(kl, _q_base(kl, g0) ** np.abs(ms[is_open]), g0)
@@ -559,12 +558,11 @@ def beta_width(n0: int, eps_i: float, g0: float) -> float:
 
 
 def _momenta(n: int, eps_i: float):
-    """(k_f, k_i) = (sqrt(k_i**2 + 2 n), sqrt(2 eps_i)); a closed ``n`` raises."""
-    k_i = math.sqrt(2.0 * eps_i)
-    ksq = k_i * k_i + 2 * n
+    """(k_f, k_i) = (sqrt(2 (eps_i + n)), sqrt(2 eps_i)); a closed ``n`` raises."""
+    ksq = _sideband_ksq(eps_i, n)
     if not ksq > 0:
         raise DomainError(f"sideband n = {n} is closed at eps_i = {eps_i}")
-    return math.sqrt(ksq), k_i
+    return math.sqrt(ksq), math.sqrt(2.0 * eps_i)
 
 
 def renorm_factors(n: int, n0: int, eps_i: float, g0: float,

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .amplitudes import a_coefficient, b_coefficient, b_kernel
 from .errors import DomainError, RegimeError, ZeroNotFoundError, check_domain
-from .model import _q_base
+from .model import _q_base, _sideband_ksq
 from .quadrature import bracket_min
 from .renorm import (LoopValue, _bound_series, _resonance, alpha_shift,
                      b_renorm, gamma_loop, renorm_factors)
@@ -168,9 +168,10 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
         weight = abs(2.0 * math.pi * b_zero.real) / abs(k_i + 4.0 * math.pi * loop.im)
 
     for n in range(-n_max, n_max + 1):
-        if k_i * k_i + 2 * n <= 0:
+        ksq = _sideband_ksq(eps_i, n)
+        if not ksq > 0:
             continue    # closed
-        k_f = math.sqrt(k_i * k_i + 2 * n)
+        k_f = math.sqrt(ksq)
         sub: List[DiagramTerm] = []
         if n == 0:
             sub.append(DiagramTerm(label=(0, 0, 0), value=1.0 + 0.0j, sideband=0))
@@ -303,7 +304,7 @@ def near_zero_amplitudes(eps_i: float, g0: float, tol: float = 1e-8) -> Dict:
     b1 = b_coefficient(k_i, 1, g0)
     out: Dict = {"T": {}, "flux": {}}
     for n in range(1, 7):     # every n >= 1 is open
-        k_n = math.sqrt(k_i * k_i + 2 * n)
+        k_n = math.sqrt(_sideband_ksq(eps_i, n))
         num = b_coefficient(k_n, n + 1, g0)
         t_n = -(k_i / k_n) * (num / b1) * bracket
         out["T"][n] = t_n

@@ -506,10 +506,13 @@ class TestBoundRoute:
         assert b_renorm(0, 0.5, 0.0) == 0.0
 
     @pytest.mark.parametrize("fn, args", [(b_renorm, (-2, 0.5, 0.3)),
-                                          (renorm_factors, (-2, 1, 1.0, 0.3))])
+                                          (renorm_factors, (-2, 1, 1.0, 0.3)),
+                                          # at its exact threshold: once open
+                                          (renorm_factors, (-1, 1, 1.0, 0.3))])
     def test_closed_sideband_rejected(self, fn, args):
-        # k_f = sqrt(2 eps_i + 2 n) is built inside: a closed n has none
-        with pytest.raises(DomainError, match=r"^sideband n = -2 is closed at eps_i = "):
+        # k_f = sqrt(2 (eps_i + n)) is built inside: a closed n has none
+        with pytest.raises(DomainError,
+                           match=rf"^sideband n = {args[0]} is closed at eps_i = "):
             fn(*args)
 
     @pytest.mark.parametrize("n, g0", [(0, 0.7), (2, 0.7), (0, 0.1), (2, 0.1),

@@ -3,9 +3,10 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from drivendelta import amplitudes, renorm, smatrix
+from drivendelta import amplitudes, floquet, renorm, smatrix
 from drivendelta.errors import DomainError, RegimeError
 from drivendelta.floquet import solve, zero_locate_exact
 from drivendelta.smatrix import (DiagramTerm, assemble, find_transmission_zero,
@@ -88,6 +89,26 @@ class TestAssemble:
             smatrix._b_far_elastic(k, eps_i, g0) - shifted)
         exact = solve(eps_i, g0).t[0]
         assert abs(dec.T[0] - exact) < abs(swapped - exact)
+
+
+class TestChannelRule:
+    def test_exact_threshold_is_closed(self):
+        # k_i * k_i + 2 n once rounded eps_i = 4 open for n = -4, where
+        # k_f ~ 1e-8 gave a flux of 71642.92 and T_total 71643.89
+        dec = assemble(4.0, 0.7, n_max=4)
+        assert -4 not in dec.T and -4 not in dec.flux
+        assert dec.T_total < 1.0
+
+    @pytest.mark.parametrize("eps_i", [x for e in range(1, 6)
+                                       for x in (math.nextafter(e, -math.inf), float(e),
+                                                 math.nextafter(e, math.inf))])
+    def test_open_set_is_the_exact_solvers(self, eps_i):
+        # both solvers open exactly the n with 2 (eps_i + n) > 0; the
+        # exact solver's closed channels carry k_n = i kappa_n (Re k_n = 0)
+        rule = [n for n in range(-5, 6) if 2.0 * (eps_i + n) > 0]
+        assert sorted(assemble(eps_i, 0.1, order="first", n_max=5).T) == rule
+        k, _ = floquet._pivots(np.array([eps_i]), 0.1, 5)
+        assert [n for n in range(-5, 6) if k[n + 5, 0].real > 0] == rule
 
 
 @pytest.mark.parametrize("g0", [0.1, 0.7])

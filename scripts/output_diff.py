@@ -27,8 +27,12 @@ at g0 0.7 within 1e-3 of the eps = 2 threshold; and the perturbative
 so the locator searches its 9-point window about it; and, where the
 sideband channel rule decides which channels are open, ``scan --method
 both --n-max 4`` at g0 0.1 and 0.7 over the exact thresholds eps = 1-5,
-and at g0 0.7 over 1e-9 either side of eps = 4.  Each grid command runs
-as CSV on standard output and again as a JSON ``--output`` file.
+and at g0 0.7 over 1e-9 either side of eps = 4; ``scan --method both``
+at g0 2 over 1e-9 either side of eps = 1, where the near/far switch no
+longer covers the pole; and a perturbative ``scan`` at g0 0.01 over
+1.5-4.5 with ``--tol 1e-13``, where the q-factors are small.  Each grid
+command runs as CSV on standard output and again as a JSON ``--output``
+file.
 
 Usage:
     python scripts/output_diff.py OLD_ROOT NEW_ROOT [--rtol R]
@@ -92,6 +96,13 @@ def commands() -> List[Tuple[str, ...]]:
                     + thresholds)
     grid.append(("scan", "--g0", "0.7", "--e-min", repr(4.0 - 1e-9),
                  "--e-max", repr(4.0 + 1e-9), "--steps", "3") + thresholds)
+    # at g0 2 the near window no longer covers eps = 1, so the far form
+    # meets its own bare pole there
+    grid.append(("scan", "--g0", "2", "--e-min", "0.999999999", "--e-max", "1.000000001",
+                 "--steps", "2", "--n-max", "2", "--method", "both"))
+    # weak driving, where q(k) ~ g0 / 2k is small and the loop runs at a tight tol
+    grid.append(("scan", "--g0", "0.01", "--e-min", "1.5", "--e-max", "4.5", "--steps", "3",
+                 "--n-max", "3", "--method", "perturbative", "--tol", "1e-13"))
     other += [("zero", "--g0", "0.55"), ("zero", "--g0", "0.7"),
               ("zero", "--g0", "0.55", "--method", "floquet"),
               ("zero", "--g0", "0.55", "--method", "perturbative"),

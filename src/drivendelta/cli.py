@@ -223,10 +223,8 @@ def _scan_blocks(config: ScanConfig) -> Iterator[_Block]:
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _fmt(value: float) -> str:
+    return format(value, ".17g")
 
 
 @contextlib.contextmanager

@@ -32,11 +32,11 @@ def _sideband_ksq(eps_i, n):
 
 
 def q_factor(k, n: int, g0: float):
-    """Sideband suppression factor ((sqrt(k**2 + g0**2) - k) / g0)**n.
+    """Sideband suppression factor q(k)**n, q(k) = (sqrt(k**2 + g0**2) - k) / g0.
 
-    Lies in (0, 1] for k > 0 and is strictly decreasing in n when g0 > 0.
-    The g0 = 0 limit is taken continuously: 1 for n = 0, else 0.  Accepts
-    a real array ``k`` for vectorized evaluation; complex ``k`` is refused.
+    Evaluated as :func:`_q_base` ** n.  Lies in (0, 1] for k > 0 and is
+    strictly decreasing in n when g0 > 0; g0 = 0 gives 0 for n >= 1.
+    Accepts a real array ``k``; complex ``k`` is refused.
     """
     if n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n}")
@@ -44,19 +44,14 @@ def q_factor(k, n: int, g0: float):
     if np.iscomplexobj(k):
         raise DomainError(f"k must be real, got dtype {k.dtype}")
     check_domain(k=k, g0=g0, non_negative=("g0",))
-    if n == 0:
-        out = np.ones_like(k, dtype=float)
-        return out[()] if out.ndim == 0 else out
     out = _q_base(k, g0) ** n
     return out[()] if out.ndim == 0 else out
 
 
 def _q_base(k, g0: float):
-    """Base (sqrt(k**2 + g0**2) - k) / g0 of :func:`q_factor`, without guards.
-
-    Returns 0 at g0 = 0, the continuous limit, so q**n is 0 for n >= 1.
-    Vectorized callers raise this base to their own power tables.
+    """Base q(k) of :func:`q_factor`, without guards, evaluated in the
+    cancellation-free form g0 / (sqrt(k**2 + g0**2) + k): exact to
+    rounding for k >> g0, and 0 at g0 = 0.  Every perturbative layer reads
+    q here and raises it to its own power tables.
     """
-    if g0 == 0:
-        return np.zeros_like(k, dtype=float)
-    return (np.sqrt(k * k + g0 * g0) - k) / g0
+    return g0 / (np.sqrt(k * k + g0 * g0) + k)

@@ -1,5 +1,7 @@
 """Unit tests for the dimensionless model layer."""
 
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,22 @@ class TestQFactor:
     def test_geometric_in_n(self):
         base = q_factor(1.3, 1, 0.4)
         assert q_factor(1.3, 5, 0.4) == pytest.approx(base**5, rel=1e-12)
+
+    @pytest.mark.parametrize("g0", [0.7, 0.1, 0.01, 0.001])
+    def test_exact_to_rounding(self, g0):
+        # (sqrt(k**2 + g0**2) - k) / g0 loses up to 3.5e-7 of itself to
+        # cancellation at g0 = 0.001; q = g0 / (sqrt(k**2 + g0**2) + k) does not
+        ks = np.geomspace(0.05, 50.0, 400)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            d = decimal.Decimal
+            exact = [float(d(g0) / ((d(k) * d(k) + d(g0) * d(g0)).sqrt() + d(k)))
+                     for k in ks.tolist()]
+        assert np.max(np.abs(q_factor(ks, 1, g0) / exact - 1.0)) < 1e-15
+
+    def test_tiny_coupling_stays_positive(self):
+        # g0**2 underflows to 0, and q must still lie in (0, 1]
+        assert q_factor(1.0, 1, 1e-200) == 5e-201
 
     def test_static_limit(self):
         assert q_factor(1.0, 0, 0.0) == 1.0

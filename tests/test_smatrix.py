@@ -242,6 +242,18 @@ def test_near_zero_assembles_the_elastic_channel_only(monkeypatch, g0):
     assert sidebands == []
 
 
+def test_near_zero_refuses_a_point_off_the_pole():
+    # eps_i = 0.5 is far outside the window |eps_R - 1| <= 10 eta_R
+    with pytest.raises(RegimeError, match=r"^\|eps_R - 1\| = 1\.684e\+00 exceeds "
+                                          r"10\.0 \* eta_R = 1\.248e-01$"):
+        near_zero_amplitudes(0.5, 0.3)
+
+
+def test_locator_refuses_strong_driving():
+    with pytest.raises(DomainError, match=r"^need 0 < g0 <= 1, got 1\.5$"):
+        find_transmission_zero(1.5)
+
+
 def test_point_memory_does_not_grow_like_channels_squared():
     # the loop and shift integrands tabulate node x channel entries, with
     # L ~ eps_i channels and ~L poles per round: node blocks keep the peak

@@ -24,7 +24,9 @@ quadrature refines over many rounds or fails, the perturbative ``zero``
 at g0 0.475 and at g0 0.45 (which finds no zero and exits 1) and ``w0``
 at g0 0.7 within 1e-3 of the eps = 2 threshold; and the perturbative
 ``zero`` at g0 0.96, where the analytic zero lies below the threshold,
-so the locator searches its 9-point window about it; and, where the
+so the locator searches its 9-point window about it; the perturbative
+``zero`` at g0 0.8 and 0.95, whose sub-threshold window is cut at the edge
+of the near window; and, where the
 sideband channel rule decides which channels are open, ``scan --method
 both --n-max 4`` at g0 0.1 and 0.7 over the exact thresholds eps = 1-5,
 and at g0 0.7 over 1e-9 either side of eps = 4; ``scan --method both``
@@ -108,7 +110,9 @@ def commands() -> List[Tuple[str, ...]]:
               ("zero", "--g0", "0.55", "--method", "perturbative"),
               ("zero", "--g0", "0.475", "--method", "perturbative"),
               ("zero", "--g0", "0.45", "--method", "perturbative"),
-              ("zero", "--g0", "0.96", "--method", "perturbative")]
+              ("zero", "--g0", "0.96", "--method", "perturbative"),
+              ("zero", "--g0", "0.8", "--method", "perturbative"),
+              ("zero", "--g0", "0.95", "--method", "perturbative")]
     as_json = [argv + ("--format", "json", "--output", OUTPUT) for argv in grid]
     return list(dict.fromkeys(grid + as_json + other))    # the workloads repeat commands
 

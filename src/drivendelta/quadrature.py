@@ -280,25 +280,15 @@ def pv_halfline(
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def bracket_min(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-8,
-    scan_points: int = 33,
-):
-    """Golden-section minimum of a unimodal scalar function on [a, b].
+def _scan_bracket(xs, ys):
+    """The bracket about the deepest of the values ``ys`` sampled at the
+    ascending points ``xs``, and the warnings of the scan.
 
-    Returns ``(x_min, f_min, warnings)``.  A coarse scan detects violated
-    unimodality; when several local minima show up they are reported in the
-    warnings list (with their locations) and the search proceeds from the
-    deepest scanned point.
+    The bracket is the two neighbours of the deepest interior local
+    minimum, or, with none, of the deepest point, clipped to the ends.
+    Several interior minima are reported in the warnings list with their
+    locations.
     """
-    if not -math.inf < a < b < math.inf:
-        raise DomainError(f"need finite a < b, got [{a}, {b}]")
-    check_domain(tol=tol)
-    xs = np.linspace(a, b, scan_points)
-    ys = np.array([f(x) for x in xs])
     interior = np.where((ys[1:-1] < ys[:-2]) & (ys[1:-1] <= ys[2:]))[0] + 1
     warnings = []
     if len(interior) > 1:
@@ -309,12 +299,14 @@ def bracket_min(
     if len(interior) == 0:
         # boundary minimum
         i = int(np.argmin(ys))
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, scan_points - 1)]
-    else:
-        i = interior[int(np.argmin(ys[interior]))]
-        lo, hi = xs[i - 1], xs[i + 1]
+        return xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], warnings
+    i = interior[int(np.argmin(ys[interior]))]
+    return xs[i - 1], xs[i + 1], warnings
 
+
+def _golden(f, lo, hi, tol):
+    """Golden-section minimum ``(x_min, f_min)`` of ``f`` on [lo, hi],
+    narrowed to width ``tol``; ``f`` is evaluated inside [lo, hi] only."""
     x1 = hi - _INVPHI * (hi - lo)
     x2 = lo + _INVPHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
@@ -328,4 +320,27 @@ def bracket_min(
             x2 = lo + _INVPHI * (hi - lo)
             f2 = f(x2)
     x_min = 0.5 * (lo + hi)
-    return x_min, f(x_min), warnings
+    return x_min, f(x_min)
+
+
+def bracket_min(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    tol: float = 1e-8,
+    scan_points: int = 33,
+):
+    """Golden-section minimum of a unimodal scalar function on [a, b].
+
+    Returns ``(x_min, f_min, warnings)``.  A coarse scan of ``scan_points``
+    detects violated unimodality; when several local minima show up they
+    are reported in the warnings list (with their locations) and the
+    search proceeds from the deepest scanned point (:func:`_scan_bracket`,
+    then :func:`_golden`).
+    """
+    if not -math.inf < a < b < math.inf:
+        raise DomainError(f"need finite a < b, got [{a}, {b}]")
+    check_domain(tol=tol)
+    xs = np.linspace(a, b, scan_points)
+    lo, hi, warnings = _scan_bracket(xs, np.array([f(x) for x in xs]))
+    return (*_golden(f, lo, hi, tol), warnings)

@@ -20,10 +20,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .amplitudes import a_coefficient, b_coefficient, b_kernel
 from .errors import DomainError, RegimeError, ZeroNotFoundError, check_domain
 from .model import _q_base, _sideband_ksq
-from .quadrature import bracket_min
+from .quadrature import _golden, _scan_bracket
 from .renorm import (LoopValue, _bound_series, _resonance, alpha_shift,
                      b_renorm, gamma_loop, renorm_factors)
 
@@ -232,9 +234,17 @@ def find_transmission_zero(g0: float, tol: float = 1e-8) -> Tuple[float, Dict]:
     blind scanning.  Over that window the slow coefficients (alpha, eta_R,
     Z, the off-resonant bound terms, the loop) are constant to relative
     O(eta_R), so the interference condition T(0) = 0 reduces to a linear
-    equation for the resonant denominator, solved in closed form and then
-    polished on the full amplitude.  ``tol`` is the quadrature tolerance
-    of every loop and shift it evaluates.
+    equation for the resonant denominator, solved in closed form: the
+    analytic zero eps_z.  The search then takes two steps.  A coarse scan
+    of the window (9 points over eps_z +- 3 eta_R, or 33 below the
+    threshold when eps_z is not below it) samples that frozen resonant
+    form, |background - (2 pi i / k_c) Z |B_{k b}|**2 / (eps + g0**2/8 +
+    alpha - 1 + i eta_R)|**2 with every slow coefficient taken at the
+    pole centre, and picks a bracket as :func:`quadrature.bracket_min`
+    does; golden section then polishes the zero on the full amplitude
+    |T(0)|**2 of :func:`assemble` inside that bracket only.  A minimum
+    above 0.5 raises :class:`ZeroNotFoundError`.  ``tol`` is the
+    quadrature tolerance of every loop and shift it evaluates.
     """
     if not 0 < g0 <= 1:
         raise DomainError(f"need 0 < g0 <= 1, got {g0}")
@@ -265,12 +275,16 @@ def find_transmission_zero(g0: float, tol: float = 1e-8) -> Tuple[float, Dict]:
     else:
         # the self-consistent pole sits at or above the one-quantum
         # threshold; look for a residual interference minimum in the
-        # remaining sub-threshold window instead of extrapolating
-        lo = 1.0 - max(0.5 * g0 * g0, 20.0 * eta)
+        # remaining sub-threshold window instead of extrapolating, cut at
+        # the edge of the near window (no golden step reaches that edge)
+        lo = max(1.0 - max(0.5 * g0 * g0, 20.0 * eta), bare - _NEAR_DISTANCE)
         hi = 1.0 - 1e-12
         points = 33
-    x_min, f_min, warnings = bracket_min(objective, lo, hi, tol=1e-3 * eta,
-                                         scan_points=points)
+    xs = np.linspace(lo, hi, points)
+    frozen = np.abs(background * (1.0 - resonant_denom
+                                  / (xs - bare + fac.alpha + 1j * fac.eta_R))) ** 2
+    bracket_lo, bracket_hi, warnings = _scan_bracket(xs, frozen)
+    x_min, f_min = _golden(objective, bracket_lo, bracket_hi, 1e-3 * eta)
     if f_min > 0.5:
         raise ZeroNotFoundError(
             f"no transmission minimum below 0.5 near eps = {eps_z} for g0 = {g0}",

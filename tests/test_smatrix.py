@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from drivendelta import amplitudes, floquet, renorm, smatrix
-from drivendelta.errors import DomainError, RegimeError
+from drivendelta.errors import DomainError, RegimeError, ZeroNotFoundError
 from drivendelta.floquet import solve, zero_locate_exact
+from drivendelta.quadrature import bracket_min
 from drivendelta.smatrix import (DiagramTerm, assemble, find_transmission_zero,
                                  near_zero_amplitudes, w0)
 
@@ -203,9 +204,76 @@ class TestLocatorCost:
             monkeypatch.setattr(module, "b_coefficient", counting)
         for cached in (renorm.gamma_loop, renorm.alpha_shift, renorm.beta_width):
             cached.cache_clear()
+        assembled = []
+        original_assemble = smatrix.assemble
+
+        def counting_assemble(*args, **kwargs):
+            assembled.append(args)
+            return original_assemble(*args, **kwargs)
+
+        monkeypatch.setattr(smatrix, "assemble", counting_assemble)
         find_transmission_zero(0.55)
         assert len(calls) <= 5
-        assert renorm.gamma_loop.cache_info().misses == 51
+        # the coarse scan samples the frozen resonant form, so only the
+        # golden steps assemble
+        assert len(assembled) == 17
+        assert renorm.gamma_loop.cache_info().misses == 18
+
+
+def _full_scan_pick(g0, lo, hi, points, tol=1e-8):
+    """The bracket that a scan of the full amplitude |T(0)|**2 over
+    ``points`` of [lo, hi] picks: the neighbours of its deepest interior
+    local minimum, or of its deepest point if it has none."""
+    xs = np.linspace(lo, hi, points)
+    ys = [abs(assemble(x, g0, n_max=0, tol=tol).T[0]) ** 2 for x in xs]
+    interior = [i for i in range(1, points - 1) if ys[i - 1] > ys[i] <= ys[i + 1]]
+    if interior:
+        i = min(interior, key=lambda j: ys[j])
+        return xs[i - 1], xs[i + 1]
+    i = int(np.argmin(ys))
+    return xs[max(i - 1, 0)], xs[min(i + 1, points - 1)]
+
+
+@pytest.mark.parametrize("g0", [0.475, 0.55, 0.7, 0.96, 1.0])
+def test_frozen_scan_picks_the_full_amplitude_bracket(monkeypatch, g0):
+    # the frozen resonant form picks the bracket that a scan of the full
+    # amplitude picks, so golden section returns the same bits
+    picked = []
+    original = smatrix._golden
+
+    def recording(f, lo, hi, tol):
+        picked.append((lo, hi))
+        return original(f, lo, hi, tol)
+
+    monkeypatch.setattr(smatrix, "_golden", recording)
+    eps, diag = find_transmission_zero(g0)
+    lo, hi = diag["bracket"]
+    points = 9 if diag["analytic_zero"] < 1.0 - 1e-12 else 33
+    assert picked == [_full_scan_pick(g0, lo, hi, points)]
+    eta = max(diag["eta_R"], 1e-9)
+    x_full, f_full, _ = bracket_min(
+        lambda x: abs(assemble(x, g0, n_max=0).T[0]) ** 2, lo, hi,
+        tol=1e-3 * eta, scan_points=points)
+    assert (repr(eps), repr(diag["min_value"])) == (repr(float(x_full)), repr(f_full))
+
+
+@pytest.mark.parametrize("g0, eps_z", [(0.1, "1.0010066860426963"),
+                                       (0.45, "1.0129142577901056")])
+def test_locator_raises_without_a_dip_below_threshold(g0, eps_z):
+    with pytest.raises(ZeroNotFoundError) as info:
+        find_transmission_zero(g0)
+    assert str(info.value) == (f"no transmission minimum below 0.5 near "
+                               f"eps = {eps_z} for g0 = {g0}")
+
+
+@pytest.mark.parametrize("g0", [0.75, 0.85, 0.95])
+def test_fallback_window_stays_in_the_near_regime(g0):
+    # the window 1 - max(g0**2/2, 20 eta_R) once reached far-regime points
+    # (ZeroNotFoundError at 0.725-0.925) and, at 0.95, negative energies
+    eps, diag = find_transmission_zero(g0)
+    assert diag["bracket"][0] == 1.0 - g0 * g0 / 8.0 - smatrix._NEAR_DISTANCE
+    assert eps < 1.0
+    assert eps == pytest.approx(zero_locate_exact(g0), abs=2e-2)
 
 
 def test_locator_searches_the_window_below_threshold():

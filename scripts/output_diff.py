@@ -32,9 +32,10 @@ both --n-max 4`` at g0 0.1 and 0.7 over the exact thresholds eps = 1-5,
 and at g0 0.7 over 1e-9 either side of eps = 4; ``scan --method both``
 at g0 2 over 1e-9 either side of eps = 1, where the near/far switch no
 longer covers the pole; and a perturbative ``scan`` at g0 0.01 over
-1.5-4.5 with ``--tol 1e-13``, where the q-factors are small.  Each grid
-command runs as CSV on standard output and again as a JSON ``--output``
-file.
+1.5-4.5 with ``--tol 1e-13``, where the q-factors are small.  The switch
+edges lie at ``drivendelta.renorm._NEAR_DISTANCE``, read from ``src/`` in
+this script's checkout.  Each grid command runs as CSV on standard output
+and again as a JSON ``--output`` file.
 
 Usage:
     python scripts/output_diff.py OLD_ROOT NEW_ROOT [--rtol R]
@@ -49,12 +50,13 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(_ROOT), str(_ROOT / "src")]
 from perfbench import workloads  # noqa: E402
+from drivendelta.renorm import _NEAR_DISTANCE  # noqa: E402
 
 OUTPUT = "out.json"     # relative, so the JSON config echo is the same in both checkouts
 _RUN = "import sys; from drivendelta.cli import main; sys.exit(main(sys.argv[1:]))"
-_NEAR_DISTANCE = 0.45   # smatrix's near/far switch, in bare pole distance
 # a decimal number, with optional sign, fraction and exponent; the text
 # around the numbers is compared as it stands
 _NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")

@@ -7,7 +7,8 @@ The bound-state route is described by the continuum-bound-continuum
 amplitude B_{k_f k_i}(n), whose pole at integer effective energy is tamed
 by summing virtual multi-photon exchange processes: the pole position
 shifts by alpha, acquires the width eta_R = beta * (1 + gamma), and the
-residue is normalized by Z.
+residue is normalized by Z.  :func:`_bound_route` alone decides, per
+sideband, whether B(n) takes that form (near the pole) or a bare one (far).
 
 All four perturbative sums, the loop's channels, the shift's and the
 width's, and the bound-route series over n0, follow one truncation rule:
@@ -49,6 +50,7 @@ __all__ = [
 _SERIES_CAP = 32       # cap of _decay_count's order; the loop flags a rule that wants more
 _BOUND_CAP = 63        # the bound route's cap: its terms cost one array entry each
 _THRESHOLD_GAP = 1e-3  # a failed shift integral within this of a channel threshold is blamed on it
+_NEAR_DISTANCE = 0.45  # the bound route is renormalized within this bare pole distance
 # entries kept by each cache below: every key holds its energy, and an
 # entry is reused only at its own energy, within a few calls of its last
 # use (each sideband's renorm_factors reuses the elastic loop, the shift
@@ -125,7 +127,10 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
     brackets and its propagator.  At n = 0 the channels +l and -l share
     the numerator (q(k)**l - (-1)**l q(k_i)**l)**2, so each pair is one
     term with the propagator sum 2 e / ((e - l)(e + l)), e = eps_i - k**2/2;
-    ``ls`` must then be +-1 .. +-L.
+    ``ls`` must then be +-1 .. +-L.  The n != 0 branch writes a_kernel inline,
+    one q-power table for both brackets: through a_kernel, six spectrum
+    ``scan`` commands took 117-133 ms of compute, not 89-94 ms (minimum of
+    7 runs, 2-core x86-64 VM).
     """
     eps_i = 0.5 * k_i * k_i
     ls = np.asarray(ls)
@@ -577,6 +582,7 @@ def renorm_factors(n: int, n0: int, eps_i: float, g0: float,
     tolerance of the shift and the loops.
     """
     check_domain(g0=g0, eps_i=eps_i, tol=tol)
+    _check_pole(eps_i, g0)
     k_f, k_i = _momenta(n, eps_i)
     alpha = alpha_shift(n0, eps_i, g0, tol)
     beta = beta_width(n0, eps_i, g0)
@@ -605,6 +611,13 @@ def renorm_factors(n: int, n0: int, eps_i: float, g0: float,
                          eta_R=eta_R, eps_R=eps_R, Z=Z, n0=n0)
 
 
+def _check_pole(eps_i: float, g0: float) -> None:
+    """Reject an effective energy that no float resolves from its nearest odd pole."""
+    if g0 > 0 and eps_i + g0 * g0 / 8.0 >= 2.0 ** 53:
+        raise DomainError(f"g0 must be small enough that eps_i + g0**2/8 < 2**53, "
+                          f"got {g0} at eps_i = {eps_i}")
+
+
 def _resonance(eps_i: float, g0: float) -> Tuple[float, int]:
     """Effective energy eps_t = eps_i + g0**2/8 and its nearest odd
     resonance n0 (ties resolved downward): the one c/b/c term that can
@@ -631,9 +644,54 @@ def b_renorm(n: int, eps_i: float, g0: float, tol: float = 1e-8) -> complex:
     quadrature tolerance of :func:`renorm_factors`.
     """
     check_domain(g0=g0, eps_i=eps_i, tol=tol, non_negative=("g0",))
+    _check_pole(eps_i, g0)
     if g0 == 0 or n % 2 != 0:
         return 0.0 + 0.0j     # odd n: the series vanishes (see _bound_series)
     eps_t, n0_star = _resonance(eps_i, g0)
     fac = renorm_factors(n, n0_star, eps_i, g0, tol)
     weight = fac.Z / (fac.eps_R - n0_star + 1j * fac.eta_R)
     return _bound_series(*_momenta(n, eps_i), n, g0, eps_t, resonant=(n0_star, weight))
+
+
+def _b_pole_sq(k: float, g0: float) -> float:
+    """|B_{k b}(+-1)|**2, equal for both signs."""
+    return abs(b_kernel(k, _q_base(k, g0), g0)) ** 2
+
+
+def _b_far_elastic(k_i: float, eps_i: float, g0: float) -> complex:
+    """Far-from-pole elastic bound route: the dominant-pole approximation.
+
+    Keeps only the n0 = +-1 terms over the bare real denominators eps_i - n0,
+    valid where the pole distance dominates the width, so the dropped width,
+    shift and normalization are higher order; Re Gamma(0), of order g0**2,
+    keeps the closed-channel term i g0**2 / (4 k_0 kappa) beside it.
+    """
+    if eps_i == 1.0:
+        raise RegimeError(f"on-pole energy eps_i = {eps_i} in far regime")
+    b_sq = _b_pole_sq(k_i, g0)
+    return 0.0j + b_sq / (eps_i - 1) + b_sq / (eps_i + 1)
+
+
+def _bound_route(n: int, eps_i: float, g0: float, tol: float, diagnostics: Dict) -> complex:
+    """Bound route B(n) of the open sideband ``n``: :func:`b_renorm` within
+    _NEAR_DISTANCE of the nearest odd pole n0 in eps_t (:func:`_resonance`);
+    beyond it, without the shift/width integrals (which can hit channel
+    thresholds there), :func:`_b_far_elastic` at n = 0 and the bare series
+    elsewhere.  At n = 0 ``diagnostics`` gets ``regime``, ``pole_distance``
+    (|eps_R - n0| near, bare far) and, near, the far form's ``branch_mismatch``.
+    """
+    eps_t, n0 = _resonance(eps_i, g0)
+    near = abs(eps_t - n0) < _NEAR_DISTANCE
+    if n != 0:
+        return b_renorm(n, eps_i, g0, tol) if near else \
+            _bound_series(*_momenta(n, eps_i), n, g0, eps_t)
+    k_i = math.sqrt(2.0 * eps_i)
+    if not near:
+        diagnostics.update(regime="far", pole_distance=abs(eps_t - n0))
+        return _b_far_elastic(k_i, eps_i, g0)
+    diagnostics.update(regime="near",      # eps_t + alpha: renorm_factors' eps_R
+                       pole_distance=abs(eps_t + alpha_shift(n0, eps_i, g0, tol) - n0))
+    b_near = b_renorm(0, eps_i, g0, tol)
+    if eps_i != 1.0:    # else the far form sits on its own bare pole
+        diagnostics["branch_mismatch"] = abs(b_near - _b_far_elastic(k_i, eps_i, g0))
+    return b_near

@@ -9,6 +9,7 @@ two-transition continuum loop (Gamma):
     T(n) = (2 pi i / |k_f|) A(n) - (2 pi i / |k_f|) B^R(n)
            - (4 pi i / |k_f|) Gamma(n)        for open n != 0
 
+Each B^R(n) and its near/far regime come from :func:`renorm._bound_route`.
 Reflection uses the same coefficient tables under k_f -> -k_f, which for
 the symmetric barrier reduces to R(n) = T(n) - delta_{n0} (the same
 identity the continuity condition imposes on the exact sideband solver).
@@ -22,12 +23,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .amplitudes import a_coefficient, b_coefficient, b_kernel
+from .amplitudes import a_coefficient, b_coefficient
 from .errors import DomainError, RegimeError, ZeroNotFoundError, check_domain
-from .model import _q_base, _sideband_ksq
+from .model import _sideband_ksq
 from .quadrature import _golden, _scan_bracket
-from .renorm import (LoopValue, _bound_series, _resonance, alpha_shift,
-                     b_renorm, gamma_loop, renorm_factors)
+from .renorm import (LoopValue, _NEAR_DISTANCE, _b_pole_sq, _bound_route, _bound_series,
+                     _check_pole, _resonance, alpha_shift, gamma_loop, renorm_factors)
 
 __all__ = [
     "DiagramTerm",
@@ -39,7 +40,6 @@ __all__ = [
 ]
 
 _ORDERS = ("first", "renormalized")
-_NEAR_DISTANCE = 0.45     # full renormalized form within this bare pole distance
 _REGIME_FACTOR = 10.0     # pole-dominance gate of the limiting near-zero forms
 _NO_LOOP = LoopValue(re=0.0, im=0.0, n=0)
 
@@ -89,58 +89,10 @@ def _channel_flux(k_f: float, k_i: float, amp: complex) -> float:
     return k_f / k_i * abs(amp) ** 2
 
 
-def _b_pole_sq(k: float, g0: float) -> float:
-    """|B_{k b}(+-1)|**2, equal for both signs."""
-    return abs(b_kernel(k, _q_base(k, g0), g0)) ** 2
-
-
-def _b_far_elastic(k_i: float, eps_i: float, g0: float) -> complex:
-    """Far-from-pole elastic bound route: the dominant-pole approximation.
-
-    Keeps only the n0 = +-1 terms with the bare real denominators
-    eps_i - n0; valid when the distance to the nearest pole dominates the
-    width, where the dropped width, shift, and normalization corrections
-    are higher order.
-    """
-    if eps_i == 1.0:
-        raise RegimeError(f"on-pole energy eps_i = {eps_i} in far regime")
-    b_sq = _b_pole_sq(k_i, g0)
-    return 0.0j + b_sq / (eps_i - 1) + b_sq / (eps_i + 1)
-
-
-def _b_elastic(k_i: float, eps_i: float, g0: float, tol: float,
-               diagnostics: Dict) -> Tuple[complex, bool]:
-    """The elastic bound route B(0) in the regime its pole distance picks,
-    and whether that regime is the near one.
-
-    Within _NEAR_DISTANCE of the nearest odd pole n0 in bare effective
-    energy (:func:`renorm._resonance`): the renormalized B^R(0).  Beyond
-    it: :func:`_b_far_elastic`, without the shift/width integrals, which
-    can hit channel thresholds at generic energies but never inside the
-    near window.  ``diagnostics`` gets ``regime``, ``pole_distance``
-    (|eps_R - n0| near, bare far) and, near, the ``branch_mismatch``
-    against the far form.
-    """
-    eps_t, n0 = _resonance(eps_i, g0)
-    if abs(eps_t - n0) >= _NEAR_DISTANCE:
-        diagnostics.update(regime="far", pole_distance=abs(eps_t - n0))
-        return _b_far_elastic(k_i, eps_i, g0), False
-    diagnostics.update(regime="near",      # eps_t + alpha: renorm_factors' eps_R
-                       pole_distance=abs(eps_t + alpha_shift(n0, eps_i, g0, tol) - n0))
-    b_near = b_renorm(0, eps_i, g0, tol)
-    try:
-        diagnostics["branch_mismatch"] = abs(b_near - _b_far_elastic(k_i, eps_i, g0))
-    except RegimeError:
-        pass  # the far form is on its bare pole here
-    return b_near, True
-
-
 def _check_point(eps_i: float, g0: float) -> None:
     """Reject an energy or coupling that no amplitude is defined at."""
     check_domain(eps_i=eps_i, g0=g0, non_negative=("g0",))
-    if g0 > 0 and eps_i + g0 * g0 / 8.0 >= 2.0 ** 53:    # its nearest odd pole unresolved
-        raise DomainError(f"g0 must be small enough that eps_i + g0**2/8 < 2**53, "
-                          f"got {g0} at eps_i = {eps_i}")
+    _check_pole(eps_i, g0)
 
 
 def assemble(eps_i: float, g0: float, order: str = "renormalized",
@@ -148,9 +100,9 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
     """Build all amplitudes at one energy for the requested diagram order.
 
     first: free term plus single c/c transitions; renormalized adds the
-    bound route B^R, whose elastic term switches regime at the pole
-    distance (:func:`_b_elastic`), and the continuum loop.  ``tol`` is the
-    quadrature tolerance of the loop and of the pole shift.
+    bound route B^R of each sideband, in the regime its pole distance
+    picks (:func:`renorm._bound_route`), and the continuum loop.  ``tol``
+    is the quadrature tolerance of the loop and of the pole shift.
     """
     _check_point(eps_i, g0)
     if n_max < 0:
@@ -165,7 +117,7 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
     diagnostics: Dict = {"order": order}
     b_zero, weight, loop = None, 0.0, _NO_LOOP
     if order == "renormalized" and g0 > 0:
-        b_zero, near = _b_elastic(k_i, eps_i, g0, tol, diagnostics)
+        b_zero = _bound_route(0, eps_i, g0, tol, diagnostics)
         loop = gamma_loop(k_i, k_i, 0, g0, tol)
         weight = abs(2.0 * math.pi * b_zero.real) / abs(k_i + 4.0 * math.pi * loop.im)
 
@@ -182,18 +134,7 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
             sub.append(DiagramTerm(label=(1, 1, 0),
                                    value=(2j * math.pi / k_f) * a_val, sideband=n))
         if b_zero is not None:
-            if n == 0:
-                # either regime's elastic route; with the far form the
-                # loop below stays complete, since Re Gamma(0) is of order
-                # g0**2 (the bound route is g0**3) and carries the exact
-                # closed-channel term i g0**2 / (4 k_0 kappa) below threshold
-                b_val = b_zero
-            elif near:
-                b_val = b_renorm(n, eps_i, g0, tol)
-            else:
-                # far from the pole: real denominators, no Z, valid when
-                # the pole distance dominates the width
-                b_val = _bound_series(k_f, k_i, n, g0, _resonance(eps_i, g0)[0])
+            b_val = b_zero if n == 0 else _bound_route(n, eps_i, g0, tol, diagnostics)
             sub.append(DiagramTerm(label=(2, 0, 2),
                                    value=-(2j * math.pi / k_f) * b_val, sideband=n))
             loop_n = loop if n == 0 else gamma_loop(k_f, k_i, n, g0, tol)

@@ -424,14 +424,14 @@ class TestOneEvaluationPerRow:
         # a near point: the row once made two n = 0 b_renorm calls (one in
         # assemble, one in w0) and six renorm_factors calls
         calls = {"b_renorm": [], "renorm_factors": []}
-        for module, name in ((smatrix, "b_renorm"), (renorm, "renorm_factors")):
-            original = getattr(module, name)
+        for name in calls:
+            original = getattr(renorm, name)
 
             def counting(*args, _name=name, _original=original):
                 calls[_name].append(args)
                 return _original(*args)
 
-            monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(renorm, name, counting)
         cli._perturbative_point(0.95, ScanConfig(g0=0.1, n_max=2))
         assert [args[0] for args in calls["b_renorm"]].count(0) == 1
         assert len(calls["renorm_factors"]) <= 2

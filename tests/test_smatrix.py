@@ -87,7 +87,7 @@ class TestAssemble:
         k = math.sqrt(2.0 * eps_i)
         shifted = renorm._bound_series(k, k, 0, g0, eps_i + g0 * g0 / 8.0)
         swapped = dec.T[0] + (2j * math.pi / k) * (
-            smatrix._b_far_elastic(k, eps_i, g0) - shifted)
+            renorm._b_far_elastic(k, eps_i, g0) - shifted)
         exact = solve(eps_i, g0).t[0]
         assert abs(dec.T[0] - exact) < abs(swapped - exact)
 
@@ -118,7 +118,7 @@ def test_w0_and_assemble_share_one_regime(g0):
     # elastic terms, exactly so only where both took the same branch of
     # the bound route
     shift = g0 * g0 / 8.0
-    near = smatrix._NEAR_DISTANCE
+    near = renorm._NEAR_DISTANCE
     edges = [1.0 - near - shift, 1.0 + near - shift]
     energies = [0.3, 1.0, 1.8, 2.9] + [e + d for e in edges for d in (-1e-9, 1e-9)]
     regimes = []
@@ -132,6 +132,28 @@ def test_w0_and_assemble_share_one_regime(g0):
         regimes.append(dec.diagnostics["regime"])
     assert regimes[:4] == ["far", "near", "far", "near"]
     assert regimes[4:] == ["far", "near", "near", "far"]
+
+
+@pytest.mark.parametrize("g0", [0.1, 0.7])
+@pytest.mark.parametrize("eps_i, regime", [(2.3, "far"), (3.05, "near")])
+def test_every_sideband_takes_its_regimes_bound_route(eps_i, regime, g0):
+    # near: B^R(n) of b_renorm; far: the n0 = +-1 terms over the bare
+    # eps_i - n0 at n = 0, the bare series over eps_i + g0**2/8 elsewhere
+    dec = assemble(eps_i, g0, n_max=2)
+    assert dec.diagnostics["regime"] == regime
+    k_i = math.sqrt(2.0 * eps_i)
+    b_sq = abs(amplitudes.b_coefficient(k_i, 1, g0)) ** 2
+    routes = {t.sideband: t.value for t in dec.terms if t.label == (2, 0, 2)}
+    assert sorted(routes) == [-2, -1, 0, 1, 2]
+    for n, value in routes.items():
+        k_f = math.sqrt(2.0 * (eps_i + n))
+        if regime == "near":
+            form = renorm.b_renorm(n, eps_i, g0)
+        elif n == 0:
+            form = 0.0j + b_sq / (eps_i - 1) + b_sq / (eps_i + 1)
+        else:
+            form = renorm._bound_series(k_f, k_i, n, g0, eps_i + g0 * g0 / 8.0)
+        assert value == -(2j * math.pi / k_f) * form
 
 
 @pytest.mark.parametrize("fn, args, kwargs, name", [
@@ -271,7 +293,7 @@ def test_fallback_window_stays_in_the_near_regime(g0):
     # the window 1 - max(g0**2/2, 20 eta_R) once reached far-regime points
     # (ZeroNotFoundError at 0.725-0.925) and, at 0.95, negative energies
     eps, diag = find_transmission_zero(g0)
-    assert diag["bracket"][0] == 1.0 - g0 * g0 / 8.0 - smatrix._NEAR_DISTANCE
+    assert diag["bracket"][0] == 1.0 - g0 * g0 / 8.0 - renorm._NEAR_DISTANCE
     assert eps < 1.0
     assert eps == pytest.approx(zero_locate_exact(g0), abs=2e-2)
 

@@ -152,6 +152,19 @@ DOMAIN_ROWS = [
     (transmission_grid, ([0.5, 0.7], inf), "g0", inf),
 ]
 
+# (function, args): eps_i + g0**2/8 >= 2**53, where no float resolves the
+# nearest odd pole; each call raises assemble's message before any
+# quadrature.  The renorm rows once raised a bare OverflowError or
+# ZeroDivisionError, a RegimeError naming n0 = 125000000000000003, or
+# returned eta_R = -2.7e-9.
+POLE_ROWS = [
+    (b_renorm, (0, 0.5, 1e200)),
+    (b_renorm, (2, 0.5, 1e9)),
+    (b_renorm, (0, 0.5, 1e9)),
+    (renorm_factors, (0, 1, 0.5, 1e9)),
+    (assemble, (0.5, 1e9)),
+]
+
 # functions whose g0 may be 0 (the static limit); every other g0 must be positive
 ZERO_G0 = {phi_cc, phi_cb_mean, a_coefficient, b_coefficient, q_factor,
            gamma_loop, b_renorm, assemble, w0, near_zero_amplitudes, solve,
@@ -179,6 +192,17 @@ def test_bad_argument_named(monkeypatch, fn, args, name, value):
         with pytest.raises(DomainError,
                            match=f"^{name} must be {rule} and finite, got {re.escape(str(value))}$"):
             fn(*args)
+
+
+@pytest.mark.parametrize("fn, args", POLE_ROWS,
+                         ids=[f"{fn.__name__}-{args}" for fn, args in POLE_ROWS])
+def test_unresolved_pole_named(monkeypatch, fn, args):
+    monkeypatch.setattr(renorm, "pv_halfline", _never)
+    eps_i, g0 = args[-2:]
+    with pytest.raises(DomainError, match="^" + re.escape(
+            f"g0 must be small enough that eps_i + g0**2/8 < 2**53, "
+            f"got {g0} at eps_i = {eps_i}") + "$"):
+        fn(*args)
 
 
 # a phase may take any sign, but must be finite: each row once returned

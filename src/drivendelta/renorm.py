@@ -31,7 +31,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .amplitudes import a_coefficient, a_kernel, a_signs, b_coefficient, b_kernel
+from .amplitudes import a_coefficient, a_factor, a_kernel, a_signs, b_coefficient, b_kernel
 from .errors import DomainError, RegimeError, ToleranceError, check_domain
 from .model import _q_base, _sideband_ksq
 from .quadrature import pv_halfline
@@ -122,15 +122,16 @@ def _q_powers(q, rows: int, step=None):
 def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
     """Channel sum of the Re Gamma integrand, one broadcast per call.
 
-    The two transition prefactors of a_kernel depend on the node only, so
-    they multiply the channel sum once; each channel keeps its two q-power
-    brackets and its propagator.  At n = 0 the channels +l and -l share
-    the numerator (q(k)**l - (-1)**l q(k_i)**l)**2, so each pair is one
-    term with the propagator sum 2 e / ((e - l)(e + l)), e = eps_i - k**2/2;
-    ``ls`` must then be +-1 .. +-L.  The n != 0 branch writes a_kernel inline,
-    one q-power table for both brackets: through a_kernel, six spectrum
-    ``scan`` commands took 117-133 ms of compute, not 89-94 ms (minimum of
-    7 runs, 2-core x86-64 VM).
+    The two transitions' momentum factors (:func:`a_factor`, the second
+    scaled by the first) depend on the node only, so they multiply the
+    channel sum once; each channel keeps its two q-power brackets and its
+    propagator.  At n = 0 the channels +l and -l share the numerator
+    (q(k)**l - (-1)**l q(k_i)**l)**2, so each pair is one term with the
+    propagator sum 2 e / ((e - l)(e + l)), e = eps_i - k**2/2; ``ls`` must
+    then be +-1 .. +-L.  The n != 0 branch keeps A's brackets inline,
+    sign-folded over one q-power table for both: through a shared bracket
+    function, six spectrum ``scan`` commands took 112-117 ms of compute,
+    not 98-108 ms (minimum of 7 runs, 2-core x86-64 VM).
     """
     eps_i = 0.5 * k_i * k_i
     ls = np.asarray(ls)
@@ -154,9 +155,7 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
             # (e - l)(e + l), not e**2 - l**2, each factor one subtraction
             # (eps_i -+ l) - k**2/2: it keeps its digits next to a pole or threshold
             num /= (e_minus - half) * (e_plus - half)
-            # k_f = k_i: the first transition factor is exactly -a, over the same sum s
-            a, s = k * k_i / (k * k - k_i * k_i), k + k_i
-            return (-1.0 / math.pi ** 2) * (-a) / s * a / s \
+            return a_factor(k, k_i, a_factor(k_i, k, -1.0 / math.pi ** 2)) \
                 * 2.0 * (eps_i - half) * num.sum(axis=0)
 
         return integrand
@@ -178,10 +177,8 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
         k = np.asarray(k, dtype=float)
         table = _q_powers(_q_base(k, g0), top)
         products = (table[rows_out] - f_term) * (i_term - i_par * table[rows_in])
-        # -(1/pi**2) k_f k / ((k_f**2 - k**2)(k_f + k)) k k_i / ((k**2 - k_i**2)(k + k_i))
-        prefactor = (-1.0 / math.pi ** 2) * (k_f * k / (k_f * k_f - k * k)) / (k_f + k) \
-            * (k * k_i / (k * k - k_i * k_i)) / (k + k_i)
-        return prefactor * (products / (e_col - 0.5 * k * k)).sum(axis=0)
+        return a_factor(k, k_i, a_factor(k_f, k, -1.0 / math.pi ** 2)) \
+            * (products / (e_col - 0.5 * k * k)).sum(axis=0)
 
     return integrand
 
@@ -498,9 +495,13 @@ def _shift_integrand(n0: int, eps_i: float, g0: float, ms):
     return integrand
 
 
-def _bound_channels(k_i: float, g0: float) -> int:
-    """Channel cutoff |m| <= M of the shift and width sums over B_{k b}(m)."""
-    return _decay_count(float(_q_base(max(k_i, 1.0), g0)))
+def _bound_channels(n0: int, eps_i: float, g0: float):
+    """The channel table of the shift and width sums over B_{k b}(m): the
+    odd m, |m| <= M ascending, and their k_l**2, l = m - n0."""
+    M = _decay_count(float(_q_base(max(math.sqrt(2.0 * eps_i), 1.0), g0)))
+    ms = np.arange(-M, M + 1)
+    ms = ms[ms % 2 != 0]
+    return ms, _sideband_ksq(eps_i, ms - n0)
 
 
 @functools.lru_cache(maxsize=_PER_ENERGY)
@@ -518,15 +519,13 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     """
     check_domain(g0=g0, eps_i=eps_i, tol=tol)
     k_i = math.sqrt(2.0 * eps_i)
-    ms = np.arange(1, _bound_channels(k_i, g0) + 1, 2)
-    integrand = _shift_integrand(n0, eps_i, g0, ms)
-    ls = np.concatenate([-ms[::-1], ms]) - n0
-    kl2 = _sideband_ksq(eps_i, ls)
+    ms, kl2 = _bound_channels(n0, eps_i, g0)
+    integrand = _shift_integrand(n0, eps_i, g0, ms[ms > 0])
     gap = 0.5 * np.abs(kl2)     # distance of each channel from its threshold
     nearest = int(np.argmin(gap))
 
     def where():
-        return f"channel m = {ls[nearest] + n0} (n0 = {n0}) at eps_i = {eps_i!r}"
+        return f"channel m = {ms[nearest]} (n0 = {n0}) at eps_i = {eps_i!r}"
 
     if gap[nearest] == 0.0:
         raise RegimeError(f"alpha_shift: {where()} sits at its threshold "
@@ -552,10 +551,7 @@ def beta_width(n0: int, eps_i: float, g0: float) -> float:
     k_l = sqrt(2 (eps_i + l)).
     """
     check_domain(g0=g0, eps_i=eps_i)
-    M = _bound_channels(math.sqrt(2.0 * eps_i), g0)
-    ms = np.arange(-M, M + 1)
-    ms = ms[ms % 2 != 0]
-    kl2 = _sideband_ksq(eps_i, ms - n0)
+    ms, kl2 = _bound_channels(n0, eps_i, g0)
     is_open = kl2 > 0
     kl = np.sqrt(kl2[is_open])
     b = b_kernel(kl, _q_base(kl, g0) ** np.abs(ms[is_open]), g0)

@@ -473,9 +473,9 @@ def _shift_integrand(n0: int, eps_i: float, g0: float, ms):
     """Channel sum of the alpha_shift integrand over the odd m = +-``ms``.
 
     sum_m |B_{k b}(m)|**2 / (k**2/2 - e_l), e_l = eps_i + l, l = m - n0,
-    with |B_{k b}(m)|**2 = (g0 / pi) q(k)**(2 |m|) / (k**2 + g0**2 / 4).
-    That depends on |m| only, so the channels +m and -m pair into one term
-    with the propagator sum 2 (k**2/2 - (eps_i - n0)) / ((k**2/2 - e_up)
+    with |B_{k b}(m)|**2 = |b_kernel(k, 1)|**2 q(k)**(2 |m|).  That depends
+    on |m| only, so the channels +m and -m pair into one term with the
+    propagator sum 2 (k**2/2 - (eps_i - n0)) / ((k**2/2 - e_up)
     (k**2/2 - e_down)).  Each denominator is one subtraction from
     k**2/2, so next to a channel's threshold, where e_l -> 0, it keeps its
     digits.
@@ -489,8 +489,7 @@ def _shift_integrand(n0: int, eps_i: float, g0: float, ms):
         half = 0.5 * k * k
         terms = _q_powers(q2, len(ms), q2 * q2)
         terms /= (half - e_up) * (half - e_down)
-        return (2.0 * g0 / math.pi) * (half - e_mid) / (k * k + 0.25 * g0 * g0) \
-            * terms.sum(axis=0)
+        return 2.0 * np.abs(b_kernel(k, 1.0, g0)) ** 2 * (half - e_mid) * terms.sum(axis=0)
 
     return integrand
 

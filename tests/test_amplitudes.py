@@ -8,7 +8,7 @@ import pytest
 from drivendelta.amplitudes import (a_coefficient, b_coefficient,
                                     fourier_oracle, phi_cb_mean, phi_cc)
 from drivendelta.errors import DomainError
-from drivendelta.model import q_factor
+from drivendelta.model import _q_base, q_factor
 
 
 def _a_by_quadrature(k_f, k_i, n, g0):
@@ -81,6 +81,17 @@ class TestContinuumBound:
         q = float(q_factor(1.0, 1, 0.2))
         ratio = abs(b_coefficient(1.0, 3, 0.2)) / abs(b_coefficient(1.0, 1, 0.2))
         assert ratio == pytest.approx(q**2, rel=1e-12)
+
+    @pytest.mark.parametrize("g0", [0.01, 0.1, 0.7, 3.5])
+    def test_modulus_closed_form(self, g0):
+        # |B_{k b}(m)|**2 = (g0 / pi) q(k)**(2 |m|) / (k**2 + g0**2 / 4),
+        # the weight of the pole shift's integrand
+        ks = np.geomspace(1e-6, 5.0, 13)
+        ms = [m for m in range(-21, 22) if m % 2 != 0]
+        closed = (g0 / math.pi) * (_q_base(ks, g0) ** np.abs(ms)[:, None]) ** 2 \
+            / (ks * ks + 0.25 * g0 * g0)
+        mod2 = np.abs([[b_coefficient(k, m, g0) for k in ks] for m in ms]) ** 2
+        assert np.all(np.abs(mod2 - closed) <= 1e-14 * closed)
 
     def test_matches_quadrature_spot(self):
         closed = b_coefficient(1.0, 1, 0.7)

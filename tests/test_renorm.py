@@ -305,8 +305,8 @@ class TestReducedKernels:
     """The paired and factored integrands against per-channel tables.
 
     The loop reference is the channel table of ``_loop_products`` over the
-    propagators; the shift reference sums (q(k)**|m|)**2 channel by
-    channel.  At n = 0 the channels +l and -l cancel to O(k - k_i) next to
+    propagators; the shift reference sums |b_coefficient(k, m)|**2 over
+    the propagators channel by channel.  At n = 0 the channels +l and -l cancel to O(k - k_i) next to
     k_i, so the reference's own rounding is relative to its summed
     magnitudes, and so is the 1e-12 tolerance.
     """
@@ -355,9 +355,7 @@ class TestReducedKernels:
         kl = [math.sqrt(2.0 * (eps_i + l)) for l in ls if eps_i + l > 0]
         nodes = np.array([1e-6, 1e-3, 5.0]
                          + [p + d for p in kl for d in self.OFFSETS])
-        mod2 = (g0 / math.pi) \
-            * (renorm._q_base(nodes, g0) ** np.abs(ms)[:, None]) ** 2 \
-            / (nodes * nodes + 0.25 * g0 * g0)
+        mod2 = np.abs([[b_coefficient(k, m, g0) for k in nodes] for m in ms]) ** 2
         terms = mod2 / (0.5 * nodes * nodes - (eps_i + ls[:, None]))
         values = renorm._shift_integrand(n0, eps_i, g0, np.arange(1, M + 1, 2))(nodes)
         assert np.all(np.abs(values - terms.sum(axis=0))

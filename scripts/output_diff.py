@@ -32,7 +32,11 @@ both --n-max 4`` at g0 0.1 and 0.7 over the exact thresholds eps = 1-5,
 and at g0 0.7 over 1e-9 either side of eps = 4; ``scan --method both``
 at g0 2 over 1e-9 either side of eps = 1, where the near/far switch no
 longer covers the pole; and a perturbative ``scan`` at g0 0.01 over
-1.5-4.5 with ``--tol 1e-13``, where the q-factors are small.  The switch
+1.5-4.5 with ``--tol 1e-13``, where the q-factors are small; and two
+commands that exit 1 with a message naming their cause: a perturbative
+``scan`` at g0 2.2 from eps = 2, where ``alpha_shift`` meets a channel at
+its threshold, and the exact ``zero`` at g0 5e-4, whose dip is narrower
+than the floats below 1 resolve.  The switch
 edges lie at ``drivendelta.renorm._NEAR_DISTANCE``, read from ``src/`` in
 this script's checkout.  Each grid command runs as CSV on standard output
 and again as a JSON ``--output`` file.
@@ -114,7 +118,10 @@ def commands() -> List[Tuple[str, ...]]:
               ("zero", "--g0", "0.45", "--method", "perturbative"),
               ("zero", "--g0", "0.96", "--method", "perturbative"),
               ("zero", "--g0", "0.8", "--method", "perturbative"),
-              ("zero", "--g0", "0.95", "--method", "perturbative")]
+              ("zero", "--g0", "0.95", "--method", "perturbative"),
+              ("scan", "--g0", "2.2", "--e-min", "2.0", "--e-max", "2.05", "--steps", "2",
+               "--n-max", "0", "--method", "perturbative"),
+              ("zero", "--g0", "0.0005", "--method", "floquet")]
     as_json = [argv + ("--format", "json", "--output", OUTPUT) for argv in grid]
     return list(dict.fromkeys(grid + as_json + other))    # the workloads repeat commands
 

@@ -93,19 +93,12 @@ def phi_cb_mean(k: float, tau, g0: float):
 
 
 def a_factor(k_out, k_in, scale):
-    """``scale`` times A's momentum factor k_out k_in / ((k_out**2 - k_in**2)
-    (k_out + k_in)), the one place it is written.
-
-    Broadcasts over arrays; no pole guards.  A product of two transitions
-    passes the first factor as the second's ``scale``, which keeps the
-    operations and their order of one written-out product.
-    """
+    """A's momentum factor ``scale`` k_out k_in / ((k_out**2 - k_in**2)(k_out + k_in))."""
     return scale * (k_out * k_in / (k_out * k_out - k_in * k_in)) / (k_out + k_in)
 
 
 def a_kernel(k_out, k_in, m, pow_out, pow_in):
-    """Imaginary part of A_{k_out k_in}(m), which is purely imaginary:
-    :func:`a_factor` at scale 1/pi times the q-power bracket.
+    """A_{k_out k_in}(m) / i, real: :func:`a_factor` at scale 1/pi times a q-power bracket.
 
     Broadcasts over arrays.  ``pow_out`` and ``pow_in`` are the q-factors
     q(k_out)**|m| and q(k_in)**|m|, so a caller evaluating many channels

@@ -271,7 +271,8 @@ def zero_locate_exact(g0: float) -> float:
     truncation.  The endpoint with p > 0 is returned, so :func:`solve` is
     regular there even where the other one's pivot rounds to exactly 0.  No
     sign change, or |t_0|**2 above 1e-6 in that one :func:`solve`, raises
-    :class:`ZeroNotFoundError`.
+    :class:`ZeroNotFoundError`; the latter names both widths where the dip,
+    about g0**4/32 wide, spans too few floats below 1 (g0 below about 1.2e-3).
     """
     if not 0 < g0 <= 1:
         raise DomainError(f"need 0 < g0 <= 1, got {g0}")
@@ -296,8 +297,10 @@ def zero_locate_exact(g0: float) -> float:
         mid = 0.5 * (lo + hi)
     depth = abs(solve(lo, g0).t[0]) ** 2
     if depth > 1e-6:
+        dip = g0 ** 4 / 32.0
         raise ZeroNotFoundError(
-            f"dip at eps_i = {lo} too shallow (|t_0|**2 = {depth:.3e})",
-            scan_trace={"window": (lo, hi), "min_value": depth},
+            f"dip at eps_i = {lo} too shallow (|t_0|**2 = {depth:.3e}) at float resolution: "
+            f"adjacent floats hi - lo = {hi - lo:.3e} apart, dip g0**4/32 = {dip:.3e} wide",
+            scan_trace=dict(window=(lo, hi), min_value=depth, bracket_width=hi - lo, dip_width=dip)
         )
     return lo

@@ -122,16 +122,15 @@ def _q_powers(q, rows: int, step=None):
 def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
     """Channel sum of the Re Gamma integrand, one broadcast per call.
 
-    The two transitions' momentum factors (:func:`a_factor`, the second
-    scaled by the first) depend on the node only, so they multiply the
-    channel sum once; each channel keeps its two q-power brackets and its
-    propagator.  At n = 0 the channels +l and -l share the numerator
-    (q(k)**l - (-1)**l q(k_i)**l)**2, so each pair is one term with the
-    propagator sum 2 e / ((e - l)(e + l)), e = eps_i - k**2/2; ``ls`` must
-    then be +-1 .. +-L.  The n != 0 branch keeps A's brackets inline,
-    sign-folded over one q-power table for both: through a shared bracket
-    function, six spectrum ``scan`` commands took 112-117 ms of compute,
-    not 98-108 ms (minimum of 7 runs, 2-core x86-64 VM).
+    The two transitions' momentum factors depend on the node only: one
+    :func:`a_factor` scaled by the other, with the operations of the
+    written-out product, multiplies the channel sum once.  At n = 0 the
+    channels +l and -l share the numerator (q(k)**l - (-1)**l q(k_i)**l)**2,
+    so each pair is one term with the propagator sum 2 e / ((e - l)(e + l)),
+    e = eps_i - k**2/2; ``ls`` must then be +-1 .. +-L.  The n != 0 branch
+    keeps A's q-power brackets inline, sign-folded over one table for both:
+    through a shared bracket function, six spectrum ``scan`` commands took
+    186-188 ms in process, not 164-166 ms (minimum of 7 runs, 2-core VM).
     """
     eps_i = 0.5 * k_i * k_i
     ls = np.asarray(ls)
@@ -472,13 +471,12 @@ def _bound_series(k_f: float, k_i: float, n: int, g0: float, pole: float,
 def _shift_integrand(n0: int, eps_i: float, g0: float, ms):
     """Channel sum of the alpha_shift integrand over the odd m = +-``ms``.
 
-    sum_m |B_{k b}(m)|**2 / (k**2/2 - e_l), e_l = eps_i + l, l = m - n0,
-    with |B_{k b}(m)|**2 = |b_kernel(k, 1)|**2 q(k)**(2 |m|).  That depends
-    on |m| only, so the channels +m and -m pair into one term with the
-    propagator sum 2 (k**2/2 - (eps_i - n0)) / ((k**2/2 - e_up)
-    (k**2/2 - e_down)).  Each denominator is one subtraction from
-    k**2/2, so next to a channel's threshold, where e_l -> 0, it keeps its
-    digits.
+    sum_m |B_{k b}(m)|**2 / (k**2/2 - e_l), e_l = eps_i + l, l = m - n0, with
+    |B_{k b}(m)|**2 = |b_kernel(k, 1)|**2 q(k)**(2 |m|), a function of |m|: the
+    channels +m and -m pair into one term with the propagator sum
+    2 (k**2/2 - (eps_i - n0)) / ((k**2/2 - e_up)(k**2/2 - e_down)).  Each
+    denominator is one subtraction from k**2/2, so it keeps its digits next
+    to a channel's threshold, where e_l -> 0.
     """
     e_up, e_down = (eps_i + (ms - n0))[:, None], (eps_i + (-ms - n0))[:, None]
     e_mid = eps_i - n0
@@ -495,8 +493,7 @@ def _shift_integrand(n0: int, eps_i: float, g0: float, ms):
 
 
 def _bound_channels(n0: int, eps_i: float, g0: float):
-    """The channel table of the shift and width sums over B_{k b}(m): the
-    odd m, |m| <= M ascending, and their k_l**2, l = m - n0."""
+    """The shift's and width's channels: odd m ascending to the cutoff, k_l**2 at l = m - n0."""
     M = _decay_count(float(_q_base(max(math.sqrt(2.0 * eps_i), 1.0), g0)))
     ms = np.arange(-M, M + 1)
     ms = ms[ms % 2 != 0]

@@ -1,6 +1,7 @@
 """Unit tests for the exact truncated-sideband solver."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from drivendelta import floquet
 from drivendelta.amplitudes import a_coefficient
-from drivendelta.errors import DomainError, ToleranceError
+from drivendelta.errors import DomainError, ToleranceError, ZeroNotFoundError
 from drivendelta.floquet import (solve, total_transmission_exact,
                                  transmission_grid, zero_locate_exact)
 
@@ -272,6 +273,23 @@ class TestObservables:
         assert 1.0 - 0.25 * g0 * g0 <= eps_star < 1.0
         assert eps_star == pytest.approx(_dense_zero(g0), abs=1e-12)
         assert abs(solve(eps_star, g0).t[0]) ** 2 < 1e-12
+
+    def test_zero_below_float_resolution_names_both_widths(self):
+        # the dip is about g0**4/32 = 1.95e-15 wide, some 18 float spacings
+        # below 1, so no float takes |t_0|**2 under the 1e-6 gate
+        with pytest.raises(ZeroNotFoundError, match="^" + re.escape(
+                "dip at eps_i = 0.999999999999999 too shallow (|t_0|**2 = 1.328e-04) "
+                "at float resolution: adjacent floats hi - lo = 1.110e-16 apart, "
+                "dip g0**4/32 = 1.953e-15 wide") + "$") as info:
+            zero_locate_exact(5e-4)
+        trace = info.value.scan_trace
+        assert trace["bracket_width"] == 2.0 ** -53
+        assert trace["dip_width"] == 5e-4 ** 4 / 32.0
+
+    @pytest.mark.parametrize("g0, eps_star", [(1e-3, 0.9999999999999843),
+                                              (2e-3, 0.99999999999975)])
+    def test_zero_resolved_at_weak_driving(self, g0, eps_star):
+        assert zero_locate_exact(g0) == eps_star
 
     def test_zero_rejects_bad_coupling(self):
         with pytest.raises(DomainError):

@@ -306,9 +306,9 @@ class TestReducedKernels:
 
     The loop reference is the channel table of ``_loop_products`` over the
     propagators; the shift reference sums |b_coefficient(k, m)|**2 over
-    the propagators channel by channel.  At n = 0 the channels +l and -l cancel to O(k - k_i) next to
-    k_i, so the reference's own rounding is relative to its summed
-    magnitudes, and so is the 1e-12 tolerance.
+    the propagators channel by channel.  At n = 0 the channels +l and -l
+    cancel to O(k - k_i) next to k_i, so the reference's own rounding is
+    relative to its summed magnitudes, and so is the 1e-12 tolerance.
     """
 
     # open channels down to l = -2: k_{-1} = 1.612, k_{-2} = 0.775

@@ -172,7 +172,7 @@ def _perturbative_point(eps_i: float, config: ScanConfig) -> tuple:
     dec = assemble(eps_i, config.g0, order=config.order,
                    n_max=config.n_max, tol=config.tol)
     fluxes = tuple(dec.flux.get(n, 0.0) for n in range(-config.n_max, config.n_max + 1))
-    return (abs(dec.T[0]) ** 2, abs(dec.R[0]) ** 2, dec.T_total, dec.w0,
+    return (dec.flux[0], abs(dec.R[0]) ** 2, dec.T_total, dec.w0,
             dec.loop.im, dec.loop.re) + fluxes
 
 
@@ -204,7 +204,7 @@ def _scan_blocks(config: ScanConfig) -> Iterator[_Block]:
             if perturbative:
                 block["T_total_floquet"] = sol.T_total.tolist()
             else:
-                values = np.vstack((sol.t0_sq, sol.r0_sq, sol.T_total, sol.T_n))
+                values = np.vstack((sol.T_n[config.n_max], sol.r0_sq, sol.T_total, sol.T_n))
                 block.update(zip(["T_elastic", "R_elastic", "T_total_floquet"]
                                  + sidebands, values.tolist()))
         if perturbative:

@@ -40,7 +40,7 @@ from typing import Dict, Iterator, Tuple
 import numpy as np
 
 from .errors import DomainError, ToleranceError, ZeroNotFoundError, check_domain
-from .model import _sideband_ksq
+from .model import _channel_flux, _reflection, _sideband_ksq
 
 __all__ = [
     "FloquetSolution",
@@ -77,7 +77,7 @@ class FloquetSolution:
 
     @property
     def r(self) -> Dict[int, complex]:
-        return {n: (t - 1.0 if n == 0 else t) for n, t in self.t.items()}
+        return {n: _reflection(n, t) for n, t in self.t.items()}
 
 
 @dataclass(frozen=True)
@@ -85,12 +85,12 @@ class FloquetGrid:
     """Observables of the exact solver over an energy grid, one entry per energy.
 
     ``T_n[j]`` is the transmitted flux (k_n / k_0)|t_n|**2 into sideband
-    n = j - n_max; it is 0 in closed channels and beyond the truncation.
-    ``T_total`` sums that flux over all open channels.  ``N`` is the
-    truncation each energy was solved at.
+    n = j - n_max; it is 0 in closed channels and beyond the truncation,
+    and ``T_n[n_max]`` is the elastic |t_0|**2.  ``r0_sq`` is |r_0|**2,
+    ``T_total`` sums the transmitted flux over all open channels, and
+    ``N`` is the truncation each energy was solved at.
     """
 
-    t0_sq: np.ndarray
     r0_sq: np.ndarray
     T_total: np.ndarray
     T_n: np.ndarray = field(repr=False)
@@ -155,17 +155,6 @@ def _sweep(eps: np.ndarray, g0: float, N: int) -> Tuple[np.ndarray, np.ndarray]:
     return k, t
 
 
-def _open_flux(k: np.ndarray, amp: np.ndarray) -> np.ndarray:
-    """Per-channel flux (k_n / k_0)|amp_n|**2 of a :func:`_sweep` result.
-
-    Closed channels have Re k_n = 0 and carry no flux.  The array is in
-    Fortran order: each energy's channels are contiguous, so ``sum(axis=0)``
-    adds them pairwise, the same way however many energies share the sweep.
-    """
-    N = (len(k) - 1) // 2
-    return np.multiply(k.real / k[N].real, np.abs(amp) ** 2, order="F")
-
-
 def _converged(eps: np.ndarray, g0: float) -> Iterator[tuple]:
     """Solve at every energy of ``eps``; yield the solved blocks.
 
@@ -186,13 +175,14 @@ def _converged(eps: np.ndarray, g0: float) -> Iterator[tuple]:
             idx = pending[start:start + per_chunk]
             k, t = _sweep(eps[idx], g0, size)
             finite = np.isfinite(t).all(axis=0)
-            flux = _open_flux(k, t)
+            k_0 = k[size].real
+            flux = _channel_flux(k.real, k_0, t)
             total = flux.sum(axis=0)
-            # r_n = t_n except r_0 = t_0 - 1, so the reflected flux is
-            # total - flux_0 + |t_0 - 1|**2
+            # r_n = t_n except at n = 0, so the reflected flux is
+            # total - flux_0 + the flux of r_0
             with np.errstate(invalid="ignore"):
                 defect = np.abs(2.0 * total - flux[size]
-                                + np.abs(t[size] - 1.0) ** 2 - 1.0)
+                                + _channel_flux(k_0, k_0, _reflection(0, t[size])) - 1.0)
             bad = finite & (defect > _UNITARITY_TOL)
             if bad.any():
                 i = int(np.argmax(bad))
@@ -242,12 +232,11 @@ def transmission_grid(eps_i, g0: float, n_max: int = 0) -> FloquetGrid:
     check_domain(eps_i=eps, g0=g0, non_negative=("g0",))
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    out = {name: np.empty(eps.size) for name in ("t0_sq", "r0_sq", "T_total")}
+    out = {name: np.empty(eps.size) for name in ("r0_sq", "T_total")}
     T_n = np.zeros((2 * n_max + 1, eps.size))
     sizes = np.empty(eps.size, dtype=int)
     for idx, N, t, flux, total, _ in _converged(eps, g0):
-        out["t0_sq"][idx] = np.abs(t[N]) ** 2
-        out["r0_sq"][idx] = np.abs(t[N] - 1.0) ** 2
+        out["r0_sq"][idx] = np.abs(_reflection(0, t[N])) ** 2
         out["T_total"][idx] = total
         m = min(n_max, N)
         T_n[n_max - m:n_max + m + 1, idx] = flux[N - m:N + m + 1]

@@ -9,8 +9,8 @@ supports a single bound state at energy -g**2 / 2.
 Every input and output of the package is in these units; converting
 physical driving parameters is left to the caller (g0 = g_phys
 sqrt(m omega / hbar) / (hbar omega)).  Sideband n at incoming energy
-eps_i has k_n**2 = 2 (eps_i + n) (:func:`_sideband_ksq`, the one statement
-of the channel rule that both solvers use).
+eps_i has k_n**2 = 2 (eps_i + n) (:func:`_sideband_ksq`); this channel rule,
+its flux and the reflection rule are each stated here once, for both solvers.
 """
 
 from __future__ import annotations
@@ -29,6 +29,21 @@ def _sideband_ksq(eps_i, n):
     at an exact threshold (0) it is closed.  Scalars or broadcasting arrays.
     """
     return 2.0 * (eps_i + n)
+
+
+def _channel_flux(k_f, k_i, amp):
+    """Flux (k_f / k_i)|amp|**2 of a channel of wavenumber k_f; none where Re k_f = 0.
+
+    Scalars give an ``np.float64`` of the builtin ``abs`` (``np.abs`` of a
+    complex can differ in the last bit).  Arrays broadcast, in Fortran order,
+    so ``sum(axis=0)`` adds each energy's channels pairwise, however many share it.
+    """
+    return np.multiply(k_f / k_i, abs(amp) ** 2, order="F")
+
+
+def _reflection(n: int, amp):
+    """Reflection r_n = t_n - delta_{n0} of sideband ``n``'s transmission ``amp``."""
+    return amp - 1.0 if n == 0 else amp
 
 
 def q_factor(k, n: int, g0: float):

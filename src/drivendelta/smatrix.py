@@ -11,8 +11,9 @@ two-transition continuum loop (Gamma):
 
 Each B^R(n) and its near/far regime come from :func:`renorm._bound_route`.
 Reflection uses the same coefficient tables under k_f -> -k_f, which for
-the symmetric barrier reduces to R(n) = T(n) - delta_{n0} (the same
-identity the continuity condition imposes on the exact sideband solver).
+the symmetric barrier reduces to R(n) = T(n) - delta_{n0}, the identity
+the continuity condition imposes on the exact sideband solver
+(:func:`model._reflection` states it for both).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .amplitudes import a_coefficient, b_coefficient
 from .errors import DomainError, RegimeError, ZeroNotFoundError, check_domain
-from .model import _sideband_ksq
+from .model import _channel_flux, _reflection, _sideband_ksq
 from .quadrature import _golden, _scan_bracket
 from .renorm import (LoopValue, _NEAR_DISTANCE, _b_pole_sq, _bound_route, _bound_series,
                      _check_pole, _resonance, alpha_shift, gamma_loop, renorm_factors)
@@ -65,7 +66,7 @@ class SMatrixDecomposition:
     """Amplitudes of one energy point with their diagram decomposition.
 
     ``T`` and ``flux`` map each open sideband n to its amplitude and its
-    transmitted flux (:func:`_channel_flux`); ``T_total`` sums the fluxes.
+    transmitted flux (:func:`model._channel_flux`); ``T_total`` sums the fluxes.
     """
 
     eps_i: float
@@ -81,12 +82,7 @@ class SMatrixDecomposition:
     @property
     def R(self) -> Dict[int, complex]:
         """Reflection amplitudes R(n) = T(n) - delta_{n0}."""
-        return {n: (t - 1.0 if n == 0 else t) for n, t in self.T.items()}
-
-
-def _channel_flux(k_f: float, k_i: float, amp: complex) -> float:
-    """Flux (k_f / k_i) |amp|**2 carried by an open channel of wavenumber k_f."""
-    return k_f / k_i * abs(amp) ** 2
+        return {n: _reflection(n, t) for n, t in self.T.items()}
 
 
 def _check_point(eps_i: float, g0: float) -> None:

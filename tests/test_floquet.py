@@ -12,6 +12,7 @@ from drivendelta.amplitudes import a_coefficient
 from drivendelta.errors import DomainError, ToleranceError, ZeroNotFoundError
 from drivendelta.floquet import (solve, total_transmission_exact,
                                  transmission_grid, zero_locate_exact)
+from drivendelta.model import _channel_flux
 
 
 class TestSolve:
@@ -125,7 +126,7 @@ class TestBatchedSweep:
             flux = {n: k[sol.N + n].real / k[sol.N].real * abs(sol.t[n]) ** 2
                     for n in sol.t if k[sol.N + n].real > 0}
             assert grid.N[i] == sol.N
-            assert grid.t0_sq[i] == pytest.approx(abs(sol.t[0]) ** 2, rel=1e-14, abs=1e-15)
+            assert grid.T_n[n_max, i] == pytest.approx(abs(sol.t[0]) ** 2, rel=1e-14, abs=1e-15)
             assert grid.r0_sq[i] == pytest.approx(abs(sol.r[0]) ** 2, rel=1e-14, abs=1e-15)
             assert grid.T_total[i] == pytest.approx(sum(flux.values()), rel=1e-14)
             for j, n in enumerate(range(-n_max, n_max + 1)):
@@ -172,10 +173,9 @@ class TestBatchedSweep:
         for N in set(grid.N.tolist()):
             idx = np.flatnonzero(grid.N == N)
             k, t = floquet._sweep(eps[idx], g0, 2 * N)
-            flux = floquet._open_flux(k, t)
+            flux = _channel_flux(k.real, k[2 * N].real, t)
             t0 = t[2 * N]
-            for name, doubled in (("t0_sq", np.abs(t0) ** 2),
-                                  ("r0_sq", np.abs(t0 - 1.0) ** 2),
+            for name, doubled in (("r0_sq", np.abs(t0 - 1.0) ** 2),
                                   ("T_total", flux.sum(axis=0))):
                 assert np.max(np.abs(getattr(grid, name)[idx] - doubled)) <= 1e-13
             sidebands = flux[2 * N - n_max:2 * N + n_max + 1]
@@ -185,8 +185,8 @@ class TestBatchedSweep:
         eps = np.linspace(0.05, 2.95, 6000)   # more energies than one chunk holds
         grid = transmission_grid(eps, 0.3)
         for i in range(0, eps.size, 397):
-            assert grid.t0_sq[i] == pytest.approx(abs(solve(float(eps[i]), 0.3).t[0]) ** 2,
-                                                  rel=1e-14, abs=1e-15)
+            assert grid.T_n[0, i] == pytest.approx(abs(solve(float(eps[i]), 0.3).t[0]) ** 2,
+                                                   rel=1e-14, abs=1e-15)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 7, 256])
     def test_pieces_match_whole_grid_bit_for_bit(self, size):
@@ -196,7 +196,7 @@ class TestBatchedSweep:
         whole = transmission_grid(eps, 0.7, 3)
         pieces = [transmission_grid(eps[i:i + size], 0.7, 3)
                   for i in range(0, eps.size, size)]
-        for name in ("t0_sq", "r0_sq", "T_total", "T_n", "N"):
+        for name in ("r0_sq", "T_total", "T_n", "N"):
             joined = np.concatenate([getattr(p, name) for p in pieces], axis=-1)
             assert np.array_equal(joined, getattr(whole, name)), name
 
@@ -234,10 +234,9 @@ class TestVerifiedCoupling:
         for N in set(grid.N.tolist()):
             idx = np.flatnonzero(grid.N == N)
             k, t = floquet._sweep(eps[idx], self.BOUND, N + 200)
-            flux = floquet._open_flux(k, t)
+            flux = _channel_flux(k.real, k[N + 200].real, t)
             t0 = t[N + 200]
-            for name, wide in (("t0_sq", np.abs(t0) ** 2),
-                               ("r0_sq", np.abs(t0 - 1.0) ** 2),
+            for name, wide in (("r0_sq", np.abs(t0 - 1.0) ** 2),
                                ("T_total", flux.sum(axis=0))):
                 assert np.max(np.abs(getattr(grid, name)[idx] - wide)) <= 1e-13, name
             # T_n is 0 past the default's N, and n_max = 50 covers every N here

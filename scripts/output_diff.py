@@ -31,7 +31,7 @@ sideband channel rule decides which channels are open, ``scan --method
 both --n-max 4`` at g0 0.1 and 0.7 over the exact thresholds eps = 1-5,
 and at g0 0.7 over 1e-9 either side of eps = 4; ``scan --method both``
 at g0 2 over 1e-9 either side of eps = 1, where the near/far switch no
-longer covers the pole; and a perturbative ``scan`` at g0 0.01 over
+longer covers the pole (it exits 1 naming the far form's pole); and a perturbative ``scan`` at g0 0.01 over
 1.5-4.5 with ``--tol 1e-13``, where the q-factors are small; and two
 commands that exit 1 with a message naming their cause: a perturbative
 ``scan`` at g0 2.2 from eps = 2, where ``alpha_shift`` meets a channel at
@@ -104,8 +104,8 @@ def commands() -> List[Tuple[str, ...]]:
                     + thresholds)
     grid.append(("scan", "--g0", "0.7", "--e-min", repr(4.0 - 1e-9),
                  "--e-max", repr(4.0 + 1e-9), "--steps", "3") + thresholds)
-    # at g0 2 the near window no longer covers eps = 1, so the far form
-    # meets its own bare pole there
+    # at g0 2 the near window no longer covers eps = 1, the far form's own
+    # bare pole, and the command exits 1 naming it
     grid.append(("scan", "--g0", "2", "--e-min", "0.999999999", "--e-max", "1.000000001",
                  "--steps", "2", "--n-max", "2", "--method", "both"))
     # weak driving, where q(k) ~ g0 / 2k is small and the loop runs at a tight tol

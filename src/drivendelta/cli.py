@@ -187,9 +187,9 @@ def _blocks(config: ScanConfig) -> Iterator[List[float]]:
 def _scan_blocks(config: ScanConfig) -> Iterator[_Block]:
     """Scan columns block by block; a column the method leaves empty is absent.
 
-    A block's exact columns come from one batched solve of its energies,
-    made before its perturbative points, which run in grid order; the
-    first failing point raises :class:`PointFailure` naming its ``eps_i``.
+    A block's exact columns come from one batched solve of its energies;
+    its perturbative points, in grid order, then fill theirs, shared ones
+    included; the first failing point raises :class:`PointFailure` naming its ``eps_i``.
     """
     sidebands = _scan_columns(config.n_max)[8:]
     exact = config.method in ("floquet", "both")
@@ -201,12 +201,9 @@ def _scan_blocks(config: ScanConfig) -> Iterator[_Block]:
                 sol = transmission_grid(grid, config.g0, config.n_max)
             except ToleranceError as exc:
                 raise PointFailure(exc.eps_i, exc) from exc
-            if perturbative:
-                block["T_total_floquet"] = sol.T_total.tolist()
-            else:
-                values = np.vstack((sol.T_n[config.n_max], sol.r0_sq, sol.T_total, sol.T_n))
-                block.update(zip(["T_elastic", "R_elastic", "T_total_floquet"]
-                                 + sidebands, values.tolist()))
+            values = np.vstack((sol.r0_sq, sol.T_total, sol.T_n)).tolist()
+            block.update(zip(["R_elastic", "T_total_floquet"] + sidebands, values))
+            block["T_elastic"] = block["T_0"]       # the channel-0 flux
         if perturbative:
             rows = []
             for eps in grid:

@@ -178,8 +178,7 @@ def _converged(eps: np.ndarray, g0: float) -> Iterator[tuple]:
             k_0 = k[size].real
             flux = _channel_flux(k.real, k_0, t)
             total = flux.sum(axis=0)
-            # r_n = t_n except at n = 0, so the reflected flux is
-            # total - flux_0 + the flux of r_0
+            # r_n = t_n but at n = 0: reflected flux = total - flux_0 + flux of r_0
             with np.errstate(invalid="ignore"):
                 defect = np.abs(2.0 * total - flux[size]
                                 + _channel_flux(k_0, k_0, _reflection(0, t[size])) - 1.0)

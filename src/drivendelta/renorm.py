@@ -653,13 +653,11 @@ def _b_pole_sq(k: float, g0: float) -> float:
 def _b_far_elastic(k_i: float, eps_i: float, g0: float) -> complex:
     """Far-from-pole elastic bound route: the dominant-pole approximation.
 
-    Keeps only the n0 = +-1 terms over the bare real denominators eps_i - n0,
-    valid where the pole distance dominates the width, so the dropped width,
-    shift and normalization are higher order; Re Gamma(0), of order g0**2,
-    keeps the closed-channel term i g0**2 / (4 k_0 kappa) beside it.
+    Keeps only the n0 = +-1 terms over the bare real denominators eps_i - n0
+    (so never called at eps_i = 1), valid where the pole distance dominates
+    the width, so the dropped width, shift and normalization are higher order;
+    Re Gamma(0), of order g0**2, keeps the closed-channel term i g0**2 / (4 k_0 kappa) beside it.
     """
-    if eps_i == 1.0:
-        raise RegimeError(f"on-pole energy eps_i = {eps_i} in far regime")
     b_sq = _b_pole_sq(k_i, g0)
     return 0.0j + b_sq / (eps_i - 1) + b_sq / (eps_i + 1)
 
@@ -671,6 +669,8 @@ def _bound_route(n: int, eps_i: float, g0: float, tol: float, diagnostics: Dict)
     thresholds there), :func:`_b_far_elastic` at n = 0 and the bare series
     elsewhere.  At n = 0 ``diagnostics`` gets ``regime``, ``pole_distance``
     (|eps_R - n0| near, bare far) and, near, the far form's ``branch_mismatch``.
+    Where g0**2/8 >= _NEAR_DISTANCE keeps the near window off eps_i = 1, the
+    far form's bare pole, n = 0 within that distance of it raises :class:`RegimeError`.
     """
     eps_t, n0 = _resonance(eps_i, g0)
     near = abs(eps_t - n0) < _NEAR_DISTANCE
@@ -679,6 +679,9 @@ def _bound_route(n: int, eps_i: float, g0: float, tol: float, diagnostics: Dict)
             _bound_series(*_momenta(n, eps_i), n, g0, eps_t)
     k_i = math.sqrt(2.0 * eps_i)
     if not near:
+        if g0 * g0 / 8.0 >= _NEAR_DISTANCE and abs(eps_i - 1.0) < _NEAR_DISTANCE:
+            raise RegimeError(f"far elastic form at eps_i = {eps_i} is within {_NEAR_DISTANCE} "
+                              f"of its bare pole eps_i = 1, outside the near window at g0 = {g0}")
         diagnostics.update(regime="far", pole_distance=abs(eps_t - n0))
         return _b_far_elastic(k_i, eps_i, g0)
     diagnostics.update(regime="near",      # eps_t + alpha: renorm_factors' eps_R

@@ -312,6 +312,26 @@ class TestScan:
         assert len(doc["rows"]) == 2
         assert doc["rows"][0]["eps_i"] == 0.3
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("g0", ["0.1", "0.7"])
+    @pytest.mark.parametrize("method", ["floquet", "perturbative", "both"])
+    def test_elastic_column_is_the_channel_0_flux(self, tmp_path, method, g0, fmt):
+        # T_elastic and T_0 are one value, bit for bit, in every row; the
+        # grid crosses the thresholds eps = 1-4, where the open channels change
+        out = tmp_path / f"scan.{fmt}"
+        assert main(["scan", "--g0", g0, "--e-min", "1", "--e-max", "4", "--steps", "13",
+                     "--n-max", "2", "--method", method, "--format", fmt,
+                     "--output", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        if fmt == "json":
+            rows = [(r["T_elastic"], r["T_0"]) for r in json.loads(text)["rows"]]
+        else:
+            header, *lines = text.splitlines()
+            i, j = (header.split(",").index(name) for name in ("T_elastic", "T_0"))
+            rows = [(v[i], v[j]) for v in (line.split(",") for line in lines)]
+        assert len(rows) == 13
+        assert all(elastic == t_0 and elastic is not None for elastic, t_0 in rows)
+
     def test_config_file_flag_override(self, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text("g0 = 0\nsteps = 2\neps_min = 0.3\neps_max = 0.5\n"

@@ -91,6 +91,28 @@ class TestAssemble:
         exact = solve(eps_i, g0).t[0]
         assert abs(dec.T[0] - exact) < abs(swapped - exact)
 
+    @pytest.mark.parametrize("eps_i, g0", [(1.1, 2.0), (1.0 + 1e-9, 2.0), (1.3, 1.9)])
+    def test_far_elastic_form_refuses_its_own_pole(self, eps_i, g0):
+        # g0**2/8 >= 0.45 keeps the near window off eps_i = 1, where the far
+        # form divides by eps_i - 1: T_total was 4.6 at (1.1, 2) and 6.4e16
+        # at 1 + 1e-9
+        with pytest.raises(RegimeError, match=(
+                rf"^far elastic form at eps_i = {eps_i!r} is within 0\.45 of its bare "
+                rf"pole eps_i = 1, outside the near window at g0 = {g0!r}$")):
+            assemble(eps_i, g0)
+
+    @pytest.mark.parametrize("eps_i, regime, T_total, T_0", [
+        (0.9, "near", 0.7779570946301891, 0.13740678261826358 - 0.7186614313850693j),
+        (1.5, "far", 0.8141451051151423, 0.557860515528551 - 0.20456288995216132j),
+    ])
+    def test_strong_driving_off_the_bare_pole_is_kept(self, eps_i, regime, T_total, T_0):
+        dec = assemble(eps_i, 2.0)
+        assert (dec.diagnostics["regime"], dec.T_total, dec.T[0]) == (regime, T_total, T_0)
+
+    def test_far_elastic_form_below_the_strong_coupling(self):
+        # at g0 = 1.89, g0**2/8 = 0.4465: the near window still covers eps_i = 1
+        assert assemble(1.1, 1.89).diagnostics["regime"] == "far"
+
 
 class TestChannelRule:
     def test_exact_threshold_is_closed(self):

@@ -167,12 +167,12 @@ class PointFailure(DrivenDeltaError, RuntimeError):
 
 
 def _perturbative_point(eps_i: float, config: ScanConfig) -> tuple:
-    """T_elastic, R_elastic, T_total_pert, w0, im_gamma, re_gamma and the
-    sideband fluxes T_n at one energy, all from one :func:`assemble`."""
+    """R_elastic, T_total_pert, w0, im_gamma, re_gamma and the sideband
+    fluxes T_n at one energy, all from one :func:`assemble`."""
     dec = assemble(eps_i, config.g0, order=config.order,
                    n_max=config.n_max, tol=config.tol)
     fluxes = tuple(dec.flux.get(n, 0.0) for n in range(-config.n_max, config.n_max + 1))
-    return (dec.flux[0], abs(dec.R[0]) ** 2, dec.T_total, dec.w0,
+    return (abs(dec.R[0]) ** 2, dec.T_total, dec.w0,
             dec.loop.im, dec.loop.re) + fluxes
 
 
@@ -203,7 +203,6 @@ def _scan_blocks(config: ScanConfig) -> Iterator[_Block]:
                 raise PointFailure(exc.eps_i, exc) from exc
             values = np.vstack((sol.r0_sq, sol.T_total, sol.T_n)).tolist()
             block.update(zip(["R_elastic", "T_total_floquet"] + sidebands, values))
-            block["T_elastic"] = block["T_0"]       # the channel-0 flux
         if perturbative:
             rows = []
             for eps in grid:
@@ -211,9 +210,9 @@ def _scan_blocks(config: ScanConfig) -> Iterator[_Block]:
                     rows.append(_perturbative_point(eps, config))
                 except DrivenDeltaError as exc:
                     raise PointFailure(eps, exc) from exc
-            filled = ["T_elastic", "R_elastic", "T_total_pert", "w0",
-                      "im_gamma", "re_gamma"] + sidebands
+            filled = ["R_elastic", "T_total_pert", "w0", "im_gamma", "re_gamma"] + sidebands
             block.update(zip(filled, zip(*rows)))
+        block["T_elastic"] = block["T_0"]       # the channel-0 flux, of either method
         yield block
 
 

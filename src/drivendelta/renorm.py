@@ -669,8 +669,8 @@ def _bound_route(n: int, eps_i: float, g0: float, tol: float, diagnostics: Dict)
     thresholds there), :func:`_b_far_elastic` at n = 0 and the bare series
     elsewhere.  At n = 0 ``diagnostics`` gets ``regime``, ``pole_distance``
     (|eps_R - n0| near, bare far) and, near, the far form's ``branch_mismatch``.
-    Where g0**2/8 >= _NEAR_DISTANCE keeps the near window off eps_i = 1, the
-    far form's bare pole, n = 0 within that distance of it raises :class:`RegimeError`.
+    Once g0**2/8 >= _NEAR_DISTANCE the near window misses eps_i = 1, the far
+    form's bare pole, so n = 0 raises :class:`RegimeError` within that distance of it.
     """
     eps_t, n0 = _resonance(eps_i, g0)
     near = abs(eps_t - n0) < _NEAR_DISTANCE

@@ -437,8 +437,10 @@ class TestOneEvaluationPerRow:
         config = ScanConfig(g0=0.1, n_max=2)
         row = cli._perturbative_point(0.95, config)
         dec = assemble(0.95, 0.1, n_max=2)
-        assert row[3:6] == (dec.w0, dec.loop.im, dec.loop.re)
-        assert row[:3] == (abs(dec.T[0]) ** 2, abs(dec.R[0]) ** 2, dec.T_total)
+        assert row[2:5] == (dec.w0, dec.loop.im, dec.loop.re)
+        assert row[:2] == (abs(dec.R[0]) ** 2, dec.T_total)
+        assert row[5:] == tuple(dec.flux.get(n, 0.0) for n in range(-2, 3))
+        assert row[7] == abs(dec.T[0]) ** 2     # T_0, which T_elastic repeats
 
     def test_bound_route_once(self, monkeypatch):
         # a near point: the row once made two n = 0 b_renorm calls (one in

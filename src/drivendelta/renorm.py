@@ -653,40 +653,39 @@ def _b_pole_sq(k: float, g0: float) -> float:
 def _b_far_elastic(k_i: float, eps_i: float, g0: float) -> complex:
     """Far-from-pole elastic bound route: the dominant-pole approximation.
 
-    Keeps only the n0 = +-1 terms over the bare real denominators eps_i - n0
-    (so never called at eps_i = 1), valid where the pole distance dominates
-    the width, so the dropped width, shift and normalization are higher order;
-    Re Gamma(0), of order g0**2, keeps the closed-channel term i g0**2 / (4 k_0 kappa) beside it.
+    Keeps only the n0 = +-1 terms over the bare real denominators eps_i - n0,
+    valid where the pole distance dominates the width, so the dropped width,
+    shift and normalization are higher order; Re Gamma(0), of order g0**2,
+    keeps the closed-channel term i g0**2 / (4 k_0 kappa) beside it.
     """
     b_sq = _b_pole_sq(k_i, g0)
     return 0.0j + b_sq / (eps_i - 1) + b_sq / (eps_i + 1)
 
 
 def _bound_route(n: int, eps_i: float, g0: float, tol: float, diagnostics: Dict) -> complex:
-    """Bound route B(n) of the open sideband ``n``: :func:`b_renorm` within
-    _NEAR_DISTANCE of the nearest odd pole n0 in eps_t (:func:`_resonance`);
-    beyond it, without the shift/width integrals (which can hit channel
-    thresholds there), :func:`_b_far_elastic` at n = 0 and the bare series
-    elsewhere.  At n = 0 ``diagnostics`` gets ``regime``, ``pole_distance``
-    (|eps_R - n0| near, bare far) and, near, the far form's ``branch_mismatch``.
-    Once g0**2/8 >= _NEAR_DISTANCE the near window misses eps_i = 1, the far
-    form's bare pole, so n = 0 raises :class:`RegimeError` within that distance of it.
+    """Bound route B(n) of the open sideband ``n``: :func:`b_renorm` near;
+    far, without the shift/width integrals (which can hit channel thresholds
+    there), :func:`_b_far_elastic` at n = 0 and the bare series elsewhere.
+    One rule for every sideband of the energy: it is far where eps_t lies
+    at least _NEAR_DISTANCE from its nearest odd pole n0 (:func:`_resonance`)
+    and the far elastic form's own denominator |eps_i - 1| is at least the
+    shift g0**2/8 that it drops.  At n = 0 ``diagnostics`` gets ``regime``,
+    ``pole_distance`` (|eps_R - n0| near, bare far) and, near where that
+    denominator passes, the far form's ``branch_mismatch``.
     """
     eps_t, n0 = _resonance(eps_i, g0)
-    near = abs(eps_t - n0) < _NEAR_DISTANCE
+    far_ok = abs(eps_i - 1.0) >= g0 * g0 / 8.0
+    near = abs(eps_t - n0) < _NEAR_DISTANCE or not far_ok
     if n != 0:
         return b_renorm(n, eps_i, g0, tol) if near else \
             _bound_series(*_momenta(n, eps_i), n, g0, eps_t)
     k_i = math.sqrt(2.0 * eps_i)
     if not near:
-        if g0 * g0 / 8.0 >= _NEAR_DISTANCE and abs(eps_i - 1.0) < _NEAR_DISTANCE:
-            raise RegimeError(f"far elastic form at eps_i = {eps_i} is within {_NEAR_DISTANCE} "
-                              f"of its bare pole eps_i = 1, outside the near window at g0 = {g0}")
         diagnostics.update(regime="far", pole_distance=abs(eps_t - n0))
         return _b_far_elastic(k_i, eps_i, g0)
     diagnostics.update(regime="near",      # eps_t + alpha: renorm_factors' eps_R
                        pole_distance=abs(eps_t + alpha_shift(n0, eps_i, g0, tol) - n0))
     b_near = b_renorm(0, eps_i, g0, tol)
-    if eps_i != 1.0:    # else the far form sits on its own bare pole
+    if far_ok:
         diagnostics["branch_mismatch"] = abs(b_near - _b_far_elastic(k_i, eps_i, g0))
     return b_near

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import drivendelta.quadrature as quadrature
@@ -581,6 +583,16 @@ class TestBoundRoute:
         k = math.sqrt(2.0 * 75.0)
         with pytest.raises(RegimeError, match=r"vanishes at n0 = 75$"):
             renorm._bound_series(k, k, 0, 0.7, 75.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.34), st.floats(-1.0, 1.0))
+    def test_far_form_pole_rule_lies_inside_the_first_window(self, g0, u):
+        # below g0 = sqrt(1.8), |eps_i - 1| < g0**2/8 puts eps_t inside the
+        # n0 = 1 near window, so that rule changes no regime there
+        eps_i = 1.0 + u * g0 * g0 / 8.0
+        assume(abs(eps_i - 1.0) < g0 * g0 / 8.0)
+        eps_t, n0 = renorm._resonance(eps_i, g0)
+        assert abs(eps_t - n0) < renorm._NEAR_DISTANCE
 
 
 class TestPoleCorrections:

@@ -91,15 +91,15 @@ class TestAssemble:
         exact = solve(eps_i, g0).t[0]
         assert abs(dec.T[0] - exact) < abs(swapped - exact)
 
-    @pytest.mark.parametrize("eps_i, g0", [(1.1, 2.0), (1.0 + 1e-9, 2.0), (1.3, 1.9)])
-    def test_far_elastic_form_refuses_its_own_pole(self, eps_i, g0):
-        # g0**2/8 >= 0.45 keeps the near window off eps_i = 1, where the far
-        # form divides by eps_i - 1: T_total was 4.6 at (1.1, 2) and 6.4e16
-        # at 1 + 1e-9
-        with pytest.raises(RegimeError, match=(
-                rf"^far elastic form at eps_i = {eps_i!r} is within 0\.45 of its bare "
-                rf"pole eps_i = 1, outside the near window at g0 = {g0!r}$")):
-            assemble(eps_i, g0)
+    @pytest.mark.parametrize("eps_i, g0", [(1.0036, 1.89), (1.01, 1.89), (1.05, 1.85),
+                                           (1.1, 2.0), (1.3, 1.9), (1.0 + 1e-9, 2.0)])
+    def test_far_elastic_form_keeps_off_its_own_pole(self, eps_i, g0):
+        # |eps_i - 1| < g0**2/8 is near: the far form divides by eps_i - 1, and
+        # T_total was 4038 at (1.0036, 1.89), 6.4e16 at 1 + 1e-9 (exact 0.63-0.71)
+        dec = assemble(eps_i, g0, n_max=2)
+        assert dec.diagnostics["regime"] == "near"
+        assert "branch_mismatch" not in dec.diagnostics
+        assert math.isfinite(dec.T_total) and dec.T_total < 3.0
 
     @pytest.mark.parametrize("eps_i, regime, T_total, T_0", [
         (0.9, "near", 0.7779570946301891, 0.13740678261826358 - 0.7186614313850693j),
@@ -109,9 +109,9 @@ class TestAssemble:
         dec = assemble(eps_i, 2.0)
         assert (dec.diagnostics["regime"], dec.T_total, dec.T[0]) == (regime, T_total, T_0)
 
-    def test_far_elastic_form_below_the_strong_coupling(self):
-        # at g0 = 1.89, g0**2/8 = 0.4465: the near window still covers eps_i = 1
-        assert assemble(1.1, 1.89).diagnostics["regime"] == "far"
+    def test_far_elastic_boundary_is_the_dropped_shift(self):
+        # at g0 = 2, |eps_i - 1| = g0**2/8 = 0.5 is far (see above), one float below it near
+        assert assemble(math.nextafter(1.5, 0), 2.0, n_max=0).diagnostics["regime"] == "near"
 
 
 class TestChannelRule:

@@ -30,8 +30,12 @@ of the near window; and, where the
 sideband channel rule decides which channels are open, ``scan --method
 both --n-max 4`` at g0 0.1 and 0.7 over the exact thresholds eps = 1-5,
 and at g0 0.7 over 1e-9 either side of eps = 4; ``scan --method both``
-at g0 2 over 1e-9 either side of eps = 1, where the near/far switch no
-longer covers the pole (it exits 1 naming the far form's pole); and a perturbative ``scan`` at g0 0.01 over
+at strong driving, where the bound route takes the near form within
+g0**2/8 of eps = 1, the far elastic form's own bare pole: at g0 2 over
+1e-9 either side of eps = 1, at g0 1.89 and 1.85 just beyond the edge of
+the n0 = 1 window (1.0036-1.01 and 1.05-1.1), and at g0 1.5 over 1.2-1.36
+and 1e-9 either side of that rule's edge 1.28125; and a perturbative
+``scan`` at g0 0.01 over
 1.5-4.5 with ``--tol 1e-13``, where the q-factors are small; and two
 commands that exit 1 with a message naming their cause: a perturbative
 ``scan`` at g0 2.2 from eps = 2, where ``alpha_shift`` meets a channel at
@@ -104,10 +108,19 @@ def commands() -> List[Tuple[str, ...]]:
                     + thresholds)
     grid.append(("scan", "--g0", "0.7", "--e-min", repr(4.0 - 1e-9),
                  "--e-max", repr(4.0 + 1e-9), "--steps", "3") + thresholds)
-    # at g0 2 the near window no longer covers eps = 1, the far form's own
-    # bare pole, and the command exits 1 naming it
+    # strong driving: within g0**2/8 of eps = 1, the far elastic form's own
+    # bare pole, the bound route takes the near form; at g0 2 that pole lies
+    # outside the n0 = 1 window, at g0 1.85-1.89 just beside its edge, and at
+    # g0 1.5 the rule's edge 1 + g0**2/8 = 1.28125 lies beyond the window's
     grid.append(("scan", "--g0", "2", "--e-min", "0.999999999", "--e-max", "1.000000001",
                  "--steps", "2", "--n-max", "2", "--method", "both"))
+    for g0, e_min, e_max in (("1.89", "1.0036", "1.01"), ("1.85", "1.05", "1.1")):
+        grid.append(("scan", "--g0", g0, "--e-min", e_min, "--e-max", e_max,
+                     "--steps", "2", "--n-max", "2", "--method", "both"))
+    edge = 1.0 + 1.5 * 1.5 / 8.0
+    for e_min, e_max, steps in (("1.2", "1.36", "5"), (repr(edge - 1e-9), repr(edge + 1e-9), "3")):
+        grid.append(("scan", "--g0", "1.5", "--e-min", e_min, "--e-max", e_max,
+                     "--steps", steps, "--n-max", "2", "--method", "both"))
     # weak driving, where q(k) ~ g0 / 2k is small and the loop runs at a tight tol
     grid.append(("scan", "--g0", "0.01", "--e-min", "1.5", "--e-max", "4.5", "--steps", "3",
                  "--n-max", "3", "--method", "perturbative", "--tol", "1e-13"))

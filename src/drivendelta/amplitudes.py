@@ -188,7 +188,5 @@ def fourier_oracle(integrand: Callable, n: int, tol: float = 1e-12) -> Quadratur
         if err <= tol * max(1.0, abs(cur)):
             return QuadratureResult(value=cur, error_estimate=err, evaluations=evals)
         prev = cur
-    raise ToleranceError(
-        f"Fourier refinement stalled at {m} panels, change {abs(cur - prev):.3e}",
-        value=cur, error_estimate=abs(cur - prev),
-    )
+    raise ToleranceError(f"Fourier refinement stalled at {m} panels, change {err:.3e}",
+                         value=cur, error_estimate=err)

@@ -253,11 +253,15 @@ def _csv_lines(columns: Sequence[str], block: _Block) -> str:
                     for row in zip(*(block[c] for c in columns if c in block))])
 
 
+def _json_value(value):
+    """``value`` as JSON writes it: a non-finite float is null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _json_rows(columns: Sequence[str], block: _Block) -> List[Dict]:
     """Rows of ``block`` as JSON objects; non-finite and empty cells are null."""
-    size = len(block["eps_i"])
-    cells = ([v if math.isfinite(v) else None for v in block[c]] if c in block
-             else [None] * size for c in columns)
+    empty = [None] * len(block["eps_i"])
+    cells = ([_json_value(v) for v in block.get(c, empty)] for c in columns)
     return [dict(zip(columns, row)) for row in zip(*cells)]
 
 
@@ -291,7 +295,7 @@ def _write_grid(command: str, config: ScanConfig, columns: Sequence[str],
         if extra_metadata is not None:
             metadata.update(extra_metadata())
         doc = {"metadata": metadata, "columns": list(columns), "rows": rows}
-        out.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        out.write(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +375,7 @@ def cmd_compare(config: ScanConfig) -> int:
 
     _write_grid("compare", config,
                 ["eps_i", "T_total_pert", "T_total_floquet", "abs_diff"], blocks(),
-                lambda: {"summary": summary()})
+                lambda: {"summary": {k: _json_value(v) for k, v in summary().items()}})
     result = summary()
     print(f"rows = {result['rows']}")
     print(f"excluded resonance window: {result['excluded_window']} "

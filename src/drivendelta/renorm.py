@@ -663,16 +663,14 @@ def _b_far_elastic(k_i: float, eps_i: float, g0: float) -> complex:
 
 
 def _bound_route(n: int, eps_i: float, g0: float, tol: float, diagnostics: Dict) -> complex:
-    """Bound route B(n) of the open sideband ``n``: :func:`b_renorm` near;
-    far, without the shift/width integrals (which can hit channel thresholds
-    there), :func:`_b_far_elastic` at n = 0 and the bare series elsewhere.
-    One rule for every sideband of the energy: it is far where eps_t lies
-    at least _NEAR_DISTANCE from its nearest odd pole n0 (:func:`_resonance`)
-    and the far elastic form's own denominator |eps_i - 1| is at least the
-    shift g0**2/8 that it drops.  At n = 0 ``diagnostics`` gets ``regime``,
-    ``pole_distance`` (|eps_R - n0| near, bare far) and, near where that
-    denominator passes, the far form's ``branch_mismatch``.
-    """
+    """Bound route B(n) of the open sideband ``n``: :func:`b_renorm` near, else
+    (without the shift/width integrals, which can hit channel thresholds there)
+    :func:`_b_far_elastic` at n = 0 and the bare series elsewhere.  One rule for
+    every sideband: far needs eps_t at least _NEAR_DISTANCE from its nearest odd
+    pole n0 (:func:`_resonance`) and the far form's denominator |eps_i - 1| at
+    least the shift g0**2/8 that it drops.  At n = 0 ``diagnostics`` gets
+    ``regime``, ``pole_distance`` (|eps_R - n0| near, bare far) and, near where
+    that denominator test passes, the far form's ``branch_mismatch``."""
     eps_t, n0 = _resonance(eps_i, g0)
     far_ok = abs(eps_i - 1.0) >= g0 * g0 / 8.0
     near = abs(eps_t - n0) < _NEAR_DISTANCE or not far_ok

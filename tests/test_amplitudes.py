@@ -41,6 +41,10 @@ class TestContinuumContinuum:
         with pytest.raises(DomainError):
             a_coefficient(1.0, 1.0, 2, 0.5)
 
+    def test_instantaneous_diagonal_rejected(self):
+        with pytest.raises(DomainError, match="^diagonal element excluded by renormalization$"):
+            phi_cc(1.3, 1.3, 0.0, 0.5)
+
     def test_static_limit_vanishes(self):
         assert a_coefficient(math.sqrt(3.0), 1.0, 1, 0.0) == 0.0
 

@@ -489,6 +489,23 @@ class TestCompare:
         printed = capsys.readouterr().out
         assert "excluded resonance window" in printed
 
+    def test_empty_summary_is_null_in_json(self, tmp_path, capsys):
+        # every point lies in the excluded window |eps_i - 1| < 0.45, so the
+        # summary's max and mean are NaN, which JSON has no literal for
+        out = tmp_path / "cmp.json"
+        assert main(["compare", "--g0", "0.3", "--e-min", "0.9", "--e-max", "1.1",
+                     "--steps", "3", "--n-max", "0", "--format", "json",
+                     "--output", str(out)]) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+        summary = doc["metadata"]["summary"]
+        assert summary["excluded_points"] == 3
+        assert (summary["max_abs_diff"], summary["mean_abs_diff"]) == (None, None)
+        assert "mean |diff| = nan\n" in capsys.readouterr().out
+
 
 class TestZero:
     def test_undriven_reports_no_zero(self, capsys):

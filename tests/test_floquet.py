@@ -216,6 +216,8 @@ class TestBatchedSweep:
             transmission_grid([0.5], -0.1)
         with pytest.raises(DomainError):
             transmission_grid([0.5], 0.1, n_max=-1)
+        with pytest.raises(DomainError, match=re.escape("a 1-D array, got shape (2, 2)")):
+            transmission_grid(np.full((2, 2), 0.5), 0.1)
 
 
 class TestVerifiedCoupling:
@@ -289,6 +291,13 @@ class TestObservables:
                                               (2e-3, 0.99999999999975)])
     def test_zero_resolved_at_weak_driving(self, g0, eps_star):
         assert zero_locate_exact(g0) == eps_star
+
+    def test_window_without_sign_change_is_named(self):
+        # at g0 = 1e-9, 1 - 1.5 g0**2 rounds to 1: the window collapses to [1.0, 1]
+        with pytest.raises(ZeroNotFoundError, match="^" + re.escape(
+                "Im P_-1 does not change sign on [1.0, 1] for g0 = 1e-09") + "$") as info:
+            zero_locate_exact(1e-9)
+        assert info.value.scan_trace["window"] == (1.0, 1.0)
 
     def test_zero_rejects_bad_coupling(self):
         with pytest.raises(DomainError):

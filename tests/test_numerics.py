@@ -1,6 +1,7 @@
 """Unit tests for the quadrature and minimization kernels."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -27,6 +28,10 @@ class TestAdaptiveQuad:
     def test_complex_integrand(self):
         res = adaptive_quad(lambda x: np.exp(1j * x), 0.0, math.pi, tol=1e-12)
         assert complex(res.value) == pytest.approx(2j, abs=1e-10)
+
+    def test_complex_integrand_with_zero_imaginary_part_is_real(self):
+        res = adaptive_quad(lambda x: x + 0j, 0.0, 1.0)
+        assert type(res.value) is float and res.value == pytest.approx(0.5, abs=1e-14)
 
     def test_narrow_peak_refined(self):
         res = adaptive_quad(lambda x: 1.0 / (1e-4 + x * x), -1.0, 1.0, tol=1e-9)
@@ -332,6 +337,22 @@ class TestFourierCoefficient:
         minus = fourier_oracle(f, -1).value
         assert complex(plus) == pytest.approx(0.5j, abs=1e-12)
         assert complex(minus) == pytest.approx(-0.5j, abs=1e-12)
+
+    def test_stall_reports_the_last_change(self):
+        # |tau - pi| has a kink, so the trapezoid rule still moves by 1.5e-9
+        # from 2**15 to 2**16 panels: the error is that last change
+        f = lambda tau: np.abs(tau - np.pi)
+
+        def trapezoid(m):
+            tau = np.arange(m) * (2.0 * math.pi / m)
+            return np.sum(f(tau) * np.exp(1j * tau)) / m
+
+        change = abs(trapezoid(1 << 16) - trapezoid(1 << 15))
+        with pytest.raises(ToleranceError, match=re.escape(
+                f"Fourier refinement stalled at 65536 panels, change {change:.3e}")) as exc:
+            fourier_oracle(f, 1, tol=1e-12)
+        assert exc.value.error_estimate == change > 1e-12
+        assert exc.value.value == trapezoid(1 << 16)
 
 
 class TestBracketMin:

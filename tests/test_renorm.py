@@ -50,6 +50,10 @@ class TestGammaLoop:
             gamma_loop(1.0, 1.0, 0, g0)
         assert gamma_loop(1.0, 1.0, 0, 0.0).value == 0.0
 
+    def test_decay_count_at_q_one_is_the_cap(self):
+        # q**m never falls, so the rule takes the whole cap
+        assert (renorm._decay_count(1.0), renorm._decay_count(1.0, 63)) == (32, 63)
+
     def test_diagnostics_record_channels(self):
         loop = gamma_loop(1.0, 1.0, 0, 0.3)
         assert 0 not in loop.diagnostics["channels"]
@@ -261,6 +265,13 @@ class TestAlphaShift:
         assert f"channel m = {n0 - 2} (n0 = {n0}) at eps_i = {eps_i!r}" in str(exc.value)
         assert isinstance(exc.value.__cause__, ToleranceError)
 
+    def test_failure_away_from_thresholds_is_re_raised(self):
+        # every channel is at least 0.5 from its threshold: the quadrature's
+        # own ToleranceError passes through, not a RegimeError
+        with pytest.raises(ToleranceError, match="^interval budget exhausted") as exc:
+            alpha_shift.__wrapped__(1, 0.5, 0.3, 1e-20)
+        assert not isinstance(exc.value, RegimeError)
+
     def test_near_threshold_values_unchanged(self):
         # still computed, not refused, outside the failing sliver
         assert alpha_shift.__wrapped__(1, 1.9999, 0.7) > 700.0
@@ -435,8 +446,10 @@ class TestLoopCauchyOracle:
 
 
 class TestGammaElasticClosed:
+    # (0.5, 0.875): the closed channel l = -1 has |k_l| = g0, where lambda_l
+    # and -1/lambda_l merge into the double roots +-i
     GRID = [(g0, eps) for g0 in (0.1, 0.7) for eps in (0.3, 0.7, 1.3, 2.5)] \
-        + [(0.01, 2.5), (0.01, 4.5)]
+        + [(0.01, 2.5), (0.01, 4.5), (0.5, 0.875)]
 
     @pytest.mark.parametrize("g0,eps_i", GRID)
     def test_matches_quadrature_loop(self, g0, eps_i, monkeypatch):
@@ -457,6 +470,41 @@ class TestGammaElasticClosed:
         direct = gamma_loop(k, k, 0, g0, tol=1e-10 if g0 >= 0.1 else 1e-13)
         assert with_closed.re == pytest.approx(direct.re, rel=1e-8, abs=0.0)
         assert with_closed.im == pytest.approx(direct.im, rel=1e-10, abs=0.0)
+
+
+def _soft_moment(l: int) -> float:
+    """I_l = FP int_0^inf x**2 q(x)**(2l) dx, q(x) = sqrt(x**2 + 1) - x: the
+    finite part after the substitution lambda = q."""
+    return (1.0 / (2 * l - 3) - 1.0 / (2 * l - 1) - 1.0 / (2 * l + 1) + 1.0 / (2 * l + 3)) / 8.0
+
+
+class TestSoftRegionClosedForms:
+    """The odd g0**3 parts of the loop and of the far bound route, in closed form."""
+
+    def test_soft_moments(self):
+        assert [_soft_moment(l) for l in range(1, 5)] == pytest.approx(
+            [-4 / 15, 8 / 105, 4 / 315, 16 / 3465], rel=1e-14)
+
+    @pytest.mark.parametrize("eps_i", [0.3, 1.7, 2.5])
+    def test_loop_g0_cubed_coefficient(self, eps_i):
+        # Re Gamma(0) = a2 g0**2 + a3 g0**3 + ...; a cubic fit of Re Gamma(0) / g0**2
+        # puts a3 within 1.1 % of the soft-region sum (0.04588, -0.006328, -0.000450)
+        k = math.sqrt(2.0 * eps_i)
+        g0s = np.array([0.00625, 0.0125, 0.025, 0.05])
+        re = np.array([gamma_loop.__wrapped__(k, k, 0, g0, 1e-13).re for g0 in g0s])
+        a3 = np.polyfit(g0s, re / g0s ** 2, 3)[-2]
+        closed = 2.0 * eps_i / (math.pi ** 2 * k ** 4) * sum(
+            _soft_moment(l) / (eps_i ** 2 - l * l) for l in range(1, 200))
+        assert a3 == pytest.approx(closed, rel=0.011)
+
+    @pytest.mark.parametrize("eps_i", [0.3, 1.7, 2.5])
+    def test_far_bound_route_g0_cubed(self, eps_i):
+        # |B_{k b}(+-1)|**2 ~ g0**3 / (4 pi k**4), up to relative O(g0**2 / k**2)
+        k, g0 = math.sqrt(2.0 * eps_i), 1e-3
+        closed = 2.0 * eps_i / (4.0 * math.pi * k ** 4 * (eps_i ** 2 - 1.0))
+        far = renorm._b_far_elastic(k, eps_i, g0) / g0 ** 3
+        assert far.imag == 0.0
+        assert far.real == pytest.approx(closed, rel=g0 * g0 / (k * k))
 
 
 class TestBoundRoute:

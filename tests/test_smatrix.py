@@ -94,8 +94,8 @@ class TestAssemble:
     @pytest.mark.parametrize("eps_i, g0", [(1.0036, 1.89), (1.01, 1.89), (1.05, 1.85),
                                            (1.1, 2.0), (1.3, 1.9), (1.0 + 1e-9, 2.0)])
     def test_far_elastic_form_keeps_off_its_own_pole(self, eps_i, g0):
-        # |eps_i - 1| < g0**2/8 is near: the far form divides by eps_i - 1, and
-        # T_total was 4038 at (1.0036, 1.89), 6.4e16 at 1 + 1e-9 (exact 0.63-0.71)
+        # |eps_i - 1| < g0**2/8 is near: the far form divides by eps_i - 1 and
+        # gives T_total 4038 at (1.0036, 1.89), 6.4e16 at 1 + 1e-9 (exact 0.63-0.71)
         dec = assemble(eps_i, g0, n_max=2)
         assert dec.diagnostics["regime"] == "near"
         assert "branch_mismatch" not in dec.diagnostics

@@ -268,9 +268,8 @@ class TestAlphaShift:
     def test_failure_away_from_thresholds_is_re_raised(self):
         # every channel is at least 0.5 from its threshold: the quadrature's
         # own ToleranceError passes through, not a RegimeError
-        with pytest.raises(ToleranceError, match="^interval budget exhausted") as exc:
+        with pytest.raises(ToleranceError, match="^interval budget exhausted"):
             alpha_shift.__wrapped__(1, 0.5, 0.3, 1e-20)
-        assert not isinstance(exc.value, RegimeError)
 
     def test_near_threshold_values_unchanged(self):
         # still computed, not refused, outside the failing sliver

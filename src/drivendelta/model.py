@@ -9,11 +9,14 @@ supports a single bound state at energy -g**2 / 2.
 Every input and output of the package is in these units; converting
 physical driving parameters is left to the caller (g0 = g_phys
 sqrt(m omega / hbar) / (hbar omega)).  Sideband n at incoming energy
-eps_i has k_n**2 = 2 (eps_i + n) (:func:`_sideband_ksq`); this channel rule,
-its flux and the reflection rule are each stated here once, for both solvers.
+eps_i has k_n**2 = 2 (eps_i + n) (:func:`_sideband_ksq`) and, where open,
+k_n = sqrt(k_n**2) (:func:`_sideband_k`); this channel rule, its flux and
+the reflection rule are each stated here once, for both solvers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,6 +32,15 @@ def _sideband_ksq(eps_i, n):
     at an exact threshold (0) it is closed.  Scalars or broadcasting arrays.
     """
     return 2.0 * (eps_i + n)
+
+
+def _sideband_k(eps_i: float, n: int) -> float:
+    """Wavenumber k_n = sqrt(:func:`_sideband_ksq`) of the open sideband ``n``;
+    a closed one, its exact threshold included, raises :class:`DomainError`."""
+    ksq = _sideband_ksq(eps_i, n)
+    if not ksq > 0:
+        raise DomainError(f"sideband n = {n} is closed at eps_i = {eps_i}")
+    return math.sqrt(ksq)
 
 
 def _channel_flux(k_f, k_i, amp):

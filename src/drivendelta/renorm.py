@@ -33,7 +33,7 @@ import numpy as np
 
 from .amplitudes import a_coefficient, a_factor, a_kernel, a_signs, b_coefficient, b_kernel
 from .errors import DomainError, RegimeError, ToleranceError, check_domain
-from .model import _q_base, _sideband_ksq
+from .model import _q_base, _sideband_k, _sideband_ksq
 from .quadrature import pv_halfline
 
 __all__ = [
@@ -494,7 +494,7 @@ def _shift_integrand(n0: int, eps_i: float, g0: float, ms):
 
 def _bound_channels(n0: int, eps_i: float, g0: float):
     """The shift's and width's channels: odd m ascending to the cutoff, k_l**2 at l = m - n0."""
-    M = _decay_count(float(_q_base(max(math.sqrt(2.0 * eps_i), 1.0), g0)))
+    M = _decay_count(float(_q_base(max(_sideband_k(eps_i, 0), 1.0), g0)))
     ms = np.arange(-M, M + 1)
     ms = ms[ms % 2 != 0]
     return ms, _sideband_ksq(eps_i, ms - n0)
@@ -514,7 +514,7 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     with a channel within ``_THRESHOLD_GAP`` of its threshold.
     """
     check_domain(g0=g0, eps_i=eps_i, tol=tol)
-    k_i = math.sqrt(2.0 * eps_i)
+    k_i = _sideband_k(eps_i, 0)
     ms, kl2 = _bound_channels(n0, eps_i, g0)
     integrand = _shift_integrand(n0, eps_i, g0, ms[ms > 0])
     gap = 0.5 * np.abs(kl2)     # distance of each channel from its threshold
@@ -554,14 +554,6 @@ def beta_width(n0: int, eps_i: float, g0: float) -> float:
     return float(np.sum((2.0 * math.pi / kl) * np.abs(b) ** 2))
 
 
-def _momenta(n: int, eps_i: float):
-    """(k_f, k_i) = (sqrt(2 (eps_i + n)), sqrt(2 eps_i)); a closed ``n`` raises."""
-    ksq = _sideband_ksq(eps_i, n)
-    if not ksq > 0:
-        raise DomainError(f"sideband n = {n} is closed at eps_i = {eps_i}")
-    return math.sqrt(ksq), math.sqrt(2.0 * eps_i)
-
-
 def renorm_factors(n: int, n0: int, eps_i: float, g0: float,
                    tol: float = 1e-8) -> RenormFactors:
     """Corrected pole parameters for the n0-term of the c/b/c amplitude.
@@ -570,15 +562,15 @@ def renorm_factors(n: int, n0: int, eps_i: float, g0: float,
     gamma_n folds the loop amplitude into the width, and Z normalizes the
     residue with the full complex loop values (the elastic limit reduces
     to the familiar 1 - (2 pi i / k_i)[4 Gamma(0) - sum ...] form), at
-    the wavenumbers of :func:`_momenta`.  ``tol`` is the quadrature
+    the wavenumbers of :func:`model._sideband_k`.  ``tol`` is the quadrature
     tolerance of the shift and the loops.
     """
     check_domain(g0=g0, eps_i=eps_i, tol=tol)
-    _check_pole(eps_i, g0)
-    k_f, k_i = _momenta(n, eps_i)
+    eps_t = _resonance(eps_i, g0)[0]
+    k_f, k_i = _sideband_k(eps_i, n), _sideband_k(eps_i, 0)
     alpha = alpha_shift(n0, eps_i, g0, tol)
     beta = beta_width(n0, eps_i, g0)
-    eps_R = _resonance(eps_i, g0)[0] + alpha
+    eps_R = eps_t + alpha
 
     loop0 = gamma_loop(k_i, k_i, 0, g0, tol)
     ratio = 0.0 + 0.0j
@@ -603,18 +595,15 @@ def renorm_factors(n: int, n0: int, eps_i: float, g0: float,
                          eta_R=eta_R, eps_R=eps_R, Z=Z, n0=n0)
 
 
-def _check_pole(eps_i: float, g0: float) -> None:
-    """Reject an effective energy that no float resolves from its nearest odd pole."""
-    if g0 > 0 and eps_i + g0 * g0 / 8.0 >= 2.0 ** 53:
-        raise DomainError(f"g0 must be small enough that eps_i + g0**2/8 < 2**53, "
-                          f"got {g0} at eps_i = {eps_i}")
-
-
 def _resonance(eps_i: float, g0: float) -> Tuple[float, int]:
     """Effective energy eps_t = eps_i + g0**2/8 and its nearest odd
     resonance n0 (ties resolved downward): the one c/b/c term that can
-    reach its pole."""
+    reach its pole.  At g0 > 0, an eps_t of 2**53 or more, which no float
+    resolves from its nearest odd pole, raises :class:`DomainError`."""
     eps_t = eps_i + g0 * g0 / 8.0
+    if g0 > 0 and eps_t >= 2.0 ** 53:
+        raise DomainError(f"g0 must be small enough that eps_i + g0**2/8 < 2**53, "
+                          f"got {g0} at eps_i = {eps_i}")
     lo, hi = _odd_neighbours(eps_t)
     return eps_t, lo if abs(eps_t - lo) <= abs(eps_t - hi) else hi
 
@@ -636,13 +625,13 @@ def b_renorm(n: int, eps_i: float, g0: float, tol: float = 1e-8) -> complex:
     quadrature tolerance of :func:`renorm_factors`.
     """
     check_domain(g0=g0, eps_i=eps_i, tol=tol, non_negative=("g0",))
-    _check_pole(eps_i, g0)
+    eps_t, n0_star = _resonance(eps_i, g0)
     if g0 == 0 or n % 2 != 0:
         return 0.0 + 0.0j     # odd n: the series vanishes (see _bound_series)
-    eps_t, n0_star = _resonance(eps_i, g0)
     fac = renorm_factors(n, n0_star, eps_i, g0, tol)
     weight = fac.Z / (fac.eps_R - n0_star + 1j * fac.eta_R)
-    return _bound_series(*_momenta(n, eps_i), n, g0, eps_t, resonant=(n0_star, weight))
+    return _bound_series(_sideband_k(eps_i, n), _sideband_k(eps_i, 0), n, g0, eps_t,
+                         resonant=(n0_star, weight))
 
 
 def _b_pole_sq(k: float, g0: float) -> float:
@@ -650,7 +639,7 @@ def _b_pole_sq(k: float, g0: float) -> float:
     return abs(b_kernel(k, _q_base(k, g0), g0)) ** 2
 
 
-def _b_far_elastic(k_i: float, eps_i: float, g0: float) -> complex:
+def _b_far_elastic(eps_i: float, g0: float) -> complex:
     """Far-from-pole elastic bound route: the dominant-pole approximation.
 
     Keeps only the n0 = +-1 terms over the bare real denominators eps_i - n0,
@@ -658,7 +647,7 @@ def _b_far_elastic(k_i: float, eps_i: float, g0: float) -> complex:
     shift and normalization are higher order; Re Gamma(0), of order g0**2,
     keeps the closed-channel term i g0**2 / (4 k_0 kappa) beside it.
     """
-    b_sq = _b_pole_sq(k_i, g0)
+    b_sq = _b_pole_sq(_sideband_k(eps_i, 0), g0)
     return 0.0j + b_sq / (eps_i - 1) + b_sq / (eps_i + 1)
 
 
@@ -676,14 +665,13 @@ def _bound_route(n: int, eps_i: float, g0: float, tol: float, diagnostics: Dict)
     near = abs(eps_t - n0) < _NEAR_DISTANCE or not far_ok
     if n != 0:
         return b_renorm(n, eps_i, g0, tol) if near else \
-            _bound_series(*_momenta(n, eps_i), n, g0, eps_t)
-    k_i = math.sqrt(2.0 * eps_i)
+            _bound_series(_sideband_k(eps_i, n), _sideband_k(eps_i, 0), n, g0, eps_t)
     if not near:
         diagnostics.update(regime="far", pole_distance=abs(eps_t - n0))
-        return _b_far_elastic(k_i, eps_i, g0)
+        return _b_far_elastic(eps_i, g0)
     diagnostics.update(regime="near",      # eps_t + alpha: renorm_factors' eps_R
                        pole_distance=abs(eps_t + alpha_shift(n0, eps_i, g0, tol) - n0))
     b_near = b_renorm(0, eps_i, g0, tol)
     if far_ok:
-        diagnostics["branch_mismatch"] = abs(b_near - _b_far_elastic(k_i, eps_i, g0))
+        diagnostics["branch_mismatch"] = abs(b_near - _b_far_elastic(eps_i, g0))
     return b_near

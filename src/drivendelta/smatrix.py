@@ -26,10 +26,10 @@ import numpy as np
 
 from .amplitudes import a_coefficient, b_coefficient
 from .errors import DomainError, RegimeError, ZeroNotFoundError, check_domain
-from .model import _channel_flux, _reflection, _sideband_ksq
+from .model import _channel_flux, _reflection, _sideband_k, _sideband_ksq
 from .quadrature import _golden, _scan_bracket
 from .renorm import (LoopValue, _NEAR_DISTANCE, _b_pole_sq, _bound_route, _bound_series,
-                     _check_pole, _resonance, alpha_shift, gamma_loop, renorm_factors)
+                     _resonance, alpha_shift, gamma_loop, renorm_factors)
 
 __all__ = [
     "DiagramTerm",
@@ -88,7 +88,7 @@ class SMatrixDecomposition:
 def _check_point(eps_i: float, g0: float) -> None:
     """Reject an energy or coupling that no amplitude is defined at."""
     check_domain(eps_i=eps_i, g0=g0, non_negative=("g0",))
-    _check_pole(eps_i, g0)
+    _resonance(eps_i, g0)
 
 
 def assemble(eps_i: float, g0: float, order: str = "renormalized",
@@ -106,7 +106,7 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
     if order not in _ORDERS:
         raise DomainError(f"order must be one of {_ORDERS}, got {order!r}")
     check_domain(tol=tol)
-    k_i = math.sqrt(2.0 * eps_i)
+    k_i = _sideband_k(eps_i, 0)
     terms: List[DiagramTerm] = []
     T: Dict[int, complex] = {}
     flux: Dict[int, float] = {}
@@ -118,10 +118,9 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
         weight = abs(2.0 * math.pi * b_zero.real) / abs(k_i + 4.0 * math.pi * loop.im)
 
     for n in range(-n_max, n_max + 1):
-        ksq = _sideband_ksq(eps_i, n)
-        if not ksq > 0:
+        if not _sideband_ksq(eps_i, n) > 0:
             continue    # closed
-        k_f = math.sqrt(ksq)
+        k_f = _sideband_k(eps_i, n)
         sub: List[DiagramTerm] = []
         if n == 0:
             sub.append(DiagramTerm(label=(0, 0, 0), value=1.0 + 0.0j, sideband=0))
@@ -191,7 +190,7 @@ def find_transmission_zero(g0: float, tol: float = 1e-8) -> Tuple[float, Dict]:
     for _ in range(4):
         nxt = _pole_estimate(g0, tol, eps_c)
         eps_c = 0.5 * (eps_c + min(max(nxt, 0.5), 1.0 - 1e-9))
-    k_c = math.sqrt(2.0 * eps_c)
+    k_c = _sideband_k(eps_c, 0)
     fac = renorm_factors(0, 1, eps_c, g0, tol)
     loop0 = gamma_loop(k_c, k_c, 0, g0, tol)
     rest = _bound_series(k_c, k_c, 0, g0, _resonance(eps_c, g0)[0], resonant=(1, 0.0))
@@ -245,7 +244,7 @@ def near_zero_amplitudes(eps_i: float, g0: float, tol: float = 1e-8) -> Dict:
     """
     _check_point(eps_i, g0)
     fac = renorm_factors(0, 1, eps_i, g0, tol)      # checks tol before any quadrature
-    k_i = math.sqrt(2.0 * eps_i)
+    k_i = _sideband_k(eps_i, 0)
     if abs(fac.eps_R - 1.0) > _REGIME_FACTOR * fac.eta_R:
         raise RegimeError(
             f"|eps_R - 1| = {abs(fac.eps_R - 1.0):.3e} exceeds "
@@ -255,7 +254,7 @@ def near_zero_amplitudes(eps_i: float, g0: float, tol: float = 1e-8) -> Dict:
     b1 = b_coefficient(k_i, 1, g0)
     out: Dict = {"T": {}, "flux": {}}
     for n in range(1, 7):     # every n >= 1 is open
-        k_n = math.sqrt(_sideband_ksq(eps_i, n))
+        k_n = _sideband_k(eps_i, n)
         num = b_coefficient(k_n, n + 1, g0)
         t_n = -(k_i / k_n) * (num / b1) * bracket
         out["T"][n] = t_n

@@ -501,7 +501,7 @@ class TestSoftRegionClosedForms:
         # |B_{k b}(+-1)|**2 ~ g0**3 / (4 pi k**4), up to relative O(g0**2 / k**2)
         k, g0 = math.sqrt(2.0 * eps_i), 1e-3
         closed = 2.0 * eps_i / (4.0 * math.pi * k ** 4 * (eps_i ** 2 - 1.0))
-        far = renorm._b_far_elastic(k, eps_i, g0) / g0 ** 3
+        far = renorm._b_far_elastic(eps_i, g0) / g0 ** 3
         assert far.imag == 0.0
         assert far.real == pytest.approx(closed, rel=g0 * g0 / (k * k))
 

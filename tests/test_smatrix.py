@@ -87,7 +87,7 @@ class TestAssemble:
         k = math.sqrt(2.0 * eps_i)
         shifted = renorm._bound_series(k, k, 0, g0, eps_i + g0 * g0 / 8.0)
         swapped = dec.T[0] + (2j * math.pi / k) * (
-            renorm._b_far_elastic(k, eps_i, g0) - shifted)
+            renorm._b_far_elastic(eps_i, g0) - shifted)
         exact = solve(eps_i, g0).t[0]
         assert abs(dec.T[0] - exact) < abs(swapped - exact)
 

@@ -177,11 +177,12 @@ def _perturbative_point(eps_i: float, config: ScanConfig) -> tuple:
 
 
 def _blocks(config: ScanConfig) -> Iterator[List[float]]:
-    """The energy grid in consecutive blocks of up to :data:`_BLOCK` energies."""
+    """The energy grid in blocks of up to :data:`_BLOCK` energies, ending at ``eps_max`` itself."""
     step = (config.eps_max - config.eps_min) / (config.steps - 1)
     for start in range(0, config.steps, _BLOCK):
         stop = min(start + _BLOCK, config.steps)
-        yield [config.eps_min + i * step for i in range(start, stop)]
+        yield [config.eps_min + i * step if i < config.steps - 1 else config.eps_max
+               for i in range(start, stop)]
 
 
 def _scan_blocks(config: ScanConfig) -> Iterator[_Block]:

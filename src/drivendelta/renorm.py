@@ -221,9 +221,9 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
     ls = ls[(ls != 0) & (ls != n)]
     diag["channels"] = ls.tolist()
 
-    # finite residue sum over open intermediate channels, each at its own k_l
+    # residue sum over open channels: l opens where k_i exceeds the rule's k at eps = -l
     kl2 = _sideband_ksq(0.5 * k_i * k_i, ls)
-    is_open = kl2 > 0
+    is_open = k_i > np.sqrt(_sideband_ksq(np.maximum(-ls, 0), 0))
     k_open = np.sqrt(kl2[is_open])
     im_total = -math.pi * float(np.sum(
         _loop_products(k_f, k_i, n, ls[is_open], k_open, g0) / k_open))
@@ -598,8 +598,7 @@ def renorm_factors(n: int, n0: int, eps_i: float, g0: float,
 def _resonance(eps_i: float, g0: float) -> Tuple[float, int]:
     """Effective energy eps_t = eps_i + g0**2/8 and its nearest odd
     resonance n0 (ties resolved downward): the one c/b/c term that can
-    reach its pole.  At g0 > 0, an eps_t of 2**53 or more, which no float
-    resolves from its nearest odd pole, raises :class:`DomainError`."""
+    reach its pole; at g0 > 0, an eps_t >= 2**53 that no float resolves raises."""
     eps_t = eps_i + g0 * g0 / 8.0
     if g0 > 0 and eps_t >= 2.0 ** 53:
         raise DomainError(f"g0 must be small enough that eps_i + g0**2/8 < 2**53, "

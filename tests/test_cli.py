@@ -332,6 +332,23 @@ class TestScan:
         assert len(rows) == 13
         assert all(elastic == t_0 and elastic is not None for elastic, t_0 in rows)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_last_point_is_e_max(self, tmp_path, fmt):
+        # 0.2 + 28 * (1.8 / 28) is 2.0000000000000004, which opens sideband
+        # -2 at k_f ~ 3e-8: its row once wrote T_-2 = 2909014.85
+        out = tmp_path / f"scan.{fmt}"
+        assert main(["scan", "--g0", "0.7", "--e-min", "0.2", "--e-max", "2.0",
+                     "--steps", "29", "--n-max", "2", "--method", "both",
+                     "--format", fmt, "--output", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        if fmt == "json":
+            last = json.loads(text)["rows"][-1]
+        else:
+            header, *lines = text.splitlines()
+            last = dict(zip(header.split(","), lines[-1].split(",")))
+            assert (last["eps_i"], last["T_-2"]) == ("2", "0")
+        assert (float(last["eps_i"]), float(last["T_-2"])) == (2.0, 0.0)
+
     def test_config_file_flag_override(self, tmp_path):
         cfg = tmp_path / "c.txt"
         cfg.write_text("g0 = 0\nsteps = 2\neps_min = 0.3\neps_max = 0.5\n"

@@ -1,6 +1,8 @@
 """Unit tests for the dimensionless model layer."""
 
 import decimal
+import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivendelta.errors import DomainError
-from drivendelta.model import q_factor
+from drivendelta.model import _sideband_k, q_factor
+
+
+class TestSidebandK:
+    # integer energies put every exact threshold eps_i = -n among the examples
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.floats(-60.0, 60.0), st.integers(-60, 60).map(float)),
+           st.integers(-50, 50))
+    def test_square_root_of_the_channel_rule(self, eps_i, n):
+        if 2.0 * (eps_i + n) > 0:
+            assert _sideband_k(eps_i, n) == math.sqrt(2.0 * (eps_i + n))
+        else:
+            with pytest.raises(DomainError, match="^" + re.escape(
+                    f"sideband n = {n} is closed at eps_i = {eps_i}") + "$"):
+                _sideband_k(eps_i, n)
+
+    def test_exact_threshold_is_closed(self):
+        with pytest.raises(DomainError, match=r"^sideband n = -2 is closed at eps_i = 2\.0$"):
+            _sideband_k(2.0, -2)
+        assert _sideband_k(2.0, -1) == math.sqrt(2.0)
 
 
 class TestQFactor:

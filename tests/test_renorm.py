@@ -1,6 +1,7 @@
 """Unit tests for the loop amplitude and the pole renormalization stack."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ import drivendelta.quadrature as quadrature
 import drivendelta.renorm as renorm
 from drivendelta.amplitudes import a_coefficient, b_coefficient
 from drivendelta.errors import DomainError, RegimeError, ToleranceError
-from drivendelta.model import q_factor
+from drivendelta.model import _sideband_ksq, q_factor
 from drivendelta.renorm import (alpha_shift, b_renorm, beta_width,
                                 gamma_elastic_closed, gamma_loop,
                                 renorm_factors)
@@ -59,6 +60,21 @@ class TestGammaLoop:
         assert 0 not in loop.diagnostics["channels"]
         assert "error_estimate" in loop.diagnostics
         assert loop.diagnostics["evaluations"] > 0
+
+    @pytest.mark.parametrize("g0", [0.1, 0.7])
+    @pytest.mark.parametrize("eps_i", [1.0, 4.0, 5.0, 10.0])
+    def test_exact_threshold_channel_is_closed(self, g0, eps_i):
+        # 0.5 * sqrt(2 eps_i)**2 rounds above these eps_i, which once kept the
+        # channel l = -eps_i open at k_l ~ 2e-8: Im Gamma was -9.928149576048949e-05
+        # at (eps_i 1, g0 0.1), not -9.927969826864978e-05
+        k = math.sqrt(2.0 * eps_i)
+        assert 0.5 * k * k > eps_i
+        ls = np.array(gamma_loop(k, k, 0, g0).diagnostics["channels"])
+        l_open = ls[_sideband_ksq(eps_i, ls) > 0]
+        k_l = np.sqrt(_sideband_ksq(eps_i, l_open))
+        residues = renorm._loop_products(k, k, 0, l_open, k_l, g0) / k_l
+        assert gamma_loop(k, k, 0, g0).im == pytest.approx(-math.pi * residues.sum(),
+                                                           rel=1e-12)
 
     @pytest.mark.parametrize("g0,eps_i,l_max,capped", [
         (0.7, 40.3, 42, False),    # the open channels set L; the decay rule needs 13
@@ -564,6 +580,14 @@ class TestBoundRoute:
         with pytest.raises(DomainError,
                            match=rf"^sideband n = {args[0]} is closed at eps_i = "):
             fn(*args)
+
+    def test_resonance_refuses_an_unresolved_pole(self):
+        # no float resolves 2**53 from its nearest odd integers; undriven, no pole
+        with pytest.raises(DomainError, match="^" + re.escape(
+                "g0 must be small enough that eps_i + g0**2/8 < 2**53, "
+                "got 1.0 at eps_i = 9007199254740992.0") + "$"):
+            renorm._resonance(2.0 ** 53, 1.0)
+        assert renorm._resonance(2.0 ** 53, 0.0)[0] == 2.0 ** 53
 
     @pytest.mark.parametrize("n, g0", [(0, 0.7), (2, 0.7), (0, 0.1), (2, 0.1),
                                        (16, 0.1)],

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drivendelta.errors import DomainError
@@ -14,10 +14,12 @@ from drivendelta.model import _sideband_k, q_factor
 
 
 class TestSidebandK:
-    # integer energies put every exact threshold eps_i = -n among the examples
+    # integer energies put exact thresholds eps_i = -n among the examples
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.floats(-60.0, 60.0), st.integers(-60, 60).map(float)),
            st.integers(-50, 50))
+    @example(2.0, -2)
+    @example(2.0, -1)
     def test_square_root_of_the_channel_rule(self, eps_i, n):
         if 2.0 * (eps_i + n) > 0:
             assert _sideband_k(eps_i, n) == math.sqrt(2.0 * (eps_i + n))
@@ -25,11 +27,6 @@ class TestSidebandK:
             with pytest.raises(DomainError, match="^" + re.escape(
                     f"sideband n = {n} is closed at eps_i = {eps_i}") + "$"):
                 _sideband_k(eps_i, n)
-
-    def test_exact_threshold_is_closed(self):
-        with pytest.raises(DomainError, match=r"^sideband n = -2 is closed at eps_i = 2\.0$"):
-            _sideband_k(2.0, -2)
-        assert _sideband_k(2.0, -1) == math.sqrt(2.0)
 
 
 class TestQFactor:

@@ -29,7 +29,10 @@ so the locator searches its 9-point window about it; the perturbative
 of the near window; and, where the
 sideband channel rule decides which channels are open, ``scan --method
 both --n-max 4`` at g0 0.1 and 0.7 over the exact thresholds eps = 1-5,
-and at g0 0.7 over 1e-9 either side of eps = 4; ``scan --method both``
+and at g0 0.7 over 1e-9 either side of eps = 4; ``scan --method both
+--n-max 2`` at g0 0.7 over 0.2-2.0 in 29 steps, whose last point
+``eps_min + i * step`` would miss by an ulp, and at g0 0.1 and 0.7 over
+the exact thresholds 10, 15 and 20; ``scan --method both``
 at strong driving, where the bound route takes the near form within
 g0**2/8 of eps = 1, the far elastic form's own bare pole: at g0 2 over
 1e-9 either side of eps = 1, at g0 1.89 and 1.85 just beyond the edge of
@@ -108,6 +111,14 @@ def commands() -> List[Tuple[str, ...]]:
                     + thresholds)
     grid.append(("scan", "--g0", "0.7", "--e-min", repr(4.0 - 1e-9),
                  "--e-max", repr(4.0 + 1e-9), "--steps", "3") + thresholds)
+    # a grid whose eps_min + i * step overshoots its last point, eps = 2, by an
+    # ulp; and the exact thresholds 10 and 20, where 0.5 * sqrt(2 eps)**2 rounds
+    # above eps, which the loop's channel test must not take for an open channel
+    grid.append(("scan", "--g0", "0.7", "--e-min", "0.2", "--e-max", "2.0", "--steps", "29",
+                 "--n-max", "2", "--method", "both"))
+    for g0 in ("0.1", "0.7"):
+        grid.append(("scan", "--g0", g0, "--e-min", "10", "--e-max", "20", "--steps", "3",
+                     "--n-max", "2", "--method", "both"))
     # strong driving: within g0**2/8 of eps = 1, the far elastic form's own
     # bare pole, the bound route takes the near form; at g0 2 that pole lies
     # outside the n0 = 1 window, at g0 1.85-1.89 just beside its edge, and at

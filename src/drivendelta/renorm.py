@@ -598,7 +598,7 @@ def renorm_factors(n: int, n0: int, eps_i: float, g0: float,
 def _resonance(eps_i: float, g0: float) -> Tuple[float, int]:
     """Effective energy eps_t = eps_i + g0**2/8 and its nearest odd
     resonance n0 (ties resolved downward): the one c/b/c term that can
-    reach its pole; at g0 > 0, an eps_t >= 2**53 that no float resolves raises."""
+    reach its pole; at g0 > 0, an eps_t >= 2**53, unresolved from its pole, raises."""
     eps_t = eps_i + g0 * g0 / 8.0
     if g0 > 0 and eps_t >= 2.0 ** 53:
         raise DomainError(f"g0 must be small enough that eps_i + g0**2/8 < 2**53, "

@@ -7,8 +7,8 @@ The bound-state route is described by the continuum-bound-continuum
 amplitude B_{k_f k_i}(n), whose pole at integer effective energy is tamed
 by summing virtual multi-photon exchange processes: the pole position
 shifts by alpha, acquires the width eta_R = beta * (1 + gamma), and the
-residue is normalized by Z.  :func:`_bound_route` alone decides, per
-sideband, whether B(n) takes that form (near the pole) or a bare one (far).
+residue is normalized by Z.  :func:`_bound_routes` decides once per
+energy whether every B(n) takes that form (near the pole) or a bare one (far).
 
 All four perturbative sums, the loop's channels, the shift's and the
 width's, and the bound-route series over n0, follow one truncation rule:
@@ -633,11 +633,6 @@ def b_renorm(n: int, eps_i: float, g0: float, tol: float = 1e-8) -> complex:
                          resonant=(n0_star, weight))
 
 
-def _b_pole_sq(k: float, g0: float) -> float:
-    """|B_{k b}(+-1)|**2, equal for both signs."""
-    return abs(b_kernel(k, _q_base(k, g0), g0)) ** 2
-
-
 def _b_far_elastic(eps_i: float, g0: float) -> complex:
     """Far-from-pole elastic bound route: the dominant-pole approximation.
 
@@ -646,31 +641,30 @@ def _b_far_elastic(eps_i: float, g0: float) -> complex:
     shift and normalization are higher order; Re Gamma(0), of order g0**2,
     keeps the closed-channel term i g0**2 / (4 k_0 kappa) beside it.
     """
-    b_sq = _b_pole_sq(_sideband_k(eps_i, 0), g0)
+    b_sq = abs(b_coefficient(_sideband_k(eps_i, 0), 1, g0)) ** 2   # |B_{k b}(+-1)|**2
     return 0.0j + b_sq / (eps_i - 1) + b_sq / (eps_i + 1)
 
 
-def _bound_route(n: int, eps_i: float, g0: float, tol: float, diagnostics: Dict) -> complex:
-    """Bound route B(n) of the open sideband ``n``: :func:`b_renorm` near, else
+def _bound_routes(eps_i: float, g0: float, tol: float, sidebands) -> Tuple[Dict, Dict]:
+    """Bound routes B(n) of the open ``sidebands`` (0 among them) and their
+    diagnostics, in the energy's one regime: :func:`b_renorm` near, else
     (without the shift/width integrals, which can hit channel thresholds there)
-    :func:`_b_far_elastic` at n = 0 and the bare series elsewhere.  One rule for
-    every sideband: far needs eps_t at least _NEAR_DISTANCE from its nearest odd
-    pole n0 (:func:`_resonance`) and the far form's denominator |eps_i - 1| at
-    least the shift g0**2/8 that it drops.  At n = 0 ``diagnostics`` gets
-    ``regime``, ``pole_distance`` (|eps_R - n0| near, bare far) and, near where
-    that denominator test passes, the far form's ``branch_mismatch``."""
+    :func:`_b_far_elastic` at n = 0 and the bare series elsewhere.  Far needs
+    eps_t at least _NEAR_DISTANCE from its nearest odd pole n0
+    (:func:`_resonance`) and the far form's denominator |eps_i - 1| at least
+    the shift g0**2/8 that it drops.  The diagnostics are ``regime``,
+    ``pole_distance`` (|eps_R - n0| near, bare far) and, near where that
+    denominator test passes, the far form's ``branch_mismatch``."""
     eps_t, n0 = _resonance(eps_i, g0)
     far_ok = abs(eps_i - 1.0) >= g0 * g0 / 8.0
-    near = abs(eps_t - n0) < _NEAR_DISTANCE or not far_ok
-    if n != 0:
-        return b_renorm(n, eps_i, g0, tol) if near else \
-            _bound_series(_sideband_k(eps_i, n), _sideband_k(eps_i, 0), n, g0, eps_t)
-    if not near:
-        diagnostics.update(regime="far", pole_distance=abs(eps_t - n0))
-        return _b_far_elastic(eps_i, g0)
-    diagnostics.update(regime="near",      # eps_t + alpha: renorm_factors' eps_R
-                       pole_distance=abs(eps_t + alpha_shift(n0, eps_i, g0, tol) - n0))
-    b_near = b_renorm(0, eps_i, g0, tol)
+    if abs(eps_t - n0) >= _NEAR_DISTANCE and far_ok:
+        k_i = _sideband_k(eps_i, 0)
+        routes = {n: _b_far_elastic(eps_i, g0) if n == 0 else
+                  _bound_series(_sideband_k(eps_i, n), k_i, n, g0, eps_t) for n in sidebands}
+        return routes, {"regime": "far", "pole_distance": abs(eps_t - n0)}
+    diagnostics = {"regime": "near",      # eps_t + alpha: renorm_factors' eps_R
+                   "pole_distance": abs(eps_t + alpha_shift(n0, eps_i, g0, tol) - n0)}
+    routes = {n: b_renorm(n, eps_i, g0, tol) for n in sidebands}
     if far_ok:
-        diagnostics["branch_mismatch"] = abs(b_near - _b_far_elastic(eps_i, g0))
-    return b_near
+        diagnostics["branch_mismatch"] = abs(routes[0] - _b_far_elastic(eps_i, g0))
+    return routes, diagnostics

@@ -9,7 +9,7 @@ two-transition continuum loop (Gamma):
     T(n) = (2 pi i / |k_f|) A(n) - (2 pi i / |k_f|) B^R(n)
            - (4 pi i / |k_f|) Gamma(n)        for open n != 0
 
-Each B^R(n) and its near/far regime come from :func:`renorm._bound_route`.
+Every B^R(n) and the energy's near/far regime come from :func:`renorm._bound_routes`.
 Reflection uses the same coefficient tables under k_f -> -k_f, which for
 the symmetric barrier reduces to R(n) = T(n) - delta_{n0}, the identity
 the continuity condition imposes on the exact sideband solver
@@ -28,8 +28,8 @@ from .amplitudes import a_coefficient, b_coefficient
 from .errors import DomainError, RegimeError, ZeroNotFoundError, check_domain
 from .model import _channel_flux, _reflection, _sideband_k, _sideband_ksq
 from .quadrature import _golden, _scan_bracket
-from .renorm import (LoopValue, _NEAR_DISTANCE, _b_pole_sq, _bound_route, _bound_series,
-                     _resonance, alpha_shift, gamma_loop, renorm_factors)
+from .renorm import (LoopValue, _NEAR_DISTANCE, _bound_routes, _bound_series, _resonance,
+                     alpha_shift, gamma_loop, renorm_factors)
 
 __all__ = [
     "DiagramTerm",
@@ -96,8 +96,8 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
     """Build all amplitudes at one energy for the requested diagram order.
 
     first: free term plus single c/c transitions; renormalized adds the
-    bound route B^R of each sideband, in the regime its pole distance
-    picks (:func:`renorm._bound_route`), and the continuum loop.  ``tol``
+    bound route B^R of each sideband, in the regime of the energy's pole
+    distance (:func:`renorm._bound_routes`), and the continuum loop.  ``tol``
     is the quadrature tolerance of the loop and of the pole shift.
     """
     _check_point(eps_i, g0)
@@ -107,19 +107,19 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
         raise DomainError(f"order must be one of {_ORDERS}, got {order!r}")
     check_domain(tol=tol)
     k_i = _sideband_k(eps_i, 0)
+    sidebands = [n for n in range(-n_max, n_max + 1) if _sideband_ksq(eps_i, n) > 0]
     terms: List[DiagramTerm] = []
     T: Dict[int, complex] = {}
     flux: Dict[int, float] = {}
     diagnostics: Dict = {"order": order}
-    b_zero, weight, loop = None, 0.0, _NO_LOOP
+    routes, weight, loop = None, 0.0, _NO_LOOP
     if order == "renormalized" and g0 > 0:
-        b_zero = _bound_route(0, eps_i, g0, tol, diagnostics)
+        routes, route_diagnostics = _bound_routes(eps_i, g0, tol, sidebands)
+        diagnostics.update(route_diagnostics)
         loop = gamma_loop(k_i, k_i, 0, g0, tol)
-        weight = abs(2.0 * math.pi * b_zero.real) / abs(k_i + 4.0 * math.pi * loop.im)
+        weight = abs(2.0 * math.pi * routes[0].real) / abs(k_i + 4.0 * math.pi * loop.im)
 
-    for n in range(-n_max, n_max + 1):
-        if not _sideband_ksq(eps_i, n) > 0:
-            continue    # closed
+    for n in sidebands:
         k_f = _sideband_k(eps_i, n)
         sub: List[DiagramTerm] = []
         if n == 0:
@@ -128,10 +128,9 @@ def assemble(eps_i: float, g0: float, order: str = "renormalized",
             a_val = a_coefficient(k_f, k_i, n, g0)
             sub.append(DiagramTerm(label=(1, 1, 0),
                                    value=(2j * math.pi / k_f) * a_val, sideband=n))
-        if b_zero is not None:
-            b_val = b_zero if n == 0 else _bound_route(n, eps_i, g0, tol, diagnostics)
+        if routes is not None:
             sub.append(DiagramTerm(label=(2, 0, 2),
-                                   value=-(2j * math.pi / k_f) * b_val, sideband=n))
+                                   value=-(2j * math.pi / k_f) * routes[n], sideband=n))
             loop_n = loop if n == 0 else gamma_loop(k_f, k_i, n, g0, tol)
             sub.append(DiagramTerm(label=(2, 2, 0),
                                    value=-(4j * math.pi / k_f) * loop_n.value,
@@ -196,7 +195,8 @@ def find_transmission_zero(g0: float, tol: float = 1e-8) -> Tuple[float, Dict]:
     rest = _bound_series(k_c, k_c, 0, g0, _resonance(eps_c, g0)[0], resonant=(1, 0.0))
     background = 1.0 - (2j * math.pi / k_c) * rest \
         - (4j * math.pi / k_c) * loop0.value
-    resonant_denom = (2j * math.pi / k_c) * fac.Z * _b_pole_sq(k_c, g0) / background
+    resonant_denom = (2j * math.pi / k_c) * fac.Z * abs(b_coefficient(k_c, 1, g0)) ** 2 \
+        / background
     eps_z = bare - fac.alpha + resonant_denom.real
 
     def objective(eps):

@@ -39,11 +39,13 @@ g0**2/8 of eps = 1, the far elastic form's own bare pole: at g0 2 over
 the n0 = 1 window (1.0036-1.01 and 1.05-1.1), and at g0 1.5 over 1.2-1.36
 and 1e-9 either side of that rule's edge 1.28125; and a perturbative
 ``scan`` at g0 0.01 over
-1.5-4.5 with ``--tol 1e-13``, where the q-factors are small; and two
+1.5-4.5 with ``--tol 1e-13``, where the q-factors are small; and four
 commands that exit 1 with a message naming their cause: a perturbative
 ``scan`` at g0 2.2 from eps = 2, where ``alpha_shift`` meets a channel at
-its threshold, and the exact ``zero`` at g0 5e-4, whose dip is narrower
-than the floats below 1 resolve.  The switch
+its threshold, the exact ``zero`` at g0 5e-4, whose dip is narrower
+than the floats below 1 resolve, and the exact ``scan`` at g0 0.7 from
+eps = 1e16 and from 1e300, above the 2**53 where the sideband truncation
+stops.  The switch
 edges lie at ``drivendelta.renorm._NEAR_DISTANCE``, read from ``src/`` in
 this script's checkout.  Each grid command runs as CSV on standard output
 and again as a JSON ``--output`` file.
@@ -146,6 +148,9 @@ def commands() -> List[Tuple[str, ...]]:
               ("scan", "--g0", "2.2", "--e-min", "2.0", "--e-max", "2.05", "--steps", "2",
                "--n-max", "0", "--method", "perturbative"),
               ("zero", "--g0", "0.0005", "--method", "floquet")]
+    for e_min, e_max in (("1e16", "1.1e16"), ("1e300", "1.1e300")):
+        other.append(("scan", "--g0", "0.7", "--e-min", e_min, "--e-max", e_max,
+                      "--steps", "2", "--method", "floquet", "--n-max", "1"))
     as_json = [argv + ("--format", "json", "--output", OUTPUT) for argv in grid]
     return list(dict.fromkeys(grid + as_json + other))    # the workloads repeat commands
 

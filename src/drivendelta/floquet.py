@@ -54,7 +54,8 @@ __all__ = [
 _UNITARITY_TOL = 1e-10
 _MARGIN = 20           # closed channels kept beyond the open ones
 _G0_VERIFIED = 3.5     # largest coupling at which that margin is verified
-_CHUNK = 1 << 16       # sideband x energy entries per sweep: bounds memory at any N
+_CHUNK = 1 << 16       # sideband x energy entries per sweep; from eps_i 16373 on 2N + 1
+                       # alone exceeds it, and each sweep holds one energy
 
 
 @dataclass(frozen=True)
@@ -104,11 +105,18 @@ def _truncation(eps: np.ndarray, g0: float) -> np.ndarray:
     eps_i = 2, 24 just below).  Over eps_i 0.05-12 every flux agrees with a
     sweep at N + 200 to 1e-13 up to g0 = 3.5, but only to 1.4e-12 at 3.75
     and 0.36 at 8, which the unitarity defect cannot see; so a larger g0
-    raises :class:`DomainError`.
+    raises :class:`DomainError`.  So does an eps_i >= 2**53, the first one
+    named: no float there resolves eps_i + 1 from eps_i, and beyond 2**63
+    its floor would wrap in the integer cast.
     """
     if g0 > _G0_VERIFIED:
         raise DomainError(f"g0 = {g0} is above {_G0_VERIFIED}, the largest coupling "
                           "at which the sideband truncation is verified")
+    eps = np.asarray(eps)
+    huge = eps[eps >= 2.0 ** 53]
+    if huge.size:
+        raise DomainError("eps_i must be below 2**53 for the sideband truncation, "
+                          f"got {float(huge[0])}")
     return 2 * (np.floor(eps).astype(int) + 1) + _MARGIN
 
 

@@ -563,22 +563,23 @@ def renorm_factors(n: int, n0: int, eps_i: float, g0: float,
     residue with the full complex loop values (the elastic limit reduces
     to the familiar 1 - (2 pi i / k_i)[4 Gamma(0) - sum ...] form), at
     the wavenumbers of :func:`model._sideband_k`.  ``tol`` is the quadrature
-    tolerance of the shift and the loops.
+    tolerance of the shift and the loops.  An odd n or an even n0, which
+    has no c/b/c term, raises :class:`DomainError` before any quadrature.
     """
     check_domain(g0=g0, eps_i=eps_i, tol=tol)
     eps_t = _resonance(eps_i, g0)[0]
     k_f, k_i = _sideband_k(eps_i, n), _sideband_k(eps_i, 0)
+    if n % 2 != 0 or n0 % 2 == 0:
+        raise DomainError("n must be even and n0 odd for a c/b/c term, "
+                          f"got n = {n}, n0 = {n0}")
     alpha = alpha_shift(n0, eps_i, g0, tol)
     beta = beta_width(n0, eps_i, g0)
     eps_R = eps_t + alpha
 
     loop0 = gamma_loop(k_i, k_i, 0, g0, tol)
-    ratio = 0.0 + 0.0j
-    loop_n = loop0
     if n == 0:
-        ratio = 1.0 + 0.0j
-    elif n % 2 == 0 and n0 % 2 != 0:
-        # B_{k_f b}(n + n0) B_{b k_i}(-n0) is nonzero
+        ratio, loop_n = 1.0 + 0.0j, loop0
+    else:
         loop_n = gamma_loop(k_f, k_i, n, g0, tol)
         ratio = b_coefficient(k_i, n0, g0) / b_coefficient(k_f, n + n0, g0)
     gamma_factor = float((2.0 * math.pi / k_i)

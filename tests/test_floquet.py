@@ -255,6 +255,19 @@ class TestVerifiedCoupling:
         fn(0.5, self.BOUND)
 
 
+@pytest.mark.parametrize("fn, args, named", [
+    (transmission_grid, ([0.5, 1e16], 0.7), "1e+16"),
+    (solve, (1e300, 0.7), "1e+300"),
+    (solve, (2.0 ** 53, 0.7), "9007199254740992.0"),
+], ids=["grid-1e16", "solve-1e300", "solve-2**53"])
+def test_energy_without_a_truncation_named(fn, args, named):
+    # once an uncaught 284 PiB allocation at 1e16, and at 1e300 an invalid
+    # integer cast that solved at N = 22
+    with pytest.raises(DomainError, match="^" + re.escape(
+            f"eps_i must be below 2**53 for the sideband truncation, got {named}") + "$"):
+        fn(*args)
+
+
 class TestObservables:
     def test_total_transmission_free_limit(self):
         assert total_transmission_exact(0.7, 0.0) == pytest.approx(1.0)

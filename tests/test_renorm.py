@@ -581,6 +581,20 @@ class TestBoundRoute:
                            match=rf"^sideband n = {args[0]} is closed at eps_i = "):
             fn(*args)
 
+    @pytest.mark.parametrize("args", [(1, 1, 0.9, 0.3), (0, 2, 1.9, 0.3)],
+                             ids=["odd-n", "even-n0"])
+    def test_pair_without_bound_term_rejected(self, args, monkeypatch):
+        # no c/b/c term: these once gave eps_R 0.7152 and Z 0.9916+0.0247j,
+        # and a pole at eps_R 1.7153 for an even n0
+        def forbidden(*_):
+            raise AssertionError("quadrature before the pair is checked")
+
+        monkeypatch.setattr(renorm, "alpha_shift", forbidden)
+        with pytest.raises(DomainError, match=re.escape(
+                "n must be even and n0 odd for a c/b/c term, "
+                f"got n = {args[0]}, n0 = {args[1]}")):
+            renorm_factors(*args)
+
     def test_resonance_refuses_an_unresolved_pole(self):
         # no float resolves 2**53 from its nearest odd integers; undriven, no pole
         with pytest.raises(DomainError, match="^" + re.escape(

@@ -157,16 +157,28 @@ def test_w0_and_assemble_share_one_regime(g0):
 
 
 @pytest.mark.parametrize("g0", [0.1, 0.7])
-@pytest.mark.parametrize("eps_i, regime", [(2.3, "far"), (3.05, "near")])
+@pytest.mark.parametrize("eps_i, regime", [
+    (2.3, "far"), (3.05, "near"),
+    # 1e-9 either side of both switch edges 1 -+ _NEAR_DISTANCE - g0**2/8,
+    # where a per-sideband decision could split an energy's sidebands
+    pytest.param((-1, -1e-9), "far", id="lower_edge_below-far"),
+    pytest.param((-1, 1e-9), "near", id="lower_edge_above-near"),
+    pytest.param((1, -1e-9), "near", id="upper_edge_below-near"),
+    pytest.param((1, 1e-9), "far", id="upper_edge_above-far"),
+])
 def test_every_sideband_takes_its_regimes_bound_route(eps_i, regime, g0):
     # near: B^R(n) of b_renorm; far: the n0 = +-1 terms over the bare
     # eps_i - n0 at n = 0, the bare series over eps_i + g0**2/8 elsewhere
+    if isinstance(eps_i, tuple):
+        side, offset = eps_i
+        eps_i = 1.0 + side * renorm._NEAR_DISTANCE - g0 * g0 / 8.0 + offset
     dec = assemble(eps_i, g0, n_max=2)
     assert dec.diagnostics["regime"] == regime
     k_i = math.sqrt(2.0 * eps_i)
     b_sq = abs(amplitudes.b_coefficient(k_i, 1, g0)) ** 2
     routes = {t.sideband: t.value for t in dec.terms if t.label == (2, 0, 2)}
-    assert sorted(routes) == [-2, -1, 0, 1, 2]
+    # sideband -1 is closed below eps 1, -2 below eps 2
+    assert sorted(routes) == [n for n in range(-2, 3) if eps_i + n > 0]
     for n, value in routes.items():
         k_f = math.sqrt(2.0 * (eps_i + n))
         if regime == "near":
@@ -176,6 +188,21 @@ def test_every_sideband_takes_its_regimes_bound_route(eps_i, regime, g0):
         else:
             form = renorm._bound_series(k_f, k_i, n, g0, eps_i + g0 * g0 / 8.0)
         assert value == -(2j * math.pi / k_f) * form
+
+
+@pytest.mark.parametrize("eps_i, regime", [(2.3, "far"), (3.05, "near")])
+def test_one_bound_route_call_per_energy(eps_i, regime, monkeypatch):
+    # the regime is picked once for all sidebands, not once per sideband
+    calls = []
+    original = smatrix._bound_routes
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(smatrix, "_bound_routes", counting)
+    assert assemble(eps_i, 0.7, n_max=2).diagnostics["regime"] == regime
+    assert calls == [(eps_i, 0.7, 1e-8, [-2, -1, 0, 1, 2])]
 
 
 @pytest.mark.parametrize("fn, args, kwargs, name", [

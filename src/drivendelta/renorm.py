@@ -191,10 +191,17 @@ def _decay_count(q: float, cap: int = _SERIES_CAP) -> int:
     return min(cap, max(10, need))
 
 
-def _loop_l_max(k_i: float, n: int, g0: float) -> int:
-    """Channel cutoff |l| <= L of the loop sums (quadrature and closed form)."""
-    q_i = float(_q_base(k_i, g0))
-    return max(_decay_count(q_i), abs(n) + 2, int(math.floor(0.5 * k_i * k_i)) + 2)
+def _loop_channels(k_i: float, n: int, g0: float):
+    """The loop's channel table at momentum ``k_i``, read by both loop sums:
+    the cutoff L, the channels l != 0, n with |l| <= L, their k_l**2, the
+    open mask and the cap flag.  l opens where k_i exceeds the rule's k at
+    eps = -l, so an exact threshold stays closed where k_i**2/2 rounds up."""
+    need = _decay_count(float(_q_base(k_i, g0)), _SERIES_CAP + 1)
+    L = max(min(need, _SERIES_CAP), abs(n) + 2, int(math.floor(0.5 * k_i * k_i)) + 2)
+    ls = np.arange(-L, L + 1)
+    ls = ls[(ls != 0) & (ls != n)]
+    is_open = k_i > np.sqrt(_sideband_ksq(np.maximum(-ls, 0), 0))
+    return L, ls, _sideband_ksq(0.5 * k_i * k_i, ls), is_open, need > _SERIES_CAP
 
 
 @functools.lru_cache(maxsize=_PER_ENERGY)
@@ -213,17 +220,10 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
     if g0 == 0:
         return LoopValue(re=0.0, im=0.0, n=n, diagnostics={"channels": []})
 
-    L = _loop_l_max(k_i, n, g0)
-    diag["l_max"] = L
-    need = _decay_count(float(_q_base(k_i, g0)), _SERIES_CAP + 1)
-    diag["truncation_capped"] = need > _SERIES_CAP
-    ls = np.arange(-L, L + 1)
-    ls = ls[(ls != 0) & (ls != n)]
+    diag["l_max"], ls, kl2, is_open, diag["truncation_capped"] = _loop_channels(k_i, n, g0)
     diag["channels"] = ls.tolist()
 
-    # residue sum over open channels: l opens where k_i exceeds the rule's k at eps = -l
-    kl2 = _sideband_ksq(0.5 * k_i * k_i, ls)
-    is_open = k_i > np.sqrt(_sideband_ksq(np.maximum(-ls, 0), 0))
+    # residue sum over the open channels
     k_open = np.sqrt(kl2[is_open])
     im_total = -math.pi * float(np.sum(
         _loop_products(k_f, k_i, n, ls[is_open], k_open, g0) / k_open))
@@ -357,7 +357,8 @@ def gamma_elastic_closed(k_i: float, g0: float,
                          include_closed: bool = False) -> LoopValue:
     """Closed-form elastic loop: finite channel sums, no quadrature.
 
-    Uses the channel set of :func:`gamma_loop` at n = 0.  Im is the
+    Iterates :func:`gamma_loop`'s channel table at n = 0
+    (:func:`_loop_channels`), so both close the same channels.  Im is the
     open-channel residue sum, unchanged by ``include_closed`` because
     closed channels carry no flux.  Re is the principal-value integral of
     the channel sum, evaluated per channel after the substitution
@@ -383,13 +384,12 @@ def gamma_elastic_closed(k_i: float, g0: float,
     from numpy.polynomial import polynomial as npoly  # kept out of every command's start-up
     check_domain(k_i=k_i, g0=g0)
     lam_i = _inverse_q(k_i / g0).real
-    L = _loop_l_max(k_i, 0, g0)
+    L, ls, kl2s, is_open, _ = _loop_channels(k_i, 0, g0)
     inner = [(lam_i, 2), (-1.0 / lam_i, 2), (-lam_i, 4), (1.0 / lam_i, 4)]
     scale = -64.0 * k_i * k_i / (math.pi ** 2 * g0 ** 5)
     re_total, im_total = 0.0, 0.0
-    for l in range(-L, L + 1):
-        kl2 = k_i * k_i + 2 * l
-        if l == 0 or (kl2 <= 0 and not include_closed):
+    for l, kl2, l_open in zip(ls.tolist(), kl2s.tolist(), is_open.tolist()):
+        if not (l_open or include_closed):
             continue
         am, sign = abs(l), (-1) ** l
         # lambda**4 (1 + lambda**2) (lambda**|l| - sign lambda_i**|l|)**2
@@ -415,7 +415,7 @@ def gamma_elastic_closed(k_i: float, g0: float,
                 value += 4.0 * kbl2 * _fp_rational_integral(
                     npoly.polymulx(npoly.polymulx(numer)), inner + channel)
         re_total += scale * value.real
-        if kl2 > 0:
+        if l_open:
             kl = math.sqrt(kl2)
             bracket = lam_l.real ** am - sign * lam_i ** am
             im_total -= (k_i * k_i / (4.0 * math.pi)) * (kl / l ** 2) \

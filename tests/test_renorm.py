@@ -75,6 +75,10 @@ class TestGammaLoop:
         residues = renorm._loop_products(k, k, 0, l_open, k_l, g0) / k_l
         assert gamma_loop(k, k, 0, g0).im == pytest.approx(-math.pi * residues.sum(),
                                                            rel=1e-12)
+        # the closed form reads the same channel table, so it closes the
+        # channel too (it kept it open once, 1.8e-5 off at (eps_i 1, g0 0.1))
+        assert gamma_elastic_closed(k, g0).im == pytest.approx(gamma_loop(k, k, 0, g0).im,
+                                                               rel=1e-12)
 
     @pytest.mark.parametrize("g0,eps_i,l_max,capped", [
         (0.7, 40.3, 42, False),    # the open channels set L; the decay rule needs 13
@@ -349,8 +353,7 @@ class TestReducedKernels:
         k_i = math.sqrt(2.0 * self.EPS_I)
         k_f = math.sqrt(k_i * k_i + 2 * n)
         eps_i = 0.5 * k_i * k_i
-        L = renorm._loop_l_max(k_i, n, g0)
-        ls = [l for l in range(-L, L + 1) if l not in (0, n)]
+        ls = renorm._loop_channels(k_i, n, g0)[1].tolist()
         poles = [k_i, k_f] + [math.sqrt(k_i * k_i + 2 * l) for l in (-2, -1, 3)]
         nodes = np.array([1e-6, 1e-4, 1e-2]
                          + [p + d for p in poles for d in self.OFFSETS])

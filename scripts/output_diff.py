@@ -3,7 +3,8 @@
 Runs every command of the list once in each checkout, in a fresh
 interpreter with ``PYTHONPATH=<root>/src`` and a fresh working directory,
 and compares standard output, standard error, the exit code and the
-``--output`` file.  Prints ``SAME`` or ``DIFF`` per command and exits 1 if
+``--output`` file.  Prints ``SAME`` or ``DIFF`` per command, ends with
+the tally line ``SAME a, CLOSE b, DIFF c of N commands``, and exits 1 if
 any command differs.  With ``--rtol R``, a command whose outputs differ
 only in numbers, each within relative ``R`` (:func:`numbers_close`), prints
 ``CLOSE`` with its worst relative difference instead, and does not count
@@ -192,10 +193,11 @@ def numbers_close(old: bytes, new: bytes, rtol: float) -> Optional[float]:
 
 def compare(old: Path, new: Path, cmds: Sequence[Sequence[str]],
             rtol: Optional[float] = None) -> int:
-    """Print SAME, CLOSE (only with ``rtol``) or DIFF per command; 1 if
-    any command prints DIFF, else 0."""
+    """Print SAME, CLOSE (only with ``rtol``) or DIFF per command, then
+    the tally ``SAME a, CLOSE b, DIFF c of N commands``; 1 if any command
+    prints DIFF, else 0."""
     parts = ("exit code", "stdout", "stderr", "output file")
-    status = 0
+    tally = dict.fromkeys(("SAME", "CLOSE", "DIFF"), 0)
     for argv in cmds:
         pairs = [(part, a, b) for part, a, b in zip(parts, run(old, argv), run(new, argv))
                  if a != b]
@@ -206,14 +208,16 @@ def compare(old: Path, new: Path, cmds: Sequence[Sequence[str]],
         line = " ".join(argv)
         differs = ", ".join(part for part, _, _ in pairs)
         if not pairs:
-            print(f"SAME  {line}", flush=True)
+            label, note = "SAME", ""
         elif None not in close:
-            print(f"CLOSE {line}  ({differs}; worst relative difference "
-                  f"{max(close):.2g})", flush=True)
+            label, note = "CLOSE", f"  ({differs}; worst relative difference {max(close):.2g})"
         else:
-            status = 1
-            print(f"DIFF  {line}  ({differs})", flush=True)
-    return status
+            label, note = "DIFF", f"  ({differs})"
+        tally[label] += 1
+        print(f"{label:<5} {line}{note}", flush=True)
+    print(", ".join(f"{label} {count}" for label, count in tally.items())
+          + f" of {len(cmds)} commands", flush=True)
+    return 1 if tally["DIFF"] else 0
 
 
 def main(argv=None) -> int:

@@ -232,7 +232,10 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
     if path is None:
         yield sys.stdout
         return
-    if os.path.isdir(path):     # os.replace would fail only after the command ran
+    # os.replace would refuse these only after the command ran
+    if path == "":
+        raise UsageError("output_path must not be empty")
+    if os.path.isdir(path):
         raise UsageError(f"output path {path!r} is a directory")
     partial = f"{path}.{os.getpid()}.tmp"
     try:

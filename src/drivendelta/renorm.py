@@ -89,21 +89,6 @@ class RenormFactors:
     n0: int
 
 
-def _loop_products(k_f: float, k_i: float, n: int, ls, k, g0: float):
-    """Re[A_{k_f k}(n - l) A_{k k_i}(l)] for channels ``ls`` at momenta ``k``.
-
-    ``ls`` and ``k`` broadcast against each other: equal shapes pair each
-    channel with one momentum, a column of channels against a row of
-    momenta gives the full table.  No pole guards.
-    """
-    ls = np.asarray(ls)
-    m_out, m_in = np.abs(n - ls), np.abs(ls)
-    q_k = _q_base(k, g0)
-    # both factors are purely imaginary: Re[(i a)(i b)] = -a b
-    return -(a_kernel(k_f, k, n - ls, _q_base(k_f, g0) ** m_out, q_k ** m_out)
-             * a_kernel(k, k_i, ls, q_k ** m_in, _q_base(k_i, g0) ** m_in))
-
-
 def _q_powers(q, rows: int, step=None):
     """Rows q * step**j, j = 0..rows-1, as one running product.
 
@@ -119,29 +104,26 @@ def _q_powers(q, rows: int, step=None):
     return np.multiply.accumulate(table, axis=0, out=table)
 
 
-def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
-    """Channel sum of the Re Gamma integrand, one broadcast per call.
+def _loop_integrand(k_f: float, k_i: float, n: int, eps_i: float, ls, kl2, g0: float):
+    """Channel sum of the Re Gamma integrand over a :func:`_loop_channels`
+    table, one broadcast per call; each propagator energy is k_l**2/2 of ``kl2``.
 
     The two transitions' momentum factors depend on the node only: one
     :func:`a_factor` scaled by the other, with the operations of the
     written-out product, multiplies the channel sum once.  At n = 0 the
-    channels +l and -l share the numerator (q(k)**l - (-1)**l q(k_i)**l)**2,
-    so each pair is one term with the propagator sum 2 e / ((e - l)(e + l)),
-    e = eps_i - k**2/2; ``ls`` must then be +-1 .. +-L.  The n != 0 branch
-    keeps A's q-power brackets inline, sign-folded over one table for both:
-    through a shared bracket function, six spectrum ``scan`` commands took
-    186-188 ms in process, not 164-166 ms (minimum of 7 runs, 2-core VM).
+    channels +l and -l, one from each half of the table, share the numerator
+    (q(k)**l - (-1)**l q(k_i)**l)**2, so each pair is one term with the
+    propagator sum 2 e / ((e - l)(e + l)), e = eps_i - k**2/2.  The n != 0
+    branch keeps A's q-power brackets inline, sign-folded over one table for
+    both: through a shared bracket function, six spectrum ``scan`` commands
+    took 186-188 ms in process, not 164-166 ms (minimum of 7 runs, 2-core VM).
     """
-    eps_i = 0.5 * k_i * k_i
-    ls = np.asarray(ls)
     q_i = _q_base(k_i, g0)
+    e_col = 0.5 * kl2[:, None]      # the channels' energies k_l**2/2
 
     if n == 0:
         L = len(ls) // 2
-        if sorted(ls.tolist()) != [l for l in range(-L, L + 1) if l != 0]:
-            raise DomainError("the elastic loop pairs the channels +-1 .. +-L")
-        l_col = np.arange(1, L + 1, dtype=float)[:, None]
-        e_minus, e_plus = eps_i - l_col, eps_i + l_col
+        e_minus, e_plus = e_col[:L][::-1], e_col[L:]
         # (-1)**l q(k_i)**l
         shift = _q_powers(-q_i, L)[:, None]
 
@@ -152,7 +134,7 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
             num -= shift
             num *= num
             # (e - l)(e + l), not e**2 - l**2, each factor one subtraction
-            # (eps_i -+ l) - k**2/2: it keeps its digits next to a pole or threshold
+            # k_l**2/2 - k**2/2: it keeps its digits next to a pole or threshold
             num /= (e_minus - half) * (e_plus - half)
             return a_factor(k, k_i, a_factor(k_i, k, -1.0 / math.pi ** 2)) \
                 * 2.0 * (eps_i - half) * num.sum(axis=0)
@@ -169,7 +151,6 @@ def _loop_integrand(k_f: float, k_i: float, n: int, ls, g0: float):
     i_term = sign * (q_i ** m_in)[:, None]
     i_par = sign * par_in[:, None]
     rows_out, rows_in = m_out - 1, m_in - 1
-    e_col = eps_i + ls[:, None]
     top = int(max(m_out.max(), m_in.max()))
 
     def integrand(k):
@@ -192,16 +173,29 @@ def _decay_count(q: float, cap: int = _SERIES_CAP) -> int:
 
 
 def _loop_channels(k_i: float, n: int, g0: float):
-    """The loop's channel table at momentum ``k_i``, read by both loop sums:
-    the cutoff L, the channels l != 0, n with |l| <= L, their k_l**2, the
-    open mask and the cap flag.  l opens where k_i exceeds the rule's k at
-    eps = -l, so an exact threshold stays closed where k_i**2/2 rounds up."""
+    """The loop's energy eps_i = k_i**2/2 and its channel table at momentum
+    ``k_i``, read by both loop sums: the cutoff L, the channels l != 0, n
+    with |l| <= L ascending, their k_l**2, the open mask and the cap flag.
+    l opens where k_i exceeds the rule's k at eps = -l, so an exact
+    threshold stays closed where k_i**2/2 rounds up."""
+    eps_i = 0.5 * k_i * k_i
     need = _decay_count(float(_q_base(k_i, g0)), _SERIES_CAP + 1)
-    L = max(min(need, _SERIES_CAP), abs(n) + 2, int(math.floor(0.5 * k_i * k_i)) + 2)
+    L = max(min(need, _SERIES_CAP), abs(n) + 2, int(math.floor(eps_i)) + 2)
     ls = np.arange(-L, L + 1)
     ls = ls[(ls != 0) & (ls != n)]
     is_open = k_i > np.sqrt(_sideband_ksq(np.maximum(-ls, 0), 0))
-    return L, ls, _sideband_ksq(0.5 * k_i * k_i, ls), is_open, need > _SERIES_CAP
+    return eps_i, L, ls, _sideband_ksq(eps_i, ls), is_open, need > _SERIES_CAP
+
+
+def _halfline_pv(integrand, poles, scale: float, tol: float):
+    """Principal value of ``integrand`` over [0, inf) with ``poles``, and
+    the split where its mapped tail starts: max(4 scale, 8, 1.5 max pole),
+    the one split rule of the loop and the shift.  A node on a channel
+    pole ends its segment by name (quadrature._integrate), so the float
+    errors of its evaluation are silenced."""
+    split = max(4.0 * scale, 8.0, 1.5 * max(poles, default=0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return pv_halfline(integrand, poles, split, tol), split
 
 
 @functools.lru_cache(maxsize=_PER_ENERGY)
@@ -220,26 +214,24 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
     if g0 == 0:
         return LoopValue(re=0.0, im=0.0, n=n, diagnostics={"channels": []})
 
-    diag["l_max"], ls, kl2, is_open, diag["truncation_capped"] = _loop_channels(k_i, n, g0)
+    eps_i, diag["l_max"], ls, kl2, is_open, diag["truncation_capped"] = _loop_channels(k_i, n, g0)
     diag["channels"] = ls.tolist()
 
-    # residue sum over the open channels
-    k_open = np.sqrt(kl2[is_open])
-    im_total = -math.pi * float(np.sum(
-        _loop_products(k_f, k_i, n, ls[is_open], k_open, g0) / k_open))
+    # residue sum over the open channels; A is purely imaginary: Re[(i a)(i b)] = -a b
+    l_open, k_open = ls[is_open], np.sqrt(kl2[is_open])
+    m_out, m_in, q_k = np.abs(n - l_open), np.abs(l_open), _q_base(k_open, g0)
+    products = -(a_kernel(k_f, k_open, n - l_open, _q_base(k_f, g0) ** m_out, q_k ** m_out)
+                 * a_kernel(k_open, k_i, l_open, q_k ** m_in, _q_base(k_i, g0) ** m_in))
+    im_total = -math.pi * float(np.sum(products / k_open))
 
     # channels within 1e-6 of threshold get no fold of their own: their
     # principal-value weight scales like k_l ln k_l, and the panels from
     # k = 0 take them
     poles = sorted({k_i, k_f if n else k_i, *np.sqrt(kl2[kl2 > 1e-12]).tolist()})
-    split = max(4.0 * k_i, 4.0 * k_f, 4.0 * g0, 8.0, 1.5 * poles[-1])
-    # a node on a channel pole ends its segment by name (quadrature._integrate)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        res = pv_halfline(_loop_integrand(k_f, k_i, n, ls, g0), poles, split, tol)
-    diag["error_estimate"] = res.error_estimate
-    diag["evaluations"] = res.evaluations
-    diag["poles"] = poles
-    diag["split"] = split
+    res, split = _halfline_pv(_loop_integrand(k_f, k_i, n, eps_i, ls, kl2, g0),
+                              poles, max(k_i, k_f, g0), tol)
+    diag.update(error_estimate=res.error_estimate, evaluations=res.evaluations,
+                poles=poles, split=split)
     return LoopValue(re=res.value, im=im_total, n=n, diagnostics=diag)
 
 
@@ -384,7 +376,7 @@ def gamma_elastic_closed(k_i: float, g0: float,
     from numpy.polynomial import polynomial as npoly  # kept out of every command's start-up
     check_domain(k_i=k_i, g0=g0)
     lam_i = _inverse_q(k_i / g0).real
-    L, ls, kl2s, is_open, _ = _loop_channels(k_i, 0, g0)
+    _, L, ls, kl2s, is_open, _ = _loop_channels(k_i, 0, g0)
     inner = [(lam_i, 2), (-1.0 / lam_i, 2), (-lam_i, 4), (1.0 / lam_i, 4)]
     scale = -64.0 * k_i * k_i / (math.pi ** 2 * g0 ** 5)
     re_total, im_total = 0.0, 0.0
@@ -468,24 +460,26 @@ def _bound_series(k_f: float, k_i: float, n: int, g0: float, pole: float,
     return complex(terms.sum())
 
 
-def _shift_integrand(n0: int, eps_i: float, g0: float, ms):
-    """Channel sum of the alpha_shift integrand over the odd m = +-``ms``.
+def _shift_integrand(n0: int, eps_i: float, g0: float, kl2):
+    """Channel sum of the alpha_shift integrand over the :func:`_bound_channels`
+    table ``kl2`` of the odd m = -M .. M.
 
-    sum_m |B_{k b}(m)|**2 / (k**2/2 - e_l), e_l = eps_i + l, l = m - n0, with
+    sum_m |B_{k b}(m)|**2 / (k**2/2 - k_l**2/2), l = m - n0, with
     |B_{k b}(m)|**2 = |b_kernel(k, 1)|**2 q(k)**(2 |m|), a function of |m|: the
-    channels +m and -m pair into one term with the propagator sum
-    2 (k**2/2 - (eps_i - n0)) / ((k**2/2 - e_up)(k**2/2 - e_down)).  Each
-    denominator is one subtraction from k**2/2, so it keeps its digits next
-    to a channel's threshold, where e_l -> 0.
+    channels +m and -m, from the table's two halves, pair into one term with
+    the propagator sum 2 (k**2/2 - (eps_i - n0)) / ((k**2/2 - e_up)(k**2/2 - e_down)),
+    e = k_l**2/2.  Each denominator is one subtraction from k**2/2, so it
+    keeps its digits next to a channel's threshold, where e -> 0.
     """
-    e_up, e_down = (eps_i + (ms - n0))[:, None], (eps_i + (-ms - n0))[:, None]
+    M = len(kl2) // 2
+    e_up, e_down = 0.5 * kl2[M:, None], 0.5 * kl2[M - 1::-1, None]     # +m, -m; m = 1, 3, ..
     e_mid = eps_i - n0
 
     def integrand(k):
         k = np.asarray(k, dtype=float)
         q2 = _q_base(k, g0) ** 2
         half = 0.5 * k * k
-        terms = _q_powers(q2, len(ms), q2 * q2)
+        terms = _q_powers(q2, M, q2 * q2)
         terms /= (half - e_up) * (half - e_down)
         return 2.0 * np.abs(b_kernel(k, 1.0, g0)) ** 2 * (half - e_mid) * terms.sum(axis=0)
 
@@ -516,7 +510,7 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
     check_domain(g0=g0, eps_i=eps_i, tol=tol)
     k_i = _sideband_k(eps_i, 0)
     ms, kl2 = _bound_channels(n0, eps_i, g0)
-    integrand = _shift_integrand(n0, eps_i, g0, ms[ms > 0])
+    integrand = _shift_integrand(n0, eps_i, g0, kl2)
     gap = 0.5 * np.abs(kl2)     # distance of each channel from its threshold
     nearest = int(np.argmin(gap))
 
@@ -527,10 +521,8 @@ def alpha_shift(n0: int, eps_i: float, g0: float, tol: float = 1e-8) -> float:
         raise RegimeError(f"alpha_shift: {where()} sits at its threshold "
                           "eps_i + m - n0 = 0")
     poles = np.sqrt(kl2[kl2 > 0]).tolist()
-    split = max(4.0 * k_i, 4.0 * g0, 8.0, 1.5 * max(poles, default=0.0))
     try:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value = pv_halfline(integrand, poles, split, tol).value
+        value = _halfline_pv(integrand, poles, max(k_i, g0), tol)[0].value
     except ToleranceError as exc:
         if gap[nearest] < _THRESHOLD_GAP:
             raise RegimeError(f"alpha_shift: {where()} is {gap[nearest]:.3g} from its "

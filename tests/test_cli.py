@@ -394,6 +394,27 @@ class TestScan:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
         assert list(target.iterdir()) == []
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_output_path_fails_before_computing(self, tmp_path, monkeypatch,
+                                                      capsys, source):
+        # once the whole table was computed, then os.replace refused the empty
+        # path: "[Errno 2] No such file or directory: '.<pid>.tmp' -> ''"
+        def forbidden(*args):
+            raise AssertionError("no computing before the output check")
+
+        for name in ("_perturbative_point", "transmission_grid"):
+            monkeypatch.setattr(cli, name, forbidden)
+        monkeypatch.chdir(tmp_path)
+        if source == "flag":
+            setting = ["--output", ""]
+        else:
+            (tmp_path / "c.txt").write_text("output_path =\n", encoding="utf-8")
+            setting = ["--config", "c.txt"]
+        rc = main(["scan", "--g0", "0.1", "--steps", "2", "--method", "floquet"] + setting)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: output_path must not be empty\n"
+        assert [p.name for p in tmp_path.iterdir()] == ([] if source == "flag" else ["c.txt"])
+
     @pytest.mark.parametrize("command", ["scan", "w0"])
     @pytest.mark.parametrize("g0", ["1e9", "1e20", "1e200"])
     def test_huge_coupling_is_named(self, capsys, command, g0):

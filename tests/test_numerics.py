@@ -33,6 +33,14 @@ class TestAdaptiveQuad:
         res = adaptive_quad(lambda x: x + 0j, 0.0, 1.0)
         assert type(res.value) is float and res.value == pytest.approx(0.5, abs=1e-14)
 
+    def test_integrand_turning_complex_after_a_real_round(self):
+        # every node of the first round lies above the branch point 0.003, so
+        # that round is real; bisection reaches below it, where the square
+        # root turns imaginary, and the segment's value turns complex
+        res = adaptive_quad(lambda x: np.emath.sqrt(x - 0.003), 0.0, 1.0, tol=1e-9)
+        exact = (2.0 / 3.0) * (0.997 ** 1.5 + 1j * 0.003 ** 1.5)
+        assert isinstance(res.value, complex) and abs(res.value - exact) <= 1e-9
+
     def test_narrow_peak_refined(self):
         res = adaptive_quad(lambda x: 1.0 / (1e-4 + x * x), -1.0, 1.0, tol=1e-9)
         exact = 2.0 / 1e-2 * math.atan(1.0 / 1e-2)

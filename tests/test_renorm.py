@@ -21,6 +21,15 @@ from drivendelta.renorm import (alpha_shift, b_renorm, beta_width,
 from test_numerics import _sequential_halfline
 
 
+def _coefficient_products(k_f, k_i, n, ls, ks, g0):
+    """Re[A_{k_f k}(n - l) A_{k k_i}(l)] of the public coefficient, over the
+    channels ``ls`` and momenta ``ks`` broadcast against each other."""
+    ls, ks = np.broadcast_arrays(np.asarray(ls), np.asarray(ks, dtype=float))
+    return np.array([(a_coefficient(k_f, k, n - l, g0) * a_coefficient(k, k_i, l, g0)).real
+                     for l, k in zip(ls.ravel().tolist(), ks.ravel().tolist())]
+                    ).reshape(ls.shape)
+
+
 class TestGammaLoop:
     def test_static_limit_vanishes(self):
         loop = gamma_loop(1.0, 1.0, 0, 0.0)
@@ -72,7 +81,7 @@ class TestGammaLoop:
         ls = np.array(gamma_loop(k, k, 0, g0).diagnostics["channels"])
         l_open = ls[_sideband_ksq(eps_i, ls) > 0]
         k_l = np.sqrt(_sideband_ksq(eps_i, l_open))
-        residues = renorm._loop_products(k, k, 0, l_open, k_l, g0) / k_l
+        residues = _coefficient_products(k, k, 0, l_open, k_l, g0) / k_l
         assert gamma_loop(k, k, 0, g0).im == pytest.approx(-math.pi * residues.sum(),
                                                            rel=1e-12)
         # the closed form reads the same channel table, so it closes the
@@ -148,8 +157,9 @@ class TestLockstepLoop:
         k_f = math.sqrt(k_i * k_i + 2 * n)
         loop = gamma_loop.__wrapped__(k_f, k_i, n, g0)
         diag = loop.diagnostics
-        ls = diag["channels"]
-        parts = _sequential_halfline(renorm._loop_integrand(k_f, k_i, n, ls, g0),
+        eps, _, ls, kl2, _, _ = renorm._loop_channels(k_i, n, g0)
+        assert ls.tolist() == diag["channels"]
+        parts = _sequential_halfline(renorm._loop_integrand(k_f, k_i, n, eps, ls, kl2, g0),
                                      diag["poles"], diag["split"], 1e-8)
         re = 0.0
         for part in parts:
@@ -159,10 +169,10 @@ class TestLockstepLoop:
         assert diag["evaluations"] == sum(p.evaluations for p in parts)
         l_open = np.array([l for l in ls if k_i * k_i + 2 * l > 0])
         k_open = np.sqrt(k_i * k_i + 2 * l_open)
-        # the channels-by-momenta table's diagonal: the residue sum before
-        # _loop_products paired each channel with its own momentum
-        table = renorm._loop_products(k_f, k_i, n, l_open[:, None], k_open, g0)
-        assert loop.im == -math.pi * float(np.sum(np.diagonal(table) / k_open))
+        # the residue sum of the public coefficient's products
+        products = _coefficient_products(k_f, k_i, n, l_open, k_open, g0)
+        assert loop.im == pytest.approx(-math.pi * float(np.sum(products / k_open)),
+                                        rel=1e-13, abs=0.0)
 
 
     @pytest.mark.parametrize("g0,eps_i,n", LOOP_POINTS)
@@ -298,7 +308,7 @@ class TestAlphaShift:
 
 
 class TestLoopKernel:
-    """The (channels x nodes) broadcast against the public coefficient."""
+    """The residue sum and the (channels x nodes) integrand against the public coefficient."""
 
     EPS_I = 1.3
     # off the poles k_i = 1.612, k_f = 0.775 (n = -1), 2.145 (n = 1), 2.569 (n = 2)
@@ -309,24 +319,26 @@ class TestLoopKernel:
     @pytest.mark.parametrize("g0", [0.1, 0.7])
     @pytest.mark.parametrize("n", [0, 1, -1, 2])
     def test_products_match_coefficient_products(self, n, g0):
+        # Im Gamma: -pi times the open channels' coefficient products over k_l
         k_i = math.sqrt(2.0 * self.EPS_I)
         k_f = math.sqrt(k_i * k_i + 2 * n)
-        ls = [l for l in self.CHANNELS if l not in (0, n)]
-        table = renorm._loop_products(k_f, k_i, n, np.array(ls)[:, None], self.NODES, g0)
-        assert table.shape == (len(ls), len(self.NODES))
-        for row, l in zip(table, ls):
-            for value, k in zip(row, self.NODES):
-                expected = (a_coefficient(k_f, k, n - l, g0)
-                            * a_coefficient(k, k_i, l, g0)).real
-                assert value == pytest.approx(expected, rel=1e-13, abs=0.0)
+        loop = gamma_loop(k_f, k_i, n, g0)
+        ls = np.array(loop.diagnostics["channels"])
+        l_open = ls[k_i * k_i + 2 * ls > 0]
+        k_l = np.sqrt(k_i * k_i + 2 * l_open)
+        residues = _coefficient_products(k_f, k_i, n, l_open, k_l, g0) / k_l
+        assert len(l_open) > 1
+        assert loop.im == pytest.approx(-math.pi * math.fsum(residues), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("g0", [0.1, 0.7])
     @pytest.mark.parametrize("n", [0, 1, -1, 2])
     def test_integrand_is_propagator_weighted_channel_sum(self, n, g0):
         k_i = math.sqrt(2.0 * self.EPS_I)
         k_f = math.sqrt(k_i * k_i + 2 * n)
-        ls = [l for l in self.CHANNELS if l not in (0, n)]
-        values = renorm._loop_integrand(k_f, k_i, n, ls, g0)(self.NODES)
+        ls = np.array([l for l in self.CHANNELS if l not in (0, n)])
+        eps = 0.5 * k_i * k_i
+        values = renorm._loop_integrand(k_f, k_i, n, eps, ls, _sideband_ksq(eps, ls),
+                                        g0)(self.NODES)
         for value, k in zip(values, self.NODES):
             terms = [(a_coefficient(k_f, k, n - l, g0) * a_coefficient(k, k_i, l, g0)).real
                      / (self.EPS_I - 0.5 * k * k + l) for l in ls]
@@ -336,7 +348,7 @@ class TestLoopKernel:
 class TestReducedKernels:
     """The paired and factored integrands against per-channel tables.
 
-    The loop reference is the channel table of ``_loop_products`` over the
+    The loop reference is the public coefficient's channel table over the
     propagators; the shift reference sums |b_coefficient(k, m)|**2 over
     the propagators channel by channel.  At n = 0 the channels +l and -l
     cancel to O(k - k_i) next to k_i, so the reference's own rounding is
@@ -352,14 +364,13 @@ class TestReducedKernels:
     def test_loop_integrand_matches_channel_table(self, n, g0):
         k_i = math.sqrt(2.0 * self.EPS_I)
         k_f = math.sqrt(k_i * k_i + 2 * n)
-        eps_i = 0.5 * k_i * k_i
-        ls = renorm._loop_channels(k_i, n, g0)[1].tolist()
+        eps_i, _, ls, kl2, _, _ = renorm._loop_channels(k_i, n, g0)
         poles = [k_i, k_f] + [math.sqrt(k_i * k_i + 2 * l) for l in (-2, -1, 3)]
         nodes = np.array([1e-6, 1e-4, 1e-2]
                          + [p + d for p in poles for d in self.OFFSETS])
-        terms = renorm._loop_products(k_f, k_i, n, np.array(ls)[:, None], nodes, g0) \
-            / ((eps_i + np.array(ls)[:, None]) - 0.5 * nodes * nodes)
-        values = renorm._loop_integrand(k_f, k_i, n, ls, g0)(nodes)
+        terms = _coefficient_products(k_f, k_i, n, ls[:, None], nodes, g0) \
+            / ((eps_i + ls[:, None]) - 0.5 * nodes * nodes)
+        values = renorm._loop_integrand(k_f, k_i, n, eps_i, ls, kl2, g0)(nodes)
         assert np.all(np.abs(values - terms.sum(axis=0))
                       <= 1e-12 * np.abs(terms).sum(axis=0))
 
@@ -371,10 +382,6 @@ class TestReducedKernels:
         for _ in range(24):
             rows.append(rows[-1] * (q if step is None else step))
         assert np.array_equal(renorm._q_powers(q, 25, step), np.array(rows))
-
-    def test_elastic_loop_needs_paired_channels(self):
-        with pytest.raises(DomainError):
-            renorm._loop_integrand(1.0, 1.0, 0, [-1, 1, 2], 0.7)
 
     @pytest.mark.parametrize("n0", [-1, 1, 3])
     @pytest.mark.parametrize("g0", [0.1, 0.55, 0.7])
@@ -388,7 +395,7 @@ class TestReducedKernels:
                          + [p + d for p in kl for d in self.OFFSETS])
         mod2 = np.abs([[b_coefficient(k, m, g0) for k in nodes] for m in ms]) ** 2
         terms = mod2 / (0.5 * nodes * nodes - (eps_i + ls[:, None]))
-        values = renorm._shift_integrand(n0, eps_i, g0, np.arange(1, M + 1, 2))(nodes)
+        values = renorm._shift_integrand(n0, eps_i, g0, _sideband_ksq(eps_i, ls))(nodes)
         assert np.all(np.abs(values - terms.sum(axis=0))
                       <= 1e-12 * np.abs(terms).sum(axis=0))
 

@@ -38,7 +38,8 @@ def test_output_diff_same_checkout(capsys):
     assert picked[1] in cmds
     assert module.compare(root, root, picked) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == ["SAME  " + " ".join(argv) for argv in picked]
+    assert lines == ["SAME  " + " ".join(argv) for argv in picked] \
+        + ["SAME 2, CLOSE 0, DIFF 0 of 2 commands"]
     assert module.run(root, picked[1])[3].startswith(b"{\n")
 
 
@@ -55,7 +56,10 @@ def test_output_diff_rtol(new, label, monkeypatch, capsys):
     close = module.numbers_close(old, new, 1e-13)
     assert (close is not None) == (label == "CLOSE")
     assert module.compare("old", "new", [("scan",)], rtol=1e-13) == (label == "DIFF")
-    assert capsys.readouterr().out.split()[0] == label
+    out = capsys.readouterr().out
+    assert out.split()[0] == label
+    assert out.splitlines()[-1] == (f"SAME 0, CLOSE {int(label == 'CLOSE')}, "
+                                    f"DIFF {int(label == 'DIFF')} of 1 commands")
     # without rtol every difference is a DIFF
     assert module.compare("old", "new", [("scan",)]) == 1
     assert capsys.readouterr().out.split()[0] == "DIFF"

@@ -68,7 +68,6 @@ class LoopValue:
 
     re: float
     im: float
-    n: int
     diagnostics: Dict = field(default_factory=dict, repr=False)
 
     @property
@@ -212,7 +211,7 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
     check_domain(k_f=k_f, k_i=k_i, g0=g0, tol=tol, non_negative=("g0",))
     diag: Dict = {}
     if g0 == 0:
-        return LoopValue(re=0.0, im=0.0, n=n, diagnostics={"channels": []})
+        return LoopValue(re=0.0, im=0.0, diagnostics={"channels": []})
 
     eps_i, diag["l_max"], ls, kl2, is_open, diag["truncation_capped"] = _loop_channels(k_i, n, g0)
     diag["channels"] = ls.tolist()
@@ -232,7 +231,7 @@ def gamma_loop(k_f: float, k_i: float, n: int, g0: float, tol: float = 1e-8) -> 
                               poles, max(k_i, k_f, g0), tol)
     diag.update(error_estimate=res.error_estimate, evaluations=res.evaluations,
                 poles=poles, split=split)
-    return LoopValue(re=res.value, im=im_total, n=n, diagnostics=diag)
+    return LoopValue(re=res.value, im=im_total, diagnostics=diag)
 
 
 def _inverse_q(kbar: complex) -> complex:
@@ -345,8 +344,7 @@ def _fp_rational_integral(numer: np.ndarray, roots) -> complex:
     return total
 
 
-def gamma_elastic_closed(k_i: float, g0: float,
-                         include_closed: bool = False) -> LoopValue:
+def gamma_elastic_closed(k_i: float, g0: float, include_closed: bool = False) -> LoopValue:
     """Closed-form elastic loop: finite channel sums, no quadrature.
 
     Iterates :func:`gamma_loop`'s channel table at n = 0
@@ -412,14 +410,13 @@ def gamma_elastic_closed(k_i: float, g0: float,
             bracket = lam_l.real ** am - sign * lam_i ** am
             im_total -= (k_i * k_i / (4.0 * math.pi)) * (kl / l ** 2) \
                 / (k_i + kl) ** 2 * bracket ** 2
-    return LoopValue(re=re_total, im=im_total, n=0,
-                     diagnostics={"l_max": L, "include_closed": include_closed})
+    return LoopValue(re=re_total, im=im_total, diagnostics={"l_max": L})
 
 
-def _bound_series(k_f: float, k_i: float, n: int, g0: float, pole: float,
-                 width: float = 0.0, resonant=None) -> complex:
+def _bound_series(k_f: float, k_i: float, n: int, g0: float, pole: complex,
+                  resonant=None) -> complex:
     """The c/b/c series: sum over odd n0 of
-    B_{k_f b}(n + n0) B_{b k_i}(-n0) / (pole - n0 + i width).
+    B_{k_f b}(n + n0) B_{b k_i}(-n0) / (pole - n0).
 
     A term carries q(k_i)**|n0| q(k_f)**|n + n0|.  Between n0 = -n and
     n0 = 0 the total power |n0| + |n + n0| is |n|, so every term there can
@@ -427,8 +424,9 @@ def _bound_series(k_f: float, k_i: float, n: int, g0: float, pole: float,
     multiplies a term by q(k_i) q(k_f), so the series stops
     :func:`_decay_count` (capped at ``_BOUND_CAP``) of the larger q-factor
     past either end.  It always keeps the odd n0 on either side of
-    ``pole`` and the resonant n0, wherever they lie.  The denominator rule
-    is bare real (width 0) or regulated (width > 0); ``resonant`` =
+    ``pole`` and the resonant n0, wherever they lie.  ``pole`` is one
+    number: the bare real eps_t, or the complex eps_R + i eta_R that
+    :func:`renorm_factors` sums for Z.  ``resonant`` =
     (n0*, weight) replaces the n0* term's 1 / denominator by ``weight``:
     Z / (eps_R - n0* + i eta_R) renormalizes that term and 0 drops it.
     Only odd n + n0 and odd n0 contribute, so the series vanishes for odd
@@ -438,15 +436,14 @@ def _bound_series(k_f: float, k_i: float, n: int, g0: float, pole: float,
         return 0.0 + 0.0j
     q_i, q_f = _q_base(k_i, g0), _q_base(k_f, g0)
     order = _decay_count(float(max(q_i, q_f)), _BOUND_CAP)
-    n0s = set(range(min(0, -n) - order, max(0, -n) + order + 1)) | set(_odd_neighbours(pole))
+    n0s = set(range(min(0, -n) - order, max(0, -n) + order + 1)) | set(_odd_neighbours(pole.real))
     if resonant is not None:
         n0s.add(resonant[0])
     n0s = np.array(sorted(m for m in n0s if m % 2 != 0))
-    b_in = b_kernel(k_i, q_i ** np.abs(n0s), g0)
-    b_out = b_in if (n, k_f) == (0, k_i) else b_kernel(k_f, q_f ** np.abs(n + n0s), g0)
     # B_{b k_i}(-n0) = conj(B_{k_i b}(n0))
-    num = b_out * np.conj(b_in)
-    denom = pole - n0s + 1j * width
+    num = b_kernel(k_f, q_f ** np.abs(n + n0s), g0) \
+        * np.conj(b_kernel(k_i, q_i ** np.abs(n0s), g0))
+    denom = pole - n0s
     if resonant is not None:
         n0, weight = resonant
         at = n0s == n0
@@ -580,7 +577,7 @@ def renorm_factors(n: int, n0: int, eps_i: float, g0: float,
 
     # residue normalization; the l-sum reuses the corrected denominators
     a_n = a_coefficient(k_f, k_i, n, g0) if n != 0 else 0.0
-    lsum = ratio * _bound_series(k_f, k_i, n, g0, eps_R, eta_R, resonant=(n0, 0.0))
+    lsum = ratio * _bound_series(k_f, k_i, n, g0, complex(eps_R, eta_R), resonant=(n0, 0.0))
     Z = 1.0 - (2j * math.pi / k_i) * (2.0 * loop0.value
                                       + ratio * (2.0 * loop_n.value - a_n)
                                       - lsum)

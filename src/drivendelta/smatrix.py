@@ -42,7 +42,7 @@ __all__ = [
 
 _ORDERS = ("first", "renormalized")
 _REGIME_FACTOR = 10.0     # pole-dominance gate of the limiting near-zero forms
-_NO_LOOP = LoopValue(re=0.0, im=0.0, n=0)
+_NO_LOOP = LoopValue(re=0.0, im=0.0)
 
 
 @dataclass(frozen=True)

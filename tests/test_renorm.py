@@ -537,15 +537,15 @@ class TestBoundRoute:
         # the regulated denominator rule that renorm_factors sums for Z
         k = math.sqrt(2.0 * 0.4)
         eps_t = 0.4 + 0.3 * 0.3 / 8.0
-        v1 = renorm._bound_series(k, k, 0, 0.3, eps_t, width=1e-6)
-        v2 = renorm._bound_series(k, k, 0, 0.3, eps_t, width=1e-9)
+        v1 = renorm._bound_series(k, k, 0, 0.3, complex(eps_t, 1e-6))
+        v2 = renorm._bound_series(k, k, 0, 0.3, complex(eps_t, 1e-9))
         assert abs(v1 - v2) < 1e-6
 
     def test_odd_sideband_amplitude_vanishes(self):
         k_i = math.sqrt(2.0 * 0.8)
         k_f = math.sqrt(k_i * k_i + 2.0)
         eps_t = 0.8 + 0.3 * 0.3 / 8.0
-        assert renorm._bound_series(k_f, k_i, 1, 0.3, eps_t, width=1e-6) == 0.0
+        assert renorm._bound_series(k_f, k_i, 1, 0.3, complex(eps_t, 1e-6)) == 0.0
         assert b_renorm(1, 0.8, 0.3) == 0.0
 
     @pytest.mark.parametrize("n", [-3, -1, 1, 3])
@@ -643,8 +643,8 @@ class TestBoundRoute:
         eps_i = 0.93
         k_i = math.sqrt(2.0 * eps_i)
         k_f = math.sqrt(k_i * k_i + 2 * n)
-        assert renorm._bound_series(k_f, k_i, n, g0, eps_i + g0 * g0 / 8.0,
-                                    width=1e-8) == pytest.approx(
+        pole = complex(eps_i + g0 * g0 / 8.0, 1e-8)
+        assert renorm._bound_series(k_f, k_i, n, g0, pole) == pytest.approx(
             full_sum(k_f, k_i, eps_i, lambda eps_t, n0: eps_t - n0 + 1e-8j),
             rel=1e-13, abs=0)
 

@@ -46,7 +46,9 @@ commands that exit 1 with a message naming their cause: a perturbative
 its threshold, the exact ``zero`` at g0 5e-4, whose dip is narrower
 than the floats below 1 resolve, and the exact ``scan`` at g0 0.7 from
 eps = 1e16 and from 1e300, above the 2**53 where the sideband truncation
-stops.  The switch
+stops; and ``compare --g0 0.3 --e-min 0.2 --e-max 3.0 --steps 15
+--n-max 2 --format json`` without ``--output``, whose standard output must
+hold the JSON document alone.  The switch
 edges lie at ``drivendelta.renorm._NEAR_DISTANCE``, read from ``src/`` in
 this script's checkout.  Each grid command runs as CSV on standard output
 and again as a JSON ``--output`` file.
@@ -152,6 +154,9 @@ def commands() -> List[Tuple[str, ...]]:
     for e_min, e_max in (("1e16", "1.1e16"), ("1e300", "1.1e300")):
         other.append(("scan", "--g0", "0.7", "--e-min", e_min, "--e-max", e_max,
                       "--steps", "2", "--method", "floquet", "--n-max", "1"))
+    # the table alone on standard output, its summary on standard error
+    other.append(("compare", "--g0", "0.3", "--e-min", "0.2", "--e-max", "3.0",
+                  "--steps", "15", "--n-max", "2", "--format", "json"))
     as_json = [argv + ("--format", "json", "--output", OUTPUT) for argv in grid]
     return list(dict.fromkeys(grid + as_json + other))    # the workloads repeat commands
 

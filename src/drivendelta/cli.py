@@ -188,9 +188,11 @@ def _blocks(config: ScanConfig) -> Iterator[List[float]]:
 def _scan_blocks(config: ScanConfig) -> Iterator[_Block]:
     """Scan columns block by block; a column the method leaves empty is absent.
 
-    A block's exact columns come from one batched solve of its energies;
-    its perturbative points, in grid order, then fill theirs, shared ones
-    included; the first failing point raises :class:`PointFailure` naming its ``eps_i``.
+    A block's exact columns, and ``T_sidebands_floquet`` (the exact flux
+    over |n| <= n_max, which ``compare`` reads), come from one batched solve
+    of its energies; its perturbative points, in grid order, then fill
+    theirs, shared ones included; the first failing point raises
+    :class:`PointFailure` naming its ``eps_i``.
     """
     sidebands = _scan_columns(config.n_max)[8:]
     exact = config.method in ("floquet", "both")
@@ -202,8 +204,10 @@ def _scan_blocks(config: ScanConfig) -> Iterator[_Block]:
                 sol = transmission_grid(grid, config.g0, config.n_max)
             except ToleranceError as exc:
                 raise PointFailure(exc.eps_i, exc) from exc
-            values = np.vstack((sol.r0_sq, sol.T_total, sol.T_n)).tolist()
-            block.update(zip(["R_elastic", "T_total_floquet"] + sidebands, values))
+            # sum() adds the rows one by one, so no energy's sum depends on its block
+            values = np.vstack((sol.r0_sq, sol.T_total, sum(sol.T_n), sol.T_n)).tolist()
+            block.update(zip(["R_elastic", "T_total_floquet", "T_sidebands_floquet"] + sidebands,
+                             values))
         if perturbative:
             rows = []
             for eps in grid:
@@ -346,9 +350,12 @@ def cmd_zero(config: ScanConfig) -> int:
 def cmd_compare(config: ScanConfig) -> int:
     """Per-energy difference between the two methods, with a summary block.
 
+    ``T_total_floquet`` is the exact flux over the sidebands |n| <= n_max
+    that ``T_total_pert`` sums, so ``abs_diff`` compares like with like.
     The summary excludes the resonance window |eps - 1| < 5 g0**2 from the
     max/mean statistics and always reports the window; the per-row output
-    is never filtered.
+    is never filtered.  The summary follows the table, or goes to standard
+    error where the table is on standard output.
     """
     config = replace(config, method="both").validate()
     window = 5.0 * config.g0 * config.g0
@@ -358,15 +365,15 @@ def cmd_compare(config: ScanConfig) -> int:
     def blocks() -> Iterator[_Block]:
         nonlocal count, total, largest
         for scan in _scan_blocks(config):
-            diff = [abs(p - f) for p, f in
-                    zip(scan["T_total_pert"], scan["T_total_floquet"])]
+            exact = scan["T_sidebands_floquet"]
+            diff = [abs(p - f) for p, f in zip(scan["T_total_pert"], exact)]
             for eps, d in zip(scan["eps_i"], diff):
                 if abs(eps - 1.0) >= window:
                     largest = d if count == 0 else max(largest, d)
                     count += 1
                     total += d
             yield {"eps_i": scan["eps_i"], "T_total_pert": scan["T_total_pert"],
-                   "T_total_floquet": scan["T_total_floquet"], "abs_diff": diff}
+                   "T_total_floquet": exact, "abs_diff": diff}
 
     def summary() -> Dict:
         return {
@@ -381,11 +388,12 @@ def cmd_compare(config: ScanConfig) -> int:
                 ["eps_i", "T_total_pert", "T_total_floquet", "abs_diff"], blocks(),
                 lambda: {"summary": {k: _json_value(v) for k, v in summary().items()}})
     result = summary()
-    print(f"rows = {result['rows']}")
-    print(f"excluded resonance window: {result['excluded_window']} "
-          f"({result['excluded_points']} points)")
-    print(f"max |diff| = {_fmt(result['max_abs_diff'])}")
-    print(f"mean |diff| = {_fmt(result['mean_abs_diff'])}")
+    print(f"rows = {result['rows']}\n"
+          f"excluded resonance window: {result['excluded_window']} "
+          f"({result['excluded_points']} points)\n"
+          f"max |diff| = {_fmt(result['max_abs_diff'])}\n"
+          f"mean |diff| = {_fmt(result['mean_abs_diff'])}",
+          file=sys.stderr if config.output_path is None else sys.stdout)
     return 0
 
 

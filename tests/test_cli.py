@@ -19,6 +19,7 @@ from drivendelta import cli, renorm, smatrix
 from drivendelta.cli import (ScanConfig, UsageError, cmd_compare, cmd_scan,
                              cmd_w0, main, parse_config)
 from drivendelta.errors import ToleranceError
+from drivendelta.floquet import transmission_grid
 from drivendelta.renorm import gamma_elastic_closed
 from drivendelta.smatrix import assemble
 from drivendelta.smatrix import w0 as w0_weight
@@ -544,6 +545,39 @@ class TestCompare:
         assert (summary["max_abs_diff"], summary["mean_abs_diff"]) == (None, None)
         assert "mean |diff| = nan\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n_max", [0, 2])
+    def test_abs_diff_sums_the_same_sidebands(self, tmp_path, n_max):
+        # the exact flux over every open channel once stood against the
+        # perturbative one over |n| <= n_max: 0.0803 at eps 1.5, n_max 0,
+        # where like with like differs by 0.00265
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--g0", "0.7", "--e-min", "1.5", "--e-max", "1.6",
+                     "--steps", "2", "--n-max", str(n_max), "--output", str(out)]) == 0
+        header, *lines = out.read_text(encoding="utf-8").splitlines()
+        rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+        eps = [row["eps_i"] for row in rows]
+        exact = transmission_grid(eps, 0.7, n_max).T_n.sum(axis=0)
+        for row, flux in zip(rows, exact):
+            assert row["T_total_floquet"] == pytest.approx(flux, rel=1e-14)
+            assert row["abs_diff"] == pytest.approx(abs(row["T_total_pert"] - flux), rel=1e-12)
+        if n_max == 0:
+            assert rows[0]["abs_diff"] < 0.003
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_table_alone_on_standard_output(self, capsys, fmt):
+        # without --output the summary goes to standard error; on standard
+        # output it once followed the table, where json.loads refused it
+        assert main(["compare", "--g0", "0.3", "--e-min", "0.2", "--e-max", "3.0",
+                     "--steps", "3", "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        if fmt == "json":
+            assert len(json.loads(captured.out)["rows"]) == 3
+        else:
+            lines = captured.out.splitlines()
+            assert len(lines) == 4 and lines[0].startswith("eps_i,")
+        assert captured.err.startswith("rows = 3\nexcluded resonance window: ")
+        assert captured.err.count("\n") == 4 and "mean |diff| = " in captured.err
+
 
 class TestZero:
     def test_undriven_reports_no_zero(self, capsys):
@@ -661,11 +695,12 @@ class TestRendererReference:
         assert cmd_compare(config) == 0
         printed = capsys.readouterr().out
         both = replace(config, method="both")
-        scan = _rows(cli._scan_columns(both.n_max), cli._scan_blocks(both))
+        scan = _rows(cli._scan_columns(both.n_max) + ["T_sidebands_floquet"],
+                     cli._scan_blocks(both))
         columns = ["eps_i", "T_total_pert", "T_total_floquet", "abs_diff"]
         rows = [{"eps_i": r["eps_i"], "T_total_pert": r["T_total_pert"],
-                 "T_total_floquet": r["T_total_floquet"],
-                 "abs_diff": abs(r["T_total_pert"] - r["T_total_floquet"])}
+                 "T_total_floquet": r["T_sidebands_floquet"],
+                 "abs_diff": abs(r["T_total_pert"] - r["T_sidebands_floquet"])}
                 for r in scan]
         window = 5.0 * config.g0 * config.g0
         included = [r["abs_diff"] for r in rows if abs(r["eps_i"] - 1.0) >= window]
